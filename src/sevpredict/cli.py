@@ -11,16 +11,9 @@ import json
 import os
 import sys
 
-from .adasyn import SamplerConfig
-from .cart import TreeConfig
 from .corpus import audit_csv, class_summary, load_corpus, save_corpus, synth_corpus
 from .errors import SchemaError, SevpredictError
-from .metrics import (
-    REPORT_CSV_HEADER,
-    EconConfig,
-    full_report,
-    parse_predictions,
-)
+from .metrics import REPORT_CSV_HEADER, full_report, parse_predictions
 from .pipeline import (
     PipelineConfig,
     average_reports,
@@ -29,40 +22,24 @@ from .pipeline import (
     run_kfold,
     write_comparison_tables,
 )
-from .selftrain import SelfTrainConfig
 from .severity import SEVERITY_ORDER, SeverityClass
 
 SEED_ENV_VAR = "SEVPREDICT_SEED"
 
-DEFAULTS = {
-    "gamma": 0.99,
-    "delta": 100.0,
-    "k_neighbors": 5,
-    "beta": 1.0,
-    "d_threshold": 1.0,
-    "test_fraction": 0.2,
-    "folds": None,
-    "weights": (0.1, 0.2, 0.3, 0.4, 0.5),
-    "bst_oversample": True,
-    "oversample_first": True,
-    "max_iterations": 50,
-    "min_samples_split": 2,
-    "max_depth": None,
-    "seed": None,
-}
+# Flag and config-file keys are the report's config keys, except that the
+# ordinal weights are called `weights`, and `seed`, which has no default,
+# seeds the sampler too.
+DEFAULTS = PipelineConfig().settings()
+DEFAULTS["weights"] = DEFAULTS.pop("ordinal_weights")
+del DEFAULTS["sampler_seed"]
+DEFAULTS["seed"] = None
 
 
-def _parse_weights(raw) -> tuple[float, ...]:
-    if isinstance(raw, (list, tuple)):
-        values = [float(v) for v in raw]
-    else:
-        try:
-            values = [float(part) for part in str(raw).split(",")]
-        except ValueError:
-            raise SevpredictError(f"--weights must be 5 comma-separated numbers, got {raw!r}") from None
-    if len(values) != 5:
-        raise SevpredictError(f"--weights must list exactly 5 values, got {len(values)}")
-    return tuple(values)
+def _parse_weights(text: str) -> list[float]:
+    try:
+        return [float(part) for part in text.split(",")]
+    except ValueError:
+        raise SevpredictError(f"--weights must be 5 comma-separated numbers, got {text!r}") from None
 
 
 def _resolve_settings(args) -> dict:
@@ -73,8 +50,10 @@ def _resolve_settings(args) -> dict:
         with open(config_path) as fh:
             try:
                 file_cfg = json.load(fh)
-            except json.JSONDecodeError as err:
+            except ValueError as err:  # also undecodable bytes
                 raise SevpredictError(f"config file {config_path}: {err}") from None
+        if not isinstance(file_cfg, dict):
+            raise SevpredictError(f"config file {config_path}: expected a JSON object")
         unknown = sorted(set(file_cfg) - set(DEFAULTS))
         if unknown:
             raise SevpredictError(f"config file {config_path}: unknown keys {', '.join(unknown)}")
@@ -85,15 +64,16 @@ def _resolve_settings(args) -> dict:
             settings[key] = value
     if getattr(args, "bst_raw", False):
         settings["bst_oversample"] = False
-    settings["weights"] = _parse_weights(settings["weights"])
+    weights = settings.pop("weights")
+    settings["ordinal_weights"] = _parse_weights(weights) if isinstance(weights, str) else weights
     return settings
 
 
 def _resolve_seed(args, settings=None) -> int:
     if getattr(args, "seed", None) is not None:
         return args.seed
-    if settings is not None and settings.get("seed") is not None:
-        return int(settings["seed"])
+    if settings is not None and settings["seed"] is not None:
+        return settings["seed"]  # type-checked by PipelineConfig.from_settings
     env = os.environ.get(SEED_ENV_VAR)
     if env is not None:
         try:
@@ -101,31 +81,6 @@ def _resolve_seed(args, settings=None) -> int:
         except ValueError:
             raise SevpredictError(f"{SEED_ENV_VAR} must be an integer, got {env!r}") from None
     raise SevpredictError(f"a seed is required: pass --seed or set {SEED_ENV_VAR}")
-
-
-def _pipeline_config(settings: dict, seed: int) -> PipelineConfig:
-    return PipelineConfig(
-        seed=seed,
-        test_fraction=float(settings["test_fraction"]),
-        folds=None if settings["folds"] is None else int(settings["folds"]),
-        sampler=SamplerConfig(
-            k_neighbors=int(settings["k_neighbors"]),
-            beta=float(settings["beta"]),
-            d_threshold=float(settings["d_threshold"]),
-            seed=seed,
-        ),
-        tree=TreeConfig(
-            min_samples_split=int(settings["min_samples_split"]),
-            max_depth=None if settings["max_depth"] is None else int(settings["max_depth"]),
-        ),
-        selftrain=SelfTrainConfig(
-            gamma=float(settings["gamma"]),
-            max_iterations=int(settings["max_iterations"]),
-            oversample_first=bool(settings["oversample_first"]),
-        ),
-        econ=EconConfig(delta=float(settings["delta"]), ordinal_weights=settings["weights"]),
-        bst_oversample=bool(settings["bst_oversample"]),
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -165,12 +120,13 @@ def _one_line_summary(report) -> str:
 def cmd_run(args) -> int:
     settings = _resolve_settings(args)
     seed = _resolve_seed(args, settings)
+    base_cfg = PipelineConfig.from_settings(settings, seed)
     os.makedirs(args.out, exist_ok=True)
     reports = []
     for index, path in enumerate(args.csv):
         corpus = load_corpus(path)
         project = os.path.splitext(os.path.basename(path))[0]
-        cfg = _pipeline_config(settings, seed + index)
+        cfg = base_cfg.reseeded(seed + index)
         if cfg.folds is not None:
             fold_reports = run_kfold(corpus, cfg, project)
             for fold in fold_reports:
@@ -195,10 +151,10 @@ def cmd_run(args) -> int:
 
 
 def cmd_metrics(args) -> int:
-    settings = _resolve_settings(args)
+    # the seed plays no part in scoring
+    econ = PipelineConfig.from_settings(_resolve_settings(args), seed=0).econ
     with open(args.predictions, newline="") as fh:
         outcomes = parse_predictions(fh)
-    econ = EconConfig(delta=float(settings["delta"]), ordinal_weights=settings["weights"])
     report = full_report(outcomes, econ)
     os.makedirs(args.out, exist_ok=True)
     json_path = os.path.join(args.out, "metrics.json")

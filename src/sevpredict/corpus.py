@@ -141,10 +141,14 @@ def _read_header(reader, feature_names: Sequence[str] | None) -> tuple[str, ...]
 
 
 def _scan_rows(source: Iterable[str], feature_names: Sequence[str] | None):
-    """Yield ModuleRecord or RowError per data row; raises SchemaError early."""
+    """Yield ModuleRecord or RowError per data row; raises SchemaError early.
+
+    A row repeating an earlier valid row's module_id is a RowError too.
+    """
     reader = csv.reader(source)
     schema = _read_header(reader, feature_names)
     width = len(REQUIRED_COLUMNS) + len(schema)
+    first_line: dict[str, int] = {}  # module_id -> file line of its first valid row
 
     def rows() -> Iterator[ModuleRecord | RowError]:
         for fields in reader:
@@ -171,6 +175,12 @@ def _scan_rows(source: Iterable[str], feature_names: Sequence[str] | None):
             except RowError as err:
                 yield err
                 continue
+            if module_id in first_line:
+                yield RowError(
+                    line, f"duplicate module_id {module_id!r} (first on row {first_line[module_id]})"
+                )
+                continue
+            first_line[module_id] = line
             yield ModuleRecord(module_id, loc, counts, total, feats)
 
     return schema, rows()
@@ -194,13 +204,9 @@ def parse_corpus(source: Iterable[str], feature_names: Sequence[str] | None = No
     """Parse the module CSV into a Corpus, raising on the first bad row."""
     schema, rows = _scan_rows(source, feature_names)
     records = []
-    seen: dict[str, int] = {}
     for item in rows:
         if isinstance(item, RowError):
             raise item
-        if item.module_id in seen:
-            raise RowError(seen[item.module_id], f"duplicate module_id {item.module_id!r}")
-        seen[item.module_id] = len(seen)
         records.append(item)
     return _assemble(schema, records)
 
@@ -214,16 +220,11 @@ def audit_csv(source: Iterable[str]) -> tuple[Corpus, list[str]]:
     schema, rows = _scan_rows(source, None)
     records = []
     diagnostics: list[str] = []
-    seen: set[str] = set()
     for item in rows:
         if isinstance(item, RowError):
             diagnostics.append(str(item))
-            continue
-        if item.module_id in seen:
-            diagnostics.append(f"duplicate module_id {item.module_id!r}")
-            continue
-        seen.add(item.module_id)
-        records.append(item)
+        else:
+            records.append(item)
     return _assemble(schema, records), diagnostics
 
 

@@ -10,7 +10,8 @@ negative only when it is clean and predicted clean; LoC-weighted measures
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
+from functools import cached_property
 from typing import Iterable, Mapping
 
 from .errors import RowError, SchemaError, SevpredictError
@@ -54,9 +55,21 @@ class OutcomeSet:
     def __iter__(self):
         return iter(self.outcomes)
 
-    @property
+    @cached_property
     def total_loc(self) -> int:
         return sum(o.loc for o in self.outcomes)
+
+    @cached_property
+    def clean_loc_split(self) -> tuple[int, int, int]:
+        """(true negatives, their LoC, LoC of clean modules predicted defective)."""
+        tn = saved = flagged = 0
+        for o in self.outcomes:
+            if o.is_true_negative:
+                tn += 1
+                saved += o.loc
+            elif o.actual is SeverityClass.CLEAN:
+                flagged += o.loc
+        return tn, saved, flagged
 
 
 @dataclass(frozen=True)
@@ -164,13 +177,7 @@ class BudgetMetrics:
 
 def budget_metrics(outcomes: OutcomeSet) -> BudgetMetrics:
     total_loc = outcomes.total_loc
-    saved = sum(o.loc for o in outcomes if o.is_true_negative)
-    lost = sum(
-        o.loc
-        for o in outcomes
-        if o.actual is SeverityClass.CLEAN and o.predicted is not SeverityClass.CLEAN
-    )
-    tn = sum(o.is_true_negative for o in outcomes)
+    tn, saved, lost = outcomes.clean_loc_split
     return BudgetMetrics(
         ptn=tn / len(outcomes),
         saved_budget=saved,
@@ -190,13 +197,8 @@ class ServiceMetrics:
 
 def service_metrics(outcomes: OutcomeSet, config: "EconConfig") -> ServiceMetrics:
     total_loc = outcomes.total_loc
-    remaining = sum(o.loc for o in outcomes if not o.is_true_negative)
-    gained = sum(
-        o.loc
-        for o in outcomes
-        if o.actual is SeverityClass.CLEAN and o.predicted is not SeverityClass.CLEAN
-    )
-    tn = sum(o.is_true_negative for o in outcomes)
+    tn, saved, gained = outcomes.clean_loc_split
+    remaining = total_loc - saved
     return ServiceMetrics(
         pntn=(len(outcomes) - tn) / len(outcomes),
         remaining_edits=remaining,
@@ -222,7 +224,8 @@ class EconConfig:
         return dict(zip(SEVERITY_ORDER, self.ordinal_weights))
 
 
-# Column order for one report as a CSV row.
+# Column order for one report as a CSV row. `f_measure` is the weighted
+# F-measure and `rf_<class>` that class's risk factor.
 REPORT_CSV_HEADER: tuple[str, ...] = (
     "accuracy",
     "f_measure",
@@ -231,10 +234,7 @@ REPORT_CSV_HEADER: tuple[str, ...] = (
     "pre",
     "rst_hours",
     "gst_hours",
-    "rf_high_severity",
-    "rf_critical",
-    "rf_major",
-    "rf_non_trivial",
+    *(f"rf_{cls.value}" for cls in DEFECTIVE_CLASSES),
     "system_rf",
 )
 
@@ -260,40 +260,14 @@ class MetricReport:
     ordinal_weights: tuple[float, ...]
 
     def to_json_dict(self) -> dict:
-        return {
-            "accuracy": self.accuracy,
-            "per_class": self.per_class,
-            "f_measure_macro": self.f_measure_macro,
-            "f_measure_weighted": self.f_measure_weighted,
-            "risk_factor": self.risk_factor,
-            "system_rf": self.system_rf,
-            "ptn": self.ptn,
-            "psb": self.psb,
-            "saved_budget": self.saved_budget,
-            "lsb": self.lsb,
-            "pntn": self.pntn,
-            "pre": self.pre,
-            "remaining_edits": self.remaining_edits,
-            "rst_hours": self.rst_hours,
-            "gst_hours": self.gst_hours,
-            "delta": self.delta,
-            "ordinal_weights": list(self.ordinal_weights),
-        }
+        return asdict(self)
 
     def csv_values(self) -> list:
         return [
-            self.accuracy,
-            self.f_measure_weighted,
-            self.psb,
-            self.lsb,
-            self.pre,
-            self.rst_hours,
-            self.gst_hours,
-            self.risk_factor[SeverityClass.HIGH_SEVERITY.value],
-            self.risk_factor[SeverityClass.CRITICAL.value],
-            self.risk_factor[SeverityClass.MAJOR.value],
-            self.risk_factor[SeverityClass.NON_TRIVIAL.value],
-            self.system_rf,
+            self.risk_factor[name.removeprefix("rf_")]
+            if name.startswith("rf_")
+            else getattr(self, "f_measure_weighted" if name == "f_measure" else name)
+            for name in REPORT_CSV_HEADER
         ]
 
 
@@ -302,31 +276,15 @@ def full_report(outcomes: OutcomeSet, config: EconConfig = EconConfig()) -> Metr
     cm = build_confusion(outcomes)
     fm = f_measures(cm)
     rf = risk_factor(cm, config.weight_map())
-    budget = budget_metrics(outcomes)
-    service = service_metrics(outcomes, config)
     return MetricReport(
         accuracy=accuracy(cm),
-        per_class={
-            cls.value: {
-                "precision": fm.per_class[cls].precision,
-                "recall": fm.per_class[cls].recall,
-                "f1": fm.per_class[cls].f1,
-            }
-            for cls in SEVERITY_ORDER
-        },
+        per_class={cls.value: asdict(fm.per_class[cls]) for cls in SEVERITY_ORDER},
         f_measure_macro=fm.macro,
         f_measure_weighted=fm.weighted,
         risk_factor={cls.value: rf[cls] for cls in DEFECTIVE_CLASSES},
         system_rf=system_risk_factor(rf),
-        ptn=budget.ptn,
-        psb=budget.psb,
-        saved_budget=budget.saved_budget,
-        lsb=budget.lsb,
-        pntn=service.pntn,
-        pre=service.pre,
-        remaining_edits=service.remaining_edits,
-        rst_hours=service.rst_hours,
-        gst_hours=service.gst_hours,
+        **asdict(budget_metrics(outcomes)),
+        **asdict(service_metrics(outcomes, config)),
         delta=config.delta,
         ordinal_weights=tuple(config.ordinal_weights),
     )

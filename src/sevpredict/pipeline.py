@@ -12,8 +12,9 @@ from __future__ import annotations
 import csv
 import json
 import os
-from dataclasses import dataclass, replace
-from typing import Sequence
+import sys
+from dataclasses import dataclass, fields, is_dataclass, replace
+from typing import Mapping, Sequence, get_args, get_origin, get_type_hints
 
 from .adasyn import SamplerConfig, adasyn_balance
 from .cart import DecisionTree, TreeConfig, fit_tree, predict_label
@@ -50,6 +51,90 @@ class PipelineConfig:
     def reseeded(self, seed: int) -> "PipelineConfig":
         return replace(self, seed=seed, sampler=replace(self.sampler, seed=seed))
 
+    def settings(self) -> dict:
+        """Flat name -> value view of every setting: the report's `config` echo."""
+        flat = {}
+        for name, section, field, _ in _SETTING_FIELDS:
+            value = getattr(getattr(self, section) if section else self, field)
+            flat[name] = list(value) if isinstance(value, tuple) else value
+        return flat
+
+    @classmethod
+    def from_settings(cls, settings: Mapping, seed: int) -> "PipelineConfig":
+        """Config from a flat settings dict as `settings()` returns it.
+
+        Missing keys keep their defaults. Both seeds come from `seed`; the
+        dict's own seed entries are ignored. Each value must have its
+        field's type: true/false for a flag, an integer for an int, any
+        finite number for a float, null where the field allows None, and a
+        list of finite numbers for the ordinal weights.
+        """
+        base = cls()
+        top: dict = {}
+        sections: dict[str, dict] = {}
+        for name, section, field, hint in _SETTING_FIELDS:
+            if field != "seed" and name in settings:
+                value = _checked(name, settings[name], hint)
+                (sections.setdefault(section, {}) if section else top)[field] = value
+        for section, values in sections.items():
+            top[section] = replace(getattr(base, section), **values)
+        return replace(base, **top).reseeded(_checked("seed", seed, int))
+
+
+def _setting_fields() -> tuple:
+    """(flat name, section or None, field name, type) for every setting.
+
+    Fields of the nested configs are flattened; one whose name a top-level
+    field already takes is prefixed with its section (`sampler_seed`).
+    """
+    top_names = {f.name for f in fields(PipelineConfig)}
+    hints = get_type_hints(PipelineConfig)
+    flat = []
+    for outer in fields(PipelineConfig):
+        if not is_dataclass(outer.default):
+            flat.append((outer.name, None, outer.name, hints[outer.name]))
+            continue
+        for field, hint in get_type_hints(type(outer.default)).items():
+            name = f"{outer.name}_{field}" if field in top_names else field
+            flat.append((name, outer.name, field, hint))
+    return tuple(flat)
+
+
+_SETTING_FIELDS = _setting_fields()
+
+
+def _is_finite_number(value) -> bool:
+    return (
+        isinstance(value, (int, float))
+        and not isinstance(value, bool)
+        and abs(value) <= sys.float_info.max
+    )
+
+
+def _checked(name: str, value, hint):
+    """`value` as the type `hint` of setting `name`, or a SevpredictError."""
+    if type(None) in get_args(hint):
+        if value is None:
+            return None
+        hint = next(t for t in get_args(hint) if t is not type(None))
+    if get_origin(hint) is tuple:
+        if isinstance(value, (list, tuple)) and all(map(_is_finite_number, value)):
+            return tuple(float(v) for v in value)
+        expected = "a list of finite numbers"
+    elif hint is bool:
+        if isinstance(value, bool):
+            return value
+        expected = "true or false"
+    elif hint is int:
+        if isinstance(value, int) and not isinstance(value, bool):
+            return value
+        expected = "an integer"
+    else:  # float
+        if _is_finite_number(value):
+            return float(value)
+        expected = "a finite number"
+    raise SevpredictError(f"setting {name!r} must be {expected}, got {value!r}")
+
 
 @dataclass
 class ExperimentReport:
@@ -81,27 +166,24 @@ def report_to_json(report: ExperimentReport) -> str:
     return json.dumps(report.to_json_dict(), indent=2, sort_keys=True) + "\n"
 
 
-SCALAR_FIELDS: tuple[str, ...] = (
-    "accuracy",
-    "f_measure_macro",
-    "f_measure_weighted",
-    "system_rf",
-    "ptn",
-    "psb",
-    "saved_budget",
-    "lsb",
-    "pntn",
-    "pre",
-    "remaining_edits",
-    "rst_hours",
-    "gst_hours",
+# Every MetricReport carries the EconConfig it was computed under.
+_ECON_FIELDS: tuple[str, ...] = tuple(f.name for f in fields(EconConfig))
+
+SCALAR_FIELDS: tuple[str, ...] = tuple(
+    name
+    for name, hint in get_type_hints(MetricReport).items()
+    if hint is float and name not in _ECON_FIELDS
 )
+
+
+def _require_same_econ(reports: Sequence[MetricReport], verb: str) -> None:
+    if len({tuple(getattr(r, name) for name in _ECON_FIELDS) for r in reports}) > 1:
+        raise SevpredictError(f"cannot {verb} reports computed under different economics configs")
 
 
 def compare(baseline: MetricReport, other: MetricReport) -> dict:
     """Field-wise deltas (other minus baseline) over comparable reports."""
-    if baseline.delta != other.delta or baseline.ordinal_weights != other.ordinal_weights:
-        raise SevpredictError("cannot compare reports computed under different economics configs")
+    _require_same_econ((baseline, other), "compare")
     deltas: dict = {name: getattr(other, name) - getattr(baseline, name) for name in SCALAR_FIELDS}
     deltas["risk_factor"] = {
         name: other.risk_factor[name] - baseline.risk_factor[name] for name in baseline.risk_factor
@@ -114,26 +196,6 @@ def _evaluate(tree: DecisionTree, test: Sequence[LabelledInstance]) -> OutcomeSe
         Outcome(inst.label, predict_label(tree, inst.features), inst.loc, inst.module_id)
         for inst in test
     )
-
-
-def _config_echo(cfg: PipelineConfig) -> dict:
-    return {
-        "seed": cfg.seed,
-        "test_fraction": cfg.test_fraction,
-        "folds": cfg.folds,
-        "bst_oversample": cfg.bst_oversample,
-        "k_neighbors": cfg.sampler.k_neighbors,
-        "beta": cfg.sampler.beta,
-        "d_threshold": cfg.sampler.d_threshold,
-        "sampler_seed": cfg.sampler.seed,
-        "min_samples_split": cfg.tree.min_samples_split,
-        "max_depth": cfg.tree.max_depth,
-        "gamma": cfg.selftrain.gamma,
-        "max_iterations": cfg.selftrain.max_iterations,
-        "oversample_first": cfg.selftrain.oversample_first,
-        "delta": cfg.econ.delta,
-        "ordinal_weights": list(cfg.econ.ordinal_weights),
-    }
 
 
 def _run_arms(
@@ -187,7 +249,7 @@ def _run_arms(
         deltas=compare(bst_report, ast_report),
         trace=st.trace,
         test_outcomes=test_rows,
-        config=_config_echo(cfg),
+        config=cfg.settings(),
     )
 
 
@@ -212,40 +274,21 @@ def run_kfold(corpus: Corpus, cfg: PipelineConfig, project: str = "corpus") -> l
     return reports
 
 
+def _mean(values: Sequence):
+    """Unweighted mean of numbers, or key-wise of equally keyed dicts."""
+    if isinstance(values[0], dict):
+        return {key: _mean([v[key] for v in values]) for key in values[0]}
+    return sum(values) / len(values)
+
+
 def _mean_metric_report(reports: Sequence[MetricReport]) -> MetricReport:
-    first = reports[0]
-    for other in reports[1:]:
-        if other.delta != first.delta or other.ordinal_weights != first.ordinal_weights:
-            raise SevpredictError("cannot average reports computed under different economics configs")
-    n = len(reports)
-    mean = lambda name: sum(getattr(r, name) for r in reports) / n
-    per_class = {
-        cls: {
-            score: sum(r.per_class[cls][score] for r in reports) / n
-            for score in ("precision", "recall", "f1")
-        }
-        for cls in first.per_class
+    _require_same_econ(reports, "average")
+    means = {
+        f.name: _mean([getattr(r, f.name) for r in reports])
+        for f in fields(MetricReport)
+        if f.name not in _ECON_FIELDS
     }
-    rf = {cls: sum(r.risk_factor[cls] for r in reports) / n for cls in first.risk_factor}
-    return MetricReport(
-        accuracy=mean("accuracy"),
-        per_class=per_class,
-        f_measure_macro=mean("f_measure_macro"),
-        f_measure_weighted=mean("f_measure_weighted"),
-        risk_factor=rf,
-        system_rf=mean("system_rf"),
-        ptn=mean("ptn"),
-        psb=mean("psb"),
-        saved_budget=mean("saved_budget"),
-        lsb=mean("lsb"),
-        pntn=mean("pntn"),
-        pre=mean("pre"),
-        remaining_edits=mean("remaining_edits"),
-        rst_hours=mean("rst_hours"),
-        gst_hours=mean("gst_hours"),
-        delta=first.delta,
-        ordinal_weights=first.ordinal_weights,
-    )
+    return replace(reports[0], **means)
 
 
 def average_reports(reports: Sequence[ExperimentReport], project: str = "average") -> ExperimentReport:
@@ -254,14 +297,10 @@ def average_reports(reports: Sequence[ExperimentReport], project: str = "average
         raise SevpredictError("nothing to average")
     bst = _mean_metric_report([r.bst for r in reports])
     ast = _mean_metric_report([r.ast for r in reports])
-    n = len(reports)
-    training = {
-        key: sum(r.training[key] for r in reports) / n for key in reports[0].training
-    }
     return ExperimentReport(
         project=project,
         corpus_summary={"aggregated_from": [r.project for r in reports]},
-        training=training,
+        training=_mean([r.training for r in reports]),
         bst=bst,
         ast=ast,
         deltas=compare(bst, ast),
@@ -280,10 +319,19 @@ RISK_TABLE_HEADER = (
     + ["system_rf_bst", "system_rf_ast"]
 )
 
+# performance table column -> MetricReport field
+_PERFORMANCE_COLUMNS = {
+    "accuracy": "accuracy",
+    "f_measure": "f_measure_weighted",
+    "psb": "psb",
+    "lsb": "lsb",
+    "pre": "pre",
+    "rst": "rst_hours",
+    "gst": "gst_hours",
+}
+
 PERFORMANCE_TABLE_HEADER = ["project"] + [
-    f"{name}_{arm}"
-    for name in ("accuracy", "f_measure", "psb", "lsb", "pre", "rst", "gst")
-    for arm in ("bst", "ast")
+    f"{name}_{arm}" for name in _PERFORMANCE_COLUMNS for arm in ("bst", "ast")
 ]
 
 BUDGET_TABLE_HEADER = [
@@ -305,19 +353,10 @@ def _risk_row(r: ExperimentReport) -> list:
 
 
 def _performance_row(r: ExperimentReport) -> list:
-    pairs = [
-        (r.bst.accuracy, r.ast.accuracy),
-        (r.bst.f_measure_weighted, r.ast.f_measure_weighted),
-        (r.bst.psb, r.ast.psb),
-        (r.bst.lsb, r.ast.lsb),
-        (r.bst.pre, r.ast.pre),
-        (r.bst.rst_hours, r.ast.rst_hours),
-        (r.bst.gst_hours, r.ast.gst_hours),
-    ]
     row: list = [r.project]
-    for i, (b, a) in enumerate(pairs):
-        fmt = "{:.2f}" if i >= 5 else "{:.4f}"
-        row += [fmt.format(b), fmt.format(a)]
+    for field in _PERFORMANCE_COLUMNS.values():
+        fmt = "{:.2f}" if field.endswith("_hours") else "{:.4f}"
+        row += [fmt.format(getattr(r.bst, field)), fmt.format(getattr(r.ast, field))]
     return row
 
 
@@ -326,14 +365,13 @@ def _fmt_loc(value) -> str:
     return str(int(f)) if f.is_integer() else f"{f:.2f}"
 
 
-def _budget_row(r: ExperimentReport) -> list:
+def _budget_values(r: ExperimentReport) -> list:
     return [
-        r.project,
-        _fmt_loc(r.training["test_total_loc"]),
-        _fmt_loc(r.bst.saved_budget),
-        _fmt_loc(r.ast.saved_budget),
-        _fmt_loc(r.bst.remaining_edits),
-        _fmt_loc(r.ast.remaining_edits),
+        r.training["test_total_loc"],
+        r.bst.saved_budget,
+        r.ast.saved_budget,
+        r.bst.remaining_edits,
+        r.ast.remaining_edits,
     ]
 
 
@@ -345,21 +383,13 @@ def write_comparison_tables(reports: Sequence[ExperimentReport], out_dir) -> lis
     """
     risk_rows = [_risk_row(r) for r in reports]
     perf_rows = [_performance_row(r) for r in reports]
-    budget_rows = [_budget_row(r) for r in reports]
+    budget_values = [_budget_values(r) for r in reports]
+    budget_rows = [[r.project, *map(_fmt_loc, v)] for r, v in zip(reports, budget_values)]
     if len(reports) > 1:
         avg = average_reports(reports, "average")
         risk_rows.append(_risk_row(avg))
         perf_rows.append(_performance_row(avg))
-        budget_rows.append(
-            [
-                "total",
-                _fmt_loc(sum(r.training["test_total_loc"] for r in reports)),
-                _fmt_loc(sum(r.bst.saved_budget for r in reports)),
-                _fmt_loc(sum(r.ast.saved_budget for r in reports)),
-                _fmt_loc(sum(r.bst.remaining_edits for r in reports)),
-                _fmt_loc(sum(r.ast.remaining_edits for r in reports)),
-            ]
-        )
+        budget_rows.append(["total", *(_fmt_loc(sum(col)) for col in zip(*budget_values))])
     paths = []
     for name, header, rows in (
         ("risk_factors.csv", RISK_TABLE_HEADER, risk_rows),

@@ -11,7 +11,7 @@ iteration budget runs out.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Sequence
 
 from .adasyn import SamplerConfig, adasyn_balance
@@ -55,20 +55,10 @@ class SelfTrainTrace:
     status: str  # exhausted_U | no_progress | max_iterations
 
     def to_dict(self) -> dict:
+        # a shallow walk: asdict would copy accepted_indices element by element
         return {
             "status": self.status,
-            "iterations": [
-                {
-                    "iteration": r.iteration,
-                    "unlabelled_before": r.unlabelled_before,
-                    "accepted": r.accepted,
-                    "accepted_per_class": r.accepted_per_class,
-                    "accepted_indices": list(r.accepted_indices),
-                    "supervised_risk": r.supervised_risk,
-                    "unsupervised_risk": r.unsupervised_risk,
-                }
-                for r in self.iterations
-            ],
+            "iterations": [{f.name: getattr(r, f.name) for f in fields(r)} for r in self.iterations],
         }
 
     def to_jsonl(self) -> str:
@@ -132,12 +122,12 @@ def self_train(
     records: list[IterationRecord] = []
     status = STATUS_EXHAUSTED_U  # holds if the pool drains (or started empty)
     iteration = 0
+    tree = fit_tree(pool, tree_config, schema)
     while remaining:
         iteration += 1
         if iteration > config.max_iterations:
             status = STATUS_MAX_ITERATIONS
             break
-        tree = fit_tree(pool, tree_config, schema)
         supervised, unsupervised = pseudo_label_risk(
             tree, pool, [inst for _, inst in remaining], config.gamma
         )
@@ -173,10 +163,10 @@ def self_train(
             break
         pool.extend(inst for _, inst in accepted)
         remaining = kept
+        tree = fit_tree(pool, tree_config, schema)
 
-    final_tree = fit_tree(pool, tree_config, schema)
     return SelfTrainResult(
-        tree=final_tree,
+        tree=tree,
         labelled=tuple(pool),
         residual_unlabelled=tuple(inst for _, inst in remaining),
         trace=SelfTrainTrace(tuple(records), status),

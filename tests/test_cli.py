@@ -244,6 +244,46 @@ def test_run_weights_flag_validated(capsys, tmp_path):
     assert code == 1
 
 
+@pytest.mark.parametrize("command", ["run", "metrics"])
+@pytest.mark.parametrize(
+    "content, named",
+    [
+        ('{"gamma": "abc"}', "gamma"),
+        ('{"max_depth": "x"}', "max_depth"),
+        ('{"folds": 2.5}', "folds"),
+        ('{"delta": 1e999}', "delta"),
+        ('{"weights": ["a", 1, 2, 3, 4]}', "weights"),
+        ('{"weights": "a,1,2,3,4"}', "weights"),
+        ('{"bst_oversample": "false"}', "bst_oversample"),
+        ('{"oversample_first": 1}', "oversample_first"),
+        ('[1]', "expected a JSON object"),
+        ('"str"', "expected a JSON object"),
+    ],
+)
+def test_bad_config_value_exits_1_naming_the_key(
+    capsys, tmp_path, reference_bst_path, command, content, named
+):
+    config = tmp_path / "config.json"
+    config.write_text(content)
+    target = str(make_corpus_csv(capsys, tmp_path) if command == "run" else reference_bst_path)
+    extra = ["--seed", "1"] if command == "run" else []
+    code, _, err = run(capsys, command, target, *extra, "--config", str(config),
+                       "--out", str(tmp_path / "out"))
+    assert code == 1
+    assert named in err
+    assert err.count("\n") == 1 and "Traceback" not in err
+
+
+def test_config_seed_must_be_an_integer(capsys, tmp_path):
+    corpus_csv = make_corpus_csv(capsys, tmp_path)
+    config = tmp_path / "config.json"
+    config.write_text('{"seed": "7"}')
+    code, _, err = run(capsys, "run", str(corpus_csv), "--config", str(config),
+                       "--out", str(tmp_path / "out"))
+    assert code == 1
+    assert "seed" in err
+
+
 # ---------------------------------------------------------------------------
 # metrics
 

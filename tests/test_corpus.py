@@ -117,7 +117,7 @@ def test_parse_corpus_row_errors(row, fragment):
 
 
 def test_parse_corpus_rejects_duplicate_module_ids():
-    with pytest.raises(RowError, match="duplicate"):
+    with pytest.raises(RowError, match=r"row 3: duplicate module_id 'a' \(first on row 2\)"):
         parse_corpus(csv_stream("a,10,0,0,0,0,0,1.0,2.0", "a,20,0,0,0,0,0,3.0,4.0"))
 
 
@@ -136,6 +136,7 @@ def test_audit_csv_collects_diagnostics_and_keeps_good_rows():
         )
     )
     assert len(diagnostics) == 2
+    assert diagnostics[1] == "row 5: duplicate module_id 'a' (first on row 2)"
     assert len(corpus.labelled) == 2
     assert {i.module_id for i in corpus.labelled} == {"a", "c"}
 

@@ -4,10 +4,15 @@ import csv
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sevpredict import (
     EconConfig,
     PipelineConfig,
+    SamplerConfig,
+    SelfTrainConfig,
+    TreeConfig,
     SevpredictError,
     average_reports,
     compare,
@@ -238,3 +243,48 @@ def test_pipeline_config_validation():
         PipelineConfig.with_seed(0, test_fraction=1.0)
     with pytest.raises(SevpredictError):
         PipelineConfig.with_seed(0, folds=1)
+
+
+@st.composite
+def valid_configs(draw):
+    seed = draw(st.integers(0, 2**32))
+    weights = sorted(draw(st.sets(st.floats(0.01, 100.0), min_size=5, max_size=5)))
+    return PipelineConfig(
+        seed=seed,
+        test_fraction=draw(st.floats(0.01, 0.99)),
+        folds=draw(st.none() | st.integers(2, 20)),
+        sampler=SamplerConfig(
+            k_neighbors=draw(st.integers(1, 20)),
+            beta=draw(st.floats(0.0, 1.0)),
+            d_threshold=draw(st.floats(0.0, 1.0, exclude_min=True)),
+            seed=seed,
+        ),
+        tree=TreeConfig(
+            min_samples_split=draw(st.integers(2, 50)),
+            max_depth=draw(st.none() | st.integers(0, 30)),
+        ),
+        selftrain=SelfTrainConfig(
+            gamma=draw(st.floats(0.0, 1.0)),
+            max_iterations=draw(st.integers(1, 100)),
+            oversample_first=draw(st.booleans()),
+        ),
+        econ=EconConfig(delta=draw(st.floats(0.01, 1e6)), ordinal_weights=tuple(weights)),
+        bst_oversample=draw(st.booleans()),
+    )
+
+
+@settings(max_examples=200, deadline=None)
+@given(valid_configs())
+def test_settings_round_trip(cfg):
+    assert PipelineConfig.from_settings(cfg.settings(), cfg.seed) == cfg
+    # through JSON too, as the report's config echo is read back
+    echoed = json.loads(json.dumps(cfg.settings()))
+    assert PipelineConfig.from_settings(echoed, cfg.seed) == cfg
+
+
+def test_settings_echo_names_every_setting_once():
+    assert set(PipelineConfig().settings()) == {
+        "seed", "test_fraction", "folds", "k_neighbors", "beta", "d_threshold",
+        "sampler_seed", "min_samples_split", "max_depth", "gamma", "max_iterations",
+        "oversample_first", "delta", "ordinal_weights", "bst_oversample",
+    }

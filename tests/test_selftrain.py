@@ -111,6 +111,25 @@ def test_gamma_one_with_conflicts_makes_no_progress():
     assert rec.accepted_per_class == {c.value: 0 for c in (HS, CR, MA, NT, CL)}
 
 
+def test_no_progress_keeps_the_only_tree(monkeypatch):
+    # an iteration that accepts nothing leaves the pool as it was, so the
+    # tree fitted before it is already the final tree
+    import sevpredict.selftrain as selftrain
+
+    fitted = []
+
+    def counting_fit(*args, **kwargs):
+        fitted.append(fit_tree(*args, **kwargs))
+        return fitted[-1]
+
+    labelled, unlabelled = conflicted_sets()
+    monkeypatch.setattr(selftrain, "fit_tree", counting_fit)
+    result = self_train(labelled, unlabelled, SelfTrainConfig(gamma=1.0, oversample_first=False))
+    assert result.trace.status == STATUS_NO_PROGRESS
+    assert len(fitted) == 1
+    assert result.tree == fit_tree(labelled)
+
+
 def test_empty_pool_exhausts_immediately():
     labelled, _ = separable_sets()
     result = self_train(labelled, [], NO_SAMPLING)
