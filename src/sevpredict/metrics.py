@@ -10,6 +10,7 @@ negative only when it is clean and predicted clean; LoC-weighted measures
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import asdict, dataclass
 from functools import cached_property
 from typing import Iterable, Mapping
@@ -211,11 +212,11 @@ def service_metrics(outcomes: OutcomeSet, config: "EconConfig") -> ServiceMetric
 @dataclass(frozen=True)
 class EconConfig:
     delta: float = 100.0  # LoC serviced per hour
-    ordinal_weights: tuple[float, float, float, float, float] = (0.1, 0.2, 0.3, 0.4, 0.5)
+    ordinal_weights: tuple[float, float, float, float, float] = tuple(DEFAULT_WEIGHTS.values())
 
     def __post_init__(self):
-        if self.delta <= 0:
-            raise SevpredictError(f"delta must be > 0, got {self.delta}")
+        if not 0 < self.delta < math.inf:  # also rejects NaN
+            raise SevpredictError(f"delta must be a finite number > 0, got {self.delta}")
         if len(self.ordinal_weights) != len(SEVERITY_ORDER):
             raise SevpredictError("ordinal_weights must list one weight per class")
         validate_weights(self.weight_map())

@@ -1,8 +1,10 @@
 """End-to-end experiment: split, train both arms, evaluate, compare.
 
 The baseline arm (BST) fits one tree on the labelled training data,
-balanced by default. The self-training arm (AST) additionally absorbs
-confident pseudo-labels from the unlabelled pool. Both arms are scored on
+balanced by default. The self-training arm (AST) starts from the same kind
+of pool, balanced or raw by its own flag, and additionally absorbs
+confident pseudo-labels from the unlabelled pool; when both arms start
+from the same pool, AST continues from BST's tree. Both arms are scored on
 the identical held-out test set, so their metric deltas isolate the
 contribution of the unlabelled data.
 """
@@ -35,6 +37,7 @@ class PipelineConfig:
     selftrain: SelfTrainConfig = SelfTrainConfig()
     econ: EconConfig = EconConfig()
     bst_oversample: bool = True  # False gives the raw-baseline reading
+    oversample_first: bool = True  # False starts self-training from the raw labelled pool
 
     def __post_init__(self) -> None:
         if not 0.0 < self.test_fraction < 1.0:
@@ -205,19 +208,14 @@ def _run_arms(
     cfg: PipelineConfig,
     project: str,
 ) -> ExperimentReport:
-    if not test:
-        raise SevpredictError("test split is empty; raise test_fraction or enlarge the corpus")
-    train_labelled = list(train.labelled)
-    bst_train = (
-        adasyn_balance(train_labelled, cfg.sampler) if cfg.bst_oversample else train_labelled
-    )
-    bst_tree = fit_tree(bst_train, cfg.tree, corpus.schema)
+    # one starting pool and tree per distinct oversampling flag, shared by the arms
+    raw = list(train.labelled)
+    bst_flag, ast_flag = cfg.bst_oversample, cfg.oversample_first
+    pools = {flag: adasyn_balance(raw, cfg.sampler) if flag else raw for flag in {bst_flag, ast_flag}}
+    trees = {flag: fit_tree(pool, cfg.tree, corpus.schema) for flag, pool in pools.items()}
+    st = self_train(trees[ast_flag], pools[ast_flag], list(train.unlabelled), cfg.selftrain, cfg.tree)
 
-    st = self_train(
-        train_labelled, list(train.unlabelled), cfg.selftrain, cfg.tree, cfg.sampler, corpus.schema
-    )
-
-    bst_outcomes = _evaluate(bst_tree, test)
+    bst_outcomes = _evaluate(trees[bst_flag], test)
     ast_outcomes = _evaluate(st.tree, test)
     bst_report = full_report(bst_outcomes, cfg.econ)
     ast_report = full_report(ast_outcomes, cfg.econ)
@@ -237,7 +235,7 @@ def _run_arms(
         project=project,
         corpus_summary=class_summary(corpus),
         training={
-            "bst_train_size": len(bst_train),
+            "bst_train_size": len(pools[bst_flag]),
             "ast_train_size": len(st.labelled),
             "accepted_pseudo": accepted,
             "residual_unlabelled": len(st.residual_unlabelled),
@@ -258,6 +256,8 @@ def run_experiment(corpus: Corpus, cfg: PipelineConfig, project: str = "corpus")
     if len({inst.label for inst in corpus.labelled}) < 2:
         raise SevpredictError("experiment needs at least 2 labelled classes")
     train, test = stratified_split(corpus, cfg.test_fraction, cfg.seed)
+    if not test:
+        raise SevpredictError("test split is empty; raise test_fraction or enlarge the corpus")
     return _run_arms(corpus, train, test, cfg, project)
 
 
@@ -267,8 +267,12 @@ def run_kfold(corpus: Corpus, cfg: PipelineConfig, project: str = "corpus") -> l
         raise SevpredictError("run_kfold needs cfg.folds")
     if len({inst.label for inst in corpus.labelled}) < 2:
         raise SevpredictError("experiment needs at least 2 labelled classes")
+    splits = stratified_kfold(corpus, cfg.folds, cfg.seed)
+    for i, (_, test) in enumerate(splits):
+        if not test:
+            raise SevpredictError(f"folds={cfg.folds} leaves fold {i} with an empty test set; lower folds")
     reports = []
-    for i, (train, test) in enumerate(stratified_kfold(corpus, cfg.folds, cfg.seed)):
+    for i, (train, test) in enumerate(splits):
         fold_cfg = cfg.reseeded(cfg.seed + i)
         reports.append(_run_arms(corpus, train, test, fold_cfg, f"{project}_fold{i}"))
     return reports

@@ -1,10 +1,10 @@
 """Semi-supervised self-training around the decision tree.
 
-The labelled pool is optionally balanced once up front, then the loop
-alternates: fit a tree, score every unlabelled instance by its leaf
-frequency, and absorb the whole batch whose confidence clears the
-acceptance threshold as pseudo-labelled training data. Iteration ends when
-the unlabelled pool is exhausted, an iteration accepts nothing, or the
+The loop starts from a labelled pool and the tree already fitted on it,
+then alternates: score every unlabelled instance by its leaf frequency,
+absorb the whole batch whose confidence clears the acceptance threshold as
+pseudo-labelled training data, and refit. Iteration ends when the
+unlabelled pool is exhausted, an iteration accepts nothing, or the
 iteration budget runs out.
 """
 
@@ -14,7 +14,6 @@ import json
 from dataclasses import dataclass, fields
 from typing import Sequence
 
-from .adasyn import SamplerConfig, adasyn_balance
 from .cart import DecisionTree, TreeConfig, fit_tree, predict_confidence, predict_label
 from .corpus import PROVENANCE_PSEUDO, LabelledInstance, UnlabelledInstance
 from .errors import SevpredictError
@@ -29,7 +28,6 @@ STATUS_MAX_ITERATIONS = "max_iterations"
 class SelfTrainConfig:
     gamma: float = 0.99  # leaf-frequency confidence needed to accept a pseudo-label
     max_iterations: int = 50
-    oversample_first: bool = True
 
     def __post_init__(self):
         if not 0.0 <= self.gamma <= 1.0:
@@ -46,7 +44,6 @@ class IterationRecord:
     accepted_per_class: dict[str, int]
     accepted_indices: tuple[int, ...]  # positions in the original unlabelled list
     supervised_risk: float
-    unsupervised_risk: float
 
 
 @dataclass(frozen=True)
@@ -75,62 +72,41 @@ class SelfTrainResult:
     trace: SelfTrainTrace
 
 
-def pseudo_label_risk(
-    tree: DecisionTree,
-    labelled: Sequence[LabelledInstance],
-    unlabelled: Sequence[UnlabelledInstance],
-    gamma: float,
-) -> tuple[float, float]:
-    """0-1 risk terms of a tree over the two pools.
-
-    The supervised term is the misclassification rate on the labelled pool.
-    The unsupervised term averages, over the unlabelled pool, the loss of
-    the tree's prediction against the pseudo-label it would assign when the
-    confidence clears gamma; since the pseudo-label is that same prediction
-    the term is identically zero, and an empty pool contributes zero.
-    """
+def pseudo_label_risk(tree: DecisionTree, labelled: Sequence[LabelledInstance]) -> float:
+    """0-1 risk of a tree: its misclassification rate on the labelled pool."""
     if not labelled:
         raise SevpredictError("risk needs a non-empty labelled pool")
     wrong = sum(predict_label(tree, inst.features) is not inst.label for inst in labelled)
-    supervised = wrong / len(labelled)
-    if not unlabelled:
-        return supervised, 0.0
-    unsup = 0.0
-    for inst in unlabelled:
-        pseudo, confidence = predict_confidence(tree, inst.features)
-        if confidence >= gamma:
-            unsup += float(pseudo is not predict_label(tree, inst.features))
-    return supervised, unsup / len(unlabelled)
+    return wrong / len(labelled)
 
 
 def self_train(
+    tree: DecisionTree,
     labelled: Sequence[LabelledInstance],
     unlabelled: Sequence[UnlabelledInstance],
     config: SelfTrainConfig = SelfTrainConfig(),
     tree_config: TreeConfig = TreeConfig(),
-    sampler_config: SamplerConfig = SamplerConfig(),
-    schema: Sequence[str] | None = None,
 ) -> SelfTrainResult:
-    """Grow the labelled pool by batch-accepting confident pseudo-labels."""
+    """Grow the labelled pool by batch-accepting confident pseudo-labels.
+
+    `tree` is the tree fitted on `labelled` under `tree_config`; the loop
+    continues from it and refits only after an iteration that extends the
+    pool. `labelled` itself is never extended.
+    """
     if not labelled:
         raise SevpredictError("self-training needs a non-empty labelled pool")
-    pool: list[LabelledInstance] = (
-        adasyn_balance(labelled, sampler_config) if config.oversample_first else list(labelled)
-    )
+    pool = list(labelled)
     remaining: list[tuple[int, UnlabelledInstance]] = list(enumerate(unlabelled))
 
     records: list[IterationRecord] = []
     status = STATUS_EXHAUSTED_U  # holds if the pool drains (or started empty)
     iteration = 0
-    tree = fit_tree(pool, tree_config, schema)
     while remaining:
         iteration += 1
         if iteration > config.max_iterations:
             status = STATUS_MAX_ITERATIONS
             break
-        supervised, unsupervised = pseudo_label_risk(
-            tree, pool, [inst for _, inst in remaining], config.gamma
-        )
+        supervised = pseudo_label_risk(tree, pool)
         accepted: list[tuple[int, LabelledInstance]] = []
         kept: list[tuple[int, UnlabelledInstance]] = []
         for original_index, inst in remaining:
@@ -155,7 +131,6 @@ def self_train(
                 accepted_per_class=per_class,
                 accepted_indices=tuple(i for i, _ in accepted),
                 supervised_risk=supervised,
-                unsupervised_risk=unsupervised,
             )
         )
         if not accepted:
@@ -163,7 +138,7 @@ def self_train(
             break
         pool.extend(inst for _, inst in accepted)
         remaining = kept
-        tree = fit_tree(pool, tree_config, schema)
+        tree = fit_tree(pool, tree_config, tree.schema)
 
     return SelfTrainResult(
         tree=tree,

@@ -8,6 +8,7 @@ category down to clean.
 from __future__ import annotations
 
 import enum
+import math
 from typing import Mapping
 
 from .errors import SevpredictError
@@ -53,16 +54,16 @@ def more_severe(a: SeverityClass, b: SeverityClass) -> bool:
 def validate_weights(weights: Mapping[SeverityClass, float]) -> dict[SeverityClass, float]:
     """Check an ordinal weight assignment and return it in canonical order.
 
-    Weights must cover all five classes, be positive, and strictly increase
-    from high severity to clean; otherwise risk factors lose their ordering
-    semantics.
+    Weights must cover all five classes, be positive and finite, and
+    strictly increase from high severity to clean; otherwise risk factors
+    lose their ordering semantics.
     """
     missing = [c.value for c in SEVERITY_ORDER if c not in weights]
     if missing:
         raise SevpredictError(f"ordinal weights missing classes: {', '.join(missing)}")
     ordered = [float(weights[c]) for c in SEVERITY_ORDER]
-    if any(w <= 0 for w in ordered):
-        raise SevpredictError("ordinal weights must be positive")
+    if not all(0 < w < math.inf for w in ordered):  # also rejects NaN
+        raise SevpredictError("ordinal weights must be positive and finite")
     if any(b <= a for a, b in zip(ordered, ordered[1:])):
         raise SevpredictError("ordinal weights must strictly increase from high_severity to clean")
     return dict(zip(SEVERITY_ORDER, ordered))

@@ -232,7 +232,7 @@ def test_criterion_6_self_training_behaviour():
         make_labelled([5.0, 5.0], MA), make_labelled([5.2, 5.1], MA),
     ]
     pool = [make_unlabelled([0.1, 0.05]), make_unlabelled([5.1, 5.05])]
-    greedy = self_train(separable, pool, SelfTrainConfig(gamma=0.0, oversample_first=False))
+    greedy = self_train(fit_tree(separable), separable, pool, SelfTrainConfig(gamma=0.0))
     assert greedy.trace.status == STATUS_EXHAUSTED_U
     assert len(greedy.trace.iterations) == 1
     assert greedy.trace.iterations[0].accepted == len(pool)
@@ -241,8 +241,8 @@ def test_criterion_6_self_training_behaviour():
         make_labelled([0.0], CL), make_labelled([0.0], MA),
         make_labelled([9.0], HS), make_labelled([9.5], HS),
     ]
-    stuck = self_train(conflicted, [make_unlabelled([0.0]), make_unlabelled([0.01])],
-                       SelfTrainConfig(gamma=1.0, oversample_first=False))
+    stuck = self_train(fit_tree(conflicted), conflicted,
+                       [make_unlabelled([0.0]), make_unlabelled([0.01])], SelfTrainConfig(gamma=1.0))
     assert stuck.trace.status == STATUS_NO_PROGRESS
     assert len(stuck.residual_unlabelled) == 2
 
@@ -254,8 +254,8 @@ def test_criterion_6_self_training_behaviour():
         for _ in range(6):
             labelled.append(make_labelled([float(centre + rng.normal(0, 0.5))], cls))
     unlabelled = [make_unlabelled([float(rng.uniform(-1, 9))]) for _ in range(25)]
-    config = SelfTrainConfig(gamma=0.7, oversample_first=False)
-    result = self_train(labelled, unlabelled, config)
+    config = SelfTrainConfig(gamma=0.7)
+    result = self_train(fit_tree(labelled), labelled, unlabelled, config)
 
     sizes = [rec.unlabelled_before for rec in result.trace.iterations]
     assert sizes == sorted(sizes, reverse=True)

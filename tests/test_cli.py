@@ -168,6 +168,18 @@ def test_run_folds_writes_fold_and_average_reports(capsys, tmp_path):
     assert doc["corpus"] == {"aggregated_from": [f"proj_fold{i}" for i in range(3)]}
 
 
+def test_run_with_too_many_folds_names_folds(capsys, tmp_path):
+    # largest class 3: a fourth fold gets no test module
+    corpus_csv = tmp_path / "small.csv"
+    run(capsys, "synth", "--out", str(corpus_csv), "--seed", "1",
+        "--clean", "3", "--major", "3", "--critical", "3")
+    code, _, err = run(capsys, "run", str(corpus_csv), "--seed", "1", "--folds", "4",
+                       "--out", str(tmp_path / "out"))
+    assert code == 1
+    assert "folds" in err
+    assert err.count("\n") == 1 and "Traceback" not in err
+
+
 def test_run_multiple_corpora_adds_average(capsys, tmp_path):
     a = make_corpus_csv(capsys, tmp_path, "alpha", seed=3)
     b = make_corpus_csv(capsys, tmp_path, "beta", seed=4)

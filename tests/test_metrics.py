@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import io
+import math
 import json
 
 import numpy as np
@@ -324,6 +325,20 @@ def test_econ_config_validation():
         EconConfig(ordinal_weights=(0.1, 0.1, 0.3, 0.4, 0.5))
     with pytest.raises(SevpredictError):
         EconConfig(ordinal_weights=(-0.1, 0.2, 0.3, 0.4, 0.5))
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("position", [None, 0, 1, 2, 3, 4])
+def test_econ_config_rejects_non_finite_values(bad, position):
+    # position None puts the bad value in delta, an index in that weight
+    if position is None:
+        kwargs = {"delta": bad}
+    else:
+        weights = list(EconConfig().ordinal_weights)
+        weights[position] = bad
+        kwargs = {"ordinal_weights": tuple(weights)}
+    with pytest.raises(SevpredictError, match="finite"):
+        EconConfig(**kwargs)
 
 
 def test_default_weights_match_config_default():

@@ -1,0 +1,53 @@
+"""The benchmark's traced call-count checks hold on small CLI runs.
+
+perfbench/ records each layer by wrapping sevpredict's functions from
+outside and checks that every traced run makes the calls its flags imply.
+A change to a traced function's name or argument names breaks those checks;
+this test shows it in seconds rather than at the end of a benchmark run.
+"""
+
+from __future__ import annotations
+
+import sys
+from pathlib import Path
+
+import pytest
+
+from sevpredict import cli, save_corpus, synth_corpus
+
+from conftest import CL, CR, HS, MA, NT
+
+# perfbench's scripts import each other as top-level modules
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
+
+import run as bench_run  # noqa: E402
+from spans import Tracer  # noqa: E402
+from workloads import Workload  # noqa: E402
+
+
+@pytest.fixture(scope="module")
+def corpus_csv(tmp_path_factory):
+    path = tmp_path_factory.mktemp("corpus") / "tiny.csv"
+    counts = {HS: 4, CR: 6, MA: 10, NT: 10, CL: 25}
+    save_corpus(synth_corpus(counts, 3, 3.0, n_unlabelled=30, seed=5), path)
+    return path
+
+
+@pytest.mark.parametrize(
+    "cli_args",
+    [(), ("--folds", "3", "--table"), ("--bst-raw", "--max-depth", "2")],
+    ids=["holdout", "folds_table", "bst_raw"],
+)
+def test_traced_run_passes_the_benchmark_checks(tmp_path, corpus_csv, cli_args):
+    workload = Workload(
+        name="contract", why="", class_counts=(4, 6, 10, 10, 25), unlabelled=30,
+        features=3, separation=3.0, corpora=1, cli_args=cli_args,
+    )
+    out = tmp_path / "out"
+    argv = ["run", str(corpus_csv), "--seed", "7", "--out", str(out), *cli_args]
+    tracer = Tracer()
+    with tracer.installed():
+        bench_run.call_cli(cli, argv, out, tracer)
+    bench_run.check_calls(tracer, workload, out)
+    assert tracer.counts["cart.duplicate_fits"] == 0
+    assert tracer.counts["adasyn.duplicate_calls"] == 0

@@ -21,6 +21,7 @@ from sevpredict import (
     report_to_json,
     run_experiment,
     run_kfold,
+    self_train,
     synth_corpus,
     write_comparison_tables,
 )
@@ -90,12 +91,55 @@ def test_no_unlabelled_and_matched_sampling_gives_zero_deltas():
     # tree sees exactly the BST training set
     corpus = demo_corpus(unlabelled=0)
     cfg = PipelineConfig.with_seed(11)
-    assert cfg.bst_oversample and cfg.selftrain.oversample_first
+    assert cfg.bst_oversample and cfg.oversample_first
     report = run_experiment(corpus, cfg)
     for field in SCALAR_FIELDS:
         assert report.deltas[field] == pytest.approx(0.0, abs=1e-12)
     for value in report.deltas["risk_factor"].values():
         assert value == pytest.approx(0.0, abs=1e-12)
+
+
+@pytest.mark.parametrize("bst_oversample", [True, False])
+@pytest.mark.parametrize("oversample_first", [True, False])
+def test_arms_share_one_pool_and_tree_per_flag(monkeypatch, bst_oversample, oversample_first):
+    import sevpredict.pipeline as pipeline
+
+    calls = {"adasyn_balance": 0, "fit_tree": 0}
+
+    def counting(fn):
+        def wrapper(*args, **kwargs):
+            calls[fn.__name__] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(pipeline, name, counting(getattr(pipeline, name)))
+    cfg = PipelineConfig.with_seed(
+        5, bst_oversample=bst_oversample, oversample_first=oversample_first
+    )
+    report = run_experiment(demo_corpus(), cfg)
+    assert calls["adasyn_balance"] == int(bst_oversample or oversample_first)
+    assert calls["fit_tree"] == (1 if bst_oversample == oversample_first else 2)
+    training = report.training
+    if bst_oversample == oversample_first:
+        assert training["ast_train_size"] == training["bst_train_size"] + training["accepted_pseudo"]
+
+
+def test_oversample_first_balances_before_looping(monkeypatch):
+    import sevpredict.pipeline as pipeline
+
+    results = []
+
+    def recording_self_train(*args, **kwargs):
+        results.append(self_train(*args, **kwargs))
+        return results[-1]
+
+    monkeypatch.setattr(pipeline, "self_train", recording_self_train)
+    cfg = PipelineConfig.with_seed(3, bst_oversample=False, oversample_first=True)
+    report = run_experiment(demo_corpus(unlabelled=0), cfg)
+    (result,) = results
+    assert any(inst.provenance == "synthetic" for inst in result.labelled)
+    assert report.training["ast_train_size"] > report.training["bst_train_size"]
 
 
 def test_run_experiment_rejects_single_class_corpus():
@@ -154,6 +198,14 @@ def test_run_kfold_covers_every_module_once():
     for r in reports:
         seen.extend(row["module_id"] for row in r.test_outcomes)
     assert len(seen) == len(set(seen)) == len(corpus.labelled)
+
+
+def test_run_kfold_with_too_many_folds_names_folds():
+    # largest class 3: a fourth fold gets no test module
+    corpus = synth_corpus({CL: 3, MA: 3, CR: 3}, 2, 3.0, seed=0)
+    with pytest.raises(SevpredictError, match=r"^folds=4 leaves fold 3 with an empty test set"):
+        run_kfold(corpus, PipelineConfig.with_seed(0, folds=4))
+    assert len(run_kfold(corpus, PipelineConfig.with_seed(0, folds=3))) == 3
 
 
 def test_run_kfold_requires_folds_setting():
@@ -266,10 +318,10 @@ def valid_configs(draw):
         selftrain=SelfTrainConfig(
             gamma=draw(st.floats(0.0, 1.0)),
             max_iterations=draw(st.integers(1, 100)),
-            oversample_first=draw(st.booleans()),
         ),
         econ=EconConfig(delta=draw(st.floats(0.01, 1e6)), ordinal_weights=tuple(weights)),
         bst_oversample=draw(st.booleans()),
+        oversample_first=draw(st.booleans()),
     )
 
 

@@ -10,6 +10,7 @@ from sevpredict import (
     SelfTrainConfig,
     SevpredictError,
     TreeConfig,
+    adasyn_balance,
     fit_tree,
     predict_confidence,
     pseudo_label_risk,
@@ -46,19 +47,14 @@ def conflicted_sets():
     return labelled, unlabelled
 
 
-NO_SAMPLING = SelfTrainConfig(oversample_first=False)
-
-
 # ---------------------------------------------------------------------------
 # risk estimates
 
 
 def test_supervised_risk_zero_for_perfectly_fit_tree():
-    labelled, unlabelled = separable_sets()
+    labelled, _ = separable_sets()
     tree = fit_tree(labelled)
-    sup, unsup = pseudo_label_risk(tree, labelled, unlabelled, gamma=0.9)
-    assert sup == 0.0
-    assert unsup == 0.0
+    assert pseudo_label_risk(tree, labelled) == 0.0
 
 
 def test_supervised_risk_counts_stump_errors():
@@ -67,21 +63,13 @@ def test_supervised_risk_counts_stump_errors():
     labelled += [make_labelled([float(i)], MA) for i in range(4, 8)]
     labelled += [make_labelled([float(i)], CL) for i in range(8, 10)]
     tree = fit_tree(labelled, TreeConfig(max_depth=1))
-    sup, _ = pseudo_label_risk(tree, labelled, [], gamma=0.5)
-    assert sup == pytest.approx(0.2)
-
-
-def test_unsupervised_risk_is_zero_by_construction():
-    labelled, unlabelled = conflicted_sets()
-    tree = fit_tree(labelled)
-    _, unsup = pseudo_label_risk(tree, labelled, unlabelled, gamma=0.0)
-    assert unsup == 0.0
+    assert pseudo_label_risk(tree, labelled) == pytest.approx(0.2)
 
 
 def test_risk_requires_labelled_instances():
     tree = fit_tree([make_labelled([0.0], CL), make_labelled([1.0], MA)])
     with pytest.raises(SevpredictError):
-        pseudo_label_risk(tree, [], [], gamma=0.5)
+        pseudo_label_risk(tree, [])
 
 
 # ---------------------------------------------------------------------------
@@ -90,7 +78,7 @@ def test_risk_requires_labelled_instances():
 
 def test_gamma_zero_accepts_everything_in_one_pass():
     labelled, unlabelled = separable_sets()
-    result = self_train(labelled, unlabelled, SelfTrainConfig(gamma=0.0, oversample_first=False))
+    result = self_train(fit_tree(labelled), labelled, unlabelled, SelfTrainConfig(gamma=0.0))
     assert result.trace.status == STATUS_EXHAUSTED_U
     assert len(result.trace.iterations) == 1
     rec = result.trace.iterations[0]
@@ -102,7 +90,7 @@ def test_gamma_zero_accepts_everything_in_one_pass():
 
 def test_gamma_one_with_conflicts_makes_no_progress():
     labelled, unlabelled = conflicted_sets()
-    result = self_train(labelled, unlabelled, SelfTrainConfig(gamma=1.0, oversample_first=False))
+    result = self_train(fit_tree(labelled), labelled, unlabelled, SelfTrainConfig(gamma=1.0))
     assert result.trace.status == STATUS_NO_PROGRESS
     assert len(result.residual_unlabelled) == 2
     assert len(result.trace.iterations) == 1
@@ -113,7 +101,7 @@ def test_gamma_one_with_conflicts_makes_no_progress():
 
 def test_no_progress_keeps_the_only_tree(monkeypatch):
     # an iteration that accepts nothing leaves the pool as it was, so the
-    # tree fitted before it is already the final tree
+    # tree handed in is already the final tree
     import sevpredict.selftrain as selftrain
 
     fitted = []
@@ -123,16 +111,26 @@ def test_no_progress_keeps_the_only_tree(monkeypatch):
         return fitted[-1]
 
     labelled, unlabelled = conflicted_sets()
+    tree = fit_tree(labelled)
     monkeypatch.setattr(selftrain, "fit_tree", counting_fit)
-    result = self_train(labelled, unlabelled, SelfTrainConfig(gamma=1.0, oversample_first=False))
+    result = self_train(tree, labelled, unlabelled, SelfTrainConfig(gamma=1.0))
     assert result.trace.status == STATUS_NO_PROGRESS
-    assert len(fitted) == 1
-    assert result.tree == fit_tree(labelled)
+    assert fitted == []
+    assert result.tree is tree
+
+
+def test_self_train_does_not_extend_the_callers_pool():
+    # the baseline arm holds the same list; extending it would change its size
+    labelled, unlabelled = separable_sets()
+    before = list(labelled)
+    result = self_train(fit_tree(labelled), labelled, unlabelled, SelfTrainConfig(gamma=0.0))
+    assert len(result.labelled) == len(before) + len(unlabelled)
+    assert labelled == before
 
 
 def test_empty_pool_exhausts_immediately():
     labelled, _ = separable_sets()
-    result = self_train(labelled, [], NO_SAMPLING)
+    result = self_train(fit_tree(labelled), labelled, [], SelfTrainConfig())
     assert result.trace.status == STATUS_EXHAUSTED_U
     assert result.trace.iterations == ()
     assert result.labelled == tuple(labelled)
@@ -147,8 +145,8 @@ def test_max_iterations_stops_mixed_pool():
         make_labelled([9.0], HS), make_labelled([9.5], HS),
     ]
     unlabelled = [make_unlabelled([9.2]), make_unlabelled([0.0])]
-    config = SelfTrainConfig(gamma=0.9, max_iterations=1, oversample_first=False)
-    result = self_train(labelled, unlabelled, config)
+    config = SelfTrainConfig(gamma=0.9, max_iterations=1)
+    result = self_train(fit_tree(labelled), labelled, unlabelled, config)
     assert result.trace.status == STATUS_MAX_ITERATIONS
     assert len(result.trace.iterations) == 1
     assert result.trace.iterations[0].accepted == 1
@@ -164,7 +162,7 @@ def test_pool_shrinks_monotonically():
                 [float(rng.normal(centre, 0.5)), float(rng.normal(0, 0.5))], cls))
     unlabelled = [make_unlabelled([float(rng.uniform(-2, 10)), float(rng.normal(0, 0.5))])
                   for _ in range(30)]
-    result = self_train(labelled, unlabelled, SelfTrainConfig(gamma=0.8, oversample_first=False))
+    result = self_train(fit_tree(labelled), labelled, unlabelled, SelfTrainConfig(gamma=0.8))
     sizes = [rec.unlabelled_before for rec in result.trace.iterations]
     assert sizes == sorted(sizes, reverse=True)
     accepted_total = sum(rec.accepted for rec in result.trace.iterations)
@@ -185,8 +183,8 @@ def test_pseudo_labels_match_the_accepting_iteration_tree():
             labelled.append(make_labelled([float(centre + rng.normal(0, 0.4))], cls))
     unlabelled = [make_unlabelled([float(rng.uniform(-1, 9))], module_id=f"u{i}")
                   for i in range(20)]
-    config = SelfTrainConfig(gamma=0.7, oversample_first=False)
-    result = self_train(labelled, unlabelled, config)
+    config = SelfTrainConfig(gamma=0.7)
+    result = self_train(fit_tree(labelled), labelled, unlabelled, config)
 
     # replay: rebuild each round's tree from the evolving pool and check the
     # accepted indices really cleared the bar with the recorded labels
@@ -217,7 +215,7 @@ def test_pseudo_labels_match_the_accepting_iteration_tree():
 
 def test_accepted_per_class_tallies_accepted():
     labelled, unlabelled = separable_sets()
-    result = self_train(labelled, unlabelled, SelfTrainConfig(gamma=0.5, oversample_first=False))
+    result = self_train(fit_tree(labelled), labelled, unlabelled, SelfTrainConfig(gamma=0.5))
     for rec in result.trace.iterations:
         assert sum(rec.accepted_per_class.values()) == rec.accepted
         assert set(rec.accepted_per_class) == {c.value for c in (HS, CR, MA, NT, CL)}
@@ -225,18 +223,8 @@ def test_accepted_per_class_tallies_accepted():
 
 def test_final_tree_is_fit_on_final_pool():
     labelled, unlabelled = separable_sets()
-    result = self_train(labelled, unlabelled, SelfTrainConfig(gamma=0.0, oversample_first=False))
+    result = self_train(fit_tree(labelled), labelled, unlabelled, SelfTrainConfig(gamma=0.0))
     assert result.tree == fit_tree(result.labelled)
-
-
-def test_oversample_first_balances_before_looping():
-    labelled = [make_labelled([float(i), 0.0], CL) for i in range(10)]
-    labelled += [make_labelled([20.0, 1.0], MA), make_labelled([21.0, 1.0], MA)]
-    result = self_train(labelled, [], SelfTrainConfig(oversample_first=True),
-                        sampler_config=SamplerConfig(k_neighbors=2, seed=3))
-    synth = [i for i in result.labelled if i.provenance == "synthetic"]
-    assert synth  # minority was padded before training
-    assert result.trace.status == STATUS_EXHAUSTED_U
 
 
 def test_self_train_is_deterministic():
@@ -246,10 +234,10 @@ def test_self_train_is_deterministic():
         for _ in range(8):
             labelled.append(make_labelled([float(rng.normal(centre, 0.6))], cls))
     unlabelled = [make_unlabelled([float(rng.uniform(-1, 4))]) for _ in range(12)]
-    config = SelfTrainConfig(gamma=0.75, oversample_first=True)
-    sampler = SamplerConfig(seed=2)
-    a = self_train(labelled, unlabelled, config, sampler_config=sampler)
-    b = self_train(labelled, unlabelled, config, sampler_config=sampler)
+    config = SelfTrainConfig(gamma=0.75)
+    pool = adasyn_balance(labelled, SamplerConfig(seed=2))
+    a = self_train(fit_tree(pool), pool, unlabelled, config)
+    b = self_train(fit_tree(pool), pool, unlabelled, config)
     assert a.labelled == b.labelled
     assert a.trace.to_jsonl() == b.trace.to_jsonl()
 
@@ -265,13 +253,13 @@ def test_config_validation():
 
 def test_trace_jsonl_round_trips():
     labelled, unlabelled = separable_sets()
-    result = self_train(labelled, unlabelled, SelfTrainConfig(gamma=0.0, oversample_first=False))
+    result = self_train(fit_tree(labelled), labelled, unlabelled, SelfTrainConfig(gamma=0.0))
     lines = result.trace.to_jsonl().strip().splitlines()
     assert len(lines) == len(result.trace.iterations)
     first = json.loads(lines[0])
     assert first["iteration"] == 1
     assert first["accepted"] == 2
-    assert "supervised_risk" in first and "unsupervised_risk" in first
+    assert "supervised_risk" in first and "unsupervised_risk" not in first
     as_dict = result.trace.to_dict()
     assert as_dict["status"] == STATUS_EXHAUSTED_U
     assert len(as_dict["iterations"]) == 1
