@@ -9,7 +9,9 @@ child Gini is equivalent to maximizing
     Q = sum_j cL_j^2 / nL + sum_j cR_j^2 / nR
 
 which is the ratio (sum_j cL_j^2 * nR + sum_j cR_j^2 * nL) / (nL * nR) of
-two integers; candidates are ranked by cross-multiplication.
+two integers; candidates are ranked by cross-multiplication. The split scan
+holds numerators, at most n^3 / 4, in int64, so a training set may have at
+most MAX_TRAIN_ROWS rows.
 """
 
 from __future__ import annotations
@@ -24,6 +26,14 @@ from .errors import SevpredictError
 from .severity import CLASS_INDEX, SEVERITY_ORDER, SeverityClass
 
 N_CLASSES = len(SEVERITY_ORDER)
+MAX_TRAIN_ROWS = 3_300_000  # MAX_TRAIN_ROWS^3 / 4 < 2^63
+
+
+def _check_rows(n: int) -> None:
+    if n > MAX_TRAIN_ROWS:
+        raise SevpredictError(
+            f"training set has {n} rows; exact split search supports at most {MAX_TRAIN_ROWS}"
+        )
 
 
 @dataclass(frozen=True)
@@ -70,39 +80,40 @@ def _make_leaf(counts: np.ndarray) -> Leaf:
 def _scan_feature(values: np.ndarray, labels: np.ndarray):
     """Best midpoint threshold on one feature: (threshold, q_num, q_den).
 
-    Sweeps boundaries between consecutive distinct sorted values; within the
-    feature the first strictly-better candidate wins, so equal-quality
-    thresholds resolve to the lowest one. Returns None for a constant
-    feature.
+    Scores all boundaries between consecutive distinct sorted values from
+    per-class prefix counts. Float only screens out clearly worse candidates;
+    among the rest the first strictly-better one wins by exact integer
+    comparison, so equal-quality thresholds resolve to the lowest one.
+    Returns None for a constant feature.
     """
     n = len(values)
     order = np.argsort(values, kind="stable")
     sv = values[order]
     sl = labels[order]
-    left = [0] * N_CLASSES
-    right = [0] * N_CLASSES
-    for c in sl:
-        right[int(c)] += 1
-    best_num = best_den = 0
-    best_thr = None
-    for pos in range(n - 1):
-        c = int(sl[pos])
-        left[c] += 1
-        right[c] -= 1
-        if sv[pos] == sv[pos + 1]:
-            continue
-        n_left = pos + 1
-        n_right = n - n_left
-        s_left = sum(v * v for v in left)
-        s_right = sum(v * v for v in right)
-        num = s_left * n_right + s_right * n_left
-        den = n_left * n_right
-        if best_thr is None or num * best_den > best_num * den:
-            best_num, best_den = num, den
-            best_thr = float((sv[pos] + sv[pos + 1]) / 2.0)
-    if best_thr is None:
+    cut = np.flatnonzero(sv[:-1] != sv[1:])  # boundary pos splits [0, pos] | [pos + 1, n)
+    if len(cut) == 0:
         return None
-    return best_thr, best_num, best_den
+    n_left = cut + 1
+    n_right = n - n_left
+    s_left = np.zeros(len(cut), dtype=np.int64)
+    s_right = np.zeros(len(cut), dtype=np.int64)
+    totals = np.bincount(sl, minlength=N_CLASSES)
+    for c in np.flatnonzero(totals):
+        left = np.cumsum(sl[:-1] == c, dtype=np.int64)[cut]
+        right = totals[c] - left
+        s_left += left * left
+        s_right += right * right
+    num = s_left * n_right + s_right * n_left  # <= n^3 / 4, exact below MAX_TRAIN_ROWS
+    den = n_left * n_right
+    q = num / den
+    best = None
+    # q carries ~1e-15 relative rounding error, so the exact best always passes
+    for i in np.flatnonzero(q >= q.max() * (1 - 1e-9)):
+        cand_num, cand_den = int(num[i]), int(den[i])
+        if best is None or cand_num * best[1] > best[0] * cand_den:
+            best = (cand_num, cand_den, int(cut[i]))
+    best_num, best_den, pos = best
+    return float((sv[pos] + sv[pos + 1]) / 2.0), best_num, best_den
 
 
 def best_split(instances: Sequence[LabelledInstance], feature_index: int):
@@ -114,6 +125,7 @@ def best_split(instances: Sequence[LabelledInstance], feature_index: int):
     """
     if len(instances) < 2:
         raise SevpredictError("best_split needs at least 2 instances")
+    _check_rows(len(instances))
     values = np.asarray([inst.features[feature_index] for inst in instances], dtype=float)
     labels = np.asarray([CLASS_INDEX[inst.label] for inst in instances])
     scan = _scan_feature(values, labels)
@@ -171,6 +183,7 @@ def fit_tree(
     instances = list(train)
     if not instances:
         raise SevpredictError("cannot fit a tree on an empty training set")
+    _check_rows(len(instances))
     X = np.asarray([inst.features for inst in instances], dtype=float)
     if not np.all(np.isfinite(X)):
         raise SevpredictError("features must be finite")

@@ -117,15 +117,28 @@ def _one_line_summary(report) -> str:
     )
 
 
+def _project_names(paths: list[str], folds: int | None) -> list[str]:
+    """Each corpus's project name; fails before any run if two reports would share a file."""
+    owner = {"report_average.json": "the average over all corpora"} if len(paths) > 1 else {}
+    projects = [os.path.splitext(os.path.basename(path))[0] for path in paths]
+    for path, project in zip(paths, projects):
+        for name in [project] + [f"{project}_fold{i}" for i in range(folds or 0)]:
+            report = f"report_{name}.json"
+            if report in owner:
+                raise SevpredictError(f"{owner[report]} and {path} would both write {report}")
+            owner[report] = path
+    return projects
+
+
 def cmd_run(args) -> int:
     settings = _resolve_settings(args)
     seed = _resolve_seed(args, settings)
     base_cfg = PipelineConfig.from_settings(settings, seed)
+    projects = _project_names(args.csv, base_cfg.folds)
     os.makedirs(args.out, exist_ok=True)
     reports = []
-    for index, path in enumerate(args.csv):
+    for index, (path, project) in enumerate(zip(args.csv, projects)):
         corpus = load_corpus(path)
-        project = os.path.splitext(os.path.basename(path))[0]
         cfg = base_cfg.reseeded(seed + index)
         if cfg.folds is not None:
             fold_reports = run_kfold(corpus, cfg, project)

@@ -352,8 +352,8 @@ def synth_corpus(
         raise SevpredictError(f"n_features must be >= 1, got {n_features}")
     if n_unlabelled < 0:
         raise SevpredictError(f"n_unlabelled must be >= 0, got {n_unlabelled}")
-    if separation < 0:
-        raise SevpredictError(f"separation must be >= 0, got {separation}")
+    if not (math.isfinite(separation) and separation >= 0):
+        raise SevpredictError(f"separation must be a finite number >= 0, got {separation}")
     counts = {cls: int(class_counts.get(cls, 0)) for cls in SEVERITY_ORDER}
     if any(n < 0 for n in counts.values()):
         raise SevpredictError("class counts must be >= 0")

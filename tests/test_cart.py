@@ -5,6 +5,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from sevpredict import (
     Leaf,
@@ -18,8 +20,10 @@ from sevpredict import (
     predict_confidence,
     predict_label,
     route_to_leaf,
+    synth_corpus,
 )
-from sevpredict.cart import iter_leaves
+from sevpredict import cart
+from sevpredict.cart import N_CLASSES, iter_leaves
 
 from conftest import CL, HS, MA, NT, make_labelled
 
@@ -114,6 +118,97 @@ def test_root_split_matches_fraction_brute_force():
                 n_frac = Fraction(n)
                 expected_decrease = want[1] / n_frac - gini_sum_sq(labs) / n_frac**2
                 assert got[1] == pytest.approx(float(expected_decrease), abs=1e-12)
+
+
+def _reference_scan(values: np.ndarray, labels: np.ndarray):
+    """The per-threshold loop that cart._scan_feature replaced, kept as its reference."""
+    n = len(values)
+    order = np.argsort(values, kind="stable")
+    sv = values[order]
+    sl = labels[order]
+    left = [0] * N_CLASSES
+    right = [0] * N_CLASSES
+    for c in sl:
+        right[int(c)] += 1
+    best_num = best_den = 0
+    best_thr = None
+    for pos in range(n - 1):
+        c = int(sl[pos])
+        left[c] += 1
+        right[c] -= 1
+        if sv[pos] == sv[pos + 1]:
+            continue
+        n_left = pos + 1
+        n_right = n - n_left
+        s_left = sum(v * v for v in left)
+        s_right = sum(v * v for v in right)
+        num = s_left * n_right + s_right * n_left
+        den = n_left * n_right
+        if best_thr is None or num * best_den > best_num * den:
+            best_num, best_den = num, den
+            best_thr = float((sv[pos] + sv[pos + 1]) / 2.0)
+    if best_thr is None:
+        return None
+    return best_thr, best_num, best_den
+
+
+@st.composite
+def scan_inputs(draw):
+    """One feature column and its class indices; coarse grids give many ties."""
+    n = draw(st.integers(2, 300))
+    classes = draw(st.permutations(range(N_CLASSES)))[: draw(st.integers(1, N_CLASSES))]
+    kind = draw(st.sampled_from(["grid", "scaled", "continuous"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    labels = np.asarray(classes, dtype=np.int64)[rng.integers(0, len(classes), size=n)]
+    if kind == "continuous":
+        return rng.normal(size=n) * 1e3, labels
+    values = rng.integers(0, draw(st.integers(1, 12)), size=n).astype(float)  # 1: constant
+    if kind == "scaled":
+        values = values * draw(st.sampled_from([0.1, 1e-3, 3.7, 1e6])) - 0.3
+    return values, labels
+
+
+@settings(max_examples=400, deadline=None)
+@given(scan_inputs())
+@example((np.full(5, 2.5), np.asarray([0, 1, 2, 1, 0])))  # constant: None
+@example((np.arange(6.0), np.asarray([0, 1, 1, 1, 1, 0])))  # 0.5 and 4.5 tie exactly
+def test_scan_feature_matches_the_reference_loop(case):
+    values, labels = case
+    assert cart._scan_feature(values, labels) == _reference_scan(values, labels)
+
+
+def test_scan_feature_matches_the_reference_on_a_long_column():
+    # class counts above 46341 square past int32; the scan must stay exact
+    rng = np.random.default_rng(8)
+    n = 60_000
+    values = rng.integers(0, 400, size=n).astype(float)
+    noise = rng.integers(0, 5, size=n)
+    labels = np.where(rng.random(n) < 0.95, np.where(values < 360, 4, 0), noise).astype(np.int64)
+    assert cart._scan_feature(values, labels) == _reference_scan(values, labels)
+
+
+def test_unbounded_trees_match_the_reference_scan(monkeypatch):
+    trees = []
+    for seed in range(10):
+        counts = {cls: 10 + 15 * ((seed + k) % 4) for k, cls in enumerate(SEVERITY_ORDER)}
+        corpus = synth_corpus(counts, 2 + seed % 4, 0.5 + 0.3 * seed, seed=seed)
+        instances = list(corpus.labelled)
+        if seed % 2:  # one decimal place: many tied values per feature
+            instances = [make_labelled(np.round(i.features, 1), i.label) for i in instances]
+        trees.append((instances, fit_tree(instances, schema=corpus.schema)))
+    monkeypatch.setattr(cart, "_scan_feature", _reference_scan)
+    for instances, tree in trees:
+        assert fit_tree(instances, schema=tree.schema) == tree
+
+
+def test_training_set_above_the_row_limit_is_rejected(monkeypatch):
+    monkeypatch.setattr(cart, "MAX_TRAIN_ROWS", 3)
+    fit_tree(points([0, 1, 2], [CL, MA, CL]))
+    best_split(points([0, 1, 2], [CL, MA, CL]), 0)
+    too_many = points([0, 1, 2, 3], [CL, MA, CL, MA])
+    for call in (lambda: fit_tree(too_many), lambda: best_split(too_many, 0)):
+        with pytest.raises(SevpredictError, match="training set has 4 rows; .* at most 3$"):
+            call()
 
 
 # ---------------------------------------------------------------------------

@@ -86,6 +86,17 @@ def test_synth_rejects_empty_spec(capsys, tmp_path):
     assert err != ""
 
 
+@pytest.mark.parametrize("separation", ["nan", "inf", "-inf"])
+def test_synth_rejects_non_finite_separation(capsys, tmp_path, separation):
+    out_csv = tmp_path / "x.csv"
+    code, _, err = run(capsys, "synth", "--out", str(out_csv), "--seed", "1",
+                       "--clean", "5", "--major", "5", f"--separation={separation}")
+    assert code == 1
+    assert "separation must be a finite number >= 0" in err
+    assert err.count("\n") == 1 and "Traceback" not in err
+    assert not out_csv.exists()
+
+
 # ---------------------------------------------------------------------------
 # run
 
@@ -190,6 +201,43 @@ def test_run_multiple_corpora_adds_average(capsys, tmp_path):
     assert (out_dir / "report_beta.json").exists()
     assert (out_dir / "report_average.json").exists()
     assert "alpha:" in out and "beta:" in out and "average:" in out
+
+
+def test_run_rejects_report_name_clashes_before_running(capsys, tmp_path):
+    (tmp_path / "a").mkdir()
+    (tmp_path / "b").mkdir()
+    a = make_corpus_csv(capsys, tmp_path / "a", "x", seed=3)
+    b = make_corpus_csv(capsys, tmp_path / "b", "x", seed=4)
+    out_dir = tmp_path / "out"
+    for inputs in ([a, b], [a, a]):
+        code, out, err = run(capsys, "run", *map(str, inputs), "--seed", "5", "--out", str(out_dir))
+        assert code == 1
+        assert f"{inputs[0]} and {inputs[1]} would both write report_x.json" in err
+        assert err.count("\n") == 1 and "Traceback" not in err
+        assert out == "" and not out_dir.exists()
+
+
+def test_run_rejects_a_corpus_named_average_among_several(capsys, tmp_path):
+    a = make_corpus_csv(capsys, tmp_path, "alpha", seed=3)
+    avg = make_corpus_csv(capsys, tmp_path, "average", seed=4)
+    code, _, err = run(capsys, "run", str(a), str(avg), "--seed", "5", "--out", str(tmp_path / "out"))
+    assert code == 1
+    assert f"the average over all corpora and {avg} would both write report_average.json" in err
+    assert err.count("\n") == 1
+    # alone it is just a corpus: no average report is written
+    code, _, _ = run(capsys, "run", str(avg), "--seed", "5", "--out", str(tmp_path / "out"))
+    assert code == 0
+
+
+def test_run_rejects_a_corpus_named_like_another_corpus_fold(capsys, tmp_path):
+    x = make_corpus_csv(capsys, tmp_path, "x", seed=3)
+    fold = make_corpus_csv(capsys, tmp_path, "x_fold0", seed=4)
+    code, _, err = run(capsys, "run", str(x), str(fold), "--seed", "5", "--folds", "3",
+                       "--out", str(tmp_path / "out"))
+    assert code == 1
+    assert f"{x} and {fold} would both write report_x_fold0.json" in err
+    code, _, _ = run(capsys, "run", str(x), str(fold), "--seed", "5", "--out", str(tmp_path / "out"))
+    assert code == 0
 
 
 def test_run_seed_from_environment(capsys, tmp_path, monkeypatch):

@@ -294,6 +294,12 @@ def test_synth_corpus_rejects_degenerate_specs():
         synth_corpus({CL: 5}, 3, -1.0, seed=0)
 
 
+@pytest.mark.parametrize("separation", [float("nan"), float("inf"), float("-inf")])
+def test_synth_corpus_rejects_non_finite_separation(separation):
+    with pytest.raises(SevpredictError, match="separation must be a finite number >= 0"):
+        synth_corpus({CL: 5, MA: 5}, 2, separation, seed=1)
+
+
 def test_write_corpus_csv_is_seed_stable(tmp_path):
     corpus = synth_corpus({CL: 8, NT: 3}, 2, 2.0, n_unlabelled=2, seed=9)
     out = io.StringIO()
