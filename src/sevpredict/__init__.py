@@ -7,7 +7,7 @@ self-trained tree with project-economics measures (risk factors, saved
 budget, remaining service time).
 """
 
-from .adasyn import SamplerConfig, adasyn_balance, nearest_neighbors
+from .adasyn import SamplerConfig, adasyn_balance
 from .cart import (
     DecisionTree,
     Leaf,
@@ -115,7 +115,6 @@ __all__ = [
     "fit_tree",
     "full_report",
     "load_corpus",
-    "nearest_neighbors",
     "parse_corpus",
     "parse_predictions",
     "predict_confidence",

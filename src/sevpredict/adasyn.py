@@ -49,34 +49,6 @@ def _minmax_params(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return mins, scales
 
 
-def nearest_neighbors(query: Sequence[float], pool: Sequence[Sequence[float]], k: int) -> list[int]:
-    """Indices of the k nearest pool rows to the query, nearest first.
-
-    Distances are Euclidean over a min-max scaled copy of the pool (the
-    query is scaled with the pool's parameters). Ties break toward the
-    lower index; fewer than k rows returns them all.
-    """
-    if k < 1:
-        raise SevpredictError(f"k must be >= 1, got {k}")
-    matrix = np.asarray(pool, dtype=float)
-    if matrix.size == 0:
-        raise SevpredictError("neighbor pool is empty")
-    mins, scales = _minmax_params(matrix)
-    scaled = (matrix - mins) * scales
-    q = (np.asarray(query, dtype=float) - mins) * scales
-    dists = np.sqrt(((scaled - q) ** 2).sum(axis=1))
-    order = np.argsort(dists, kind="stable")
-    return [int(j) for j in order[: min(k, len(matrix))]]
-
-
-def _neighbors_of(scaled: np.ndarray, i: int, candidates: Sequence[int], k: int) -> list[int]:
-    """k nearest candidate rows to row i, self excluded, stable on ties."""
-    cand = np.asarray([j for j in candidates if j != i])
-    dists = np.sqrt(((scaled[cand] - scaled[i]) ** 2).sum(axis=1))
-    order = np.argsort(dists, kind="stable")
-    return [int(cand[j]) for j in order[:k]]
-
-
 def adasyn_balance(labelled: Sequence[LabelledInstance], config: SamplerConfig) -> list[LabelledInstance]:
     """Oversample every minority class toward the majority count.
 
@@ -91,14 +63,15 @@ def adasyn_balance(labelled: Sequence[LabelledInstance], config: SamplerConfig) 
     if not np.all(np.isfinite(X)):
         raise SevpredictError("features must be finite")
     labels = [inst.label for inst in instances]
-    sizes = {cls: labels.count(cls) for cls in SEVERITY_ORDER}
+    members = {cls: np.fromiter((lbl is cls for lbl in labels), bool, len(labels)) for cls in SEVERITY_ORDER}
+    sizes = {cls: int(member.sum()) for cls, member in members.items()}
     if sum(1 for n in sizes.values() if n > 0) < 2:
         raise SevpredictError("balancing requires at least 2 classes present")
 
     n_majority = max(sizes.values())
     mins, scales = _minmax_params(X)
     scaled = (X - mins) * scales
-    everyone = list(range(len(instances)))
+    k = config.k_neighbors
     rng = np.random.default_rng(config.seed)
 
     synthetics: list[LabelledInstance] = []
@@ -111,20 +84,28 @@ def adasyn_balance(labelled: Sequence[LabelledInstance], config: SamplerConfig) 
         target = (n_majority - m) * config.beta
         if target <= 0:
             continue
-        seeds = [i for i, lbl in enumerate(labels) if lbl is cls]
+        member = members[cls]
+        seeds = np.flatnonzero(member).tolist()
 
-        # learning difficulty: out-of-class share of each seed's neighborhood
+        # One stable distance order per seed, self excluded: its first k rows
+        # set the seed's difficulty (out-of-class share), its first k
+        # same-class rows are the interpolation partners. Partners are kept
+        # as Python ints, since a slice would pin the whole order in memory.
         difficulty = []
+        partners_of = []
         for i in seeds:
-            neigh = _neighbors_of(scaled, i, everyone, config.k_neighbors)
-            difficulty.append(sum(labels[j] is not cls for j in neigh) / len(neigh))
+            order = np.argsort(np.sqrt(((scaled - scaled[i]) ** 2).sum(axis=1)), kind="stable")
+            order = order[order != i]
+            neigh = order[:k]
+            difficulty.append(np.count_nonzero(~member[neigh]) / len(neigh))
+            partners_of.append(order[member[order]][:k].tolist())
         total = sum(difficulty)
         if total > 0:
             shares = [d / total for d in difficulty]
         else:
             shares = [1.0 / m] * m  # interior class: spread evenly
 
-        for i, share in zip(seeds, shares):
+        for i, share, partners in zip(seeds, shares, partners_of):
             g = int(round(share * target))
             if g == 0:
                 continue
@@ -136,7 +117,6 @@ def adasyn_balance(labelled: Sequence[LabelledInstance], config: SamplerConfig) 
                     for _ in range(g)
                 )
                 continue
-            partners = _neighbors_of(scaled, i, seeds, config.k_neighbors)
             for _ in range(g):
                 z = partners[int(rng.integers(len(partners)))]
                 lam = float(rng.random())

@@ -11,7 +11,7 @@ import json
 import os
 import sys
 
-from .corpus import audit_csv, class_summary, load_corpus, save_corpus, synth_corpus
+from .corpus import audit_csv, class_summary, load_corpus, read_csv_file, save_corpus, synth_corpus
 from .errors import SchemaError, SevpredictError
 from .metrics import REPORT_CSV_HEADER, full_report, parse_predictions
 from .pipeline import (
@@ -89,8 +89,7 @@ def _resolve_seed(args, settings=None) -> int:
 
 def cmd_validate(args) -> int:
     try:
-        with open(args.csv, newline="") as fh:
-            corpus, diagnostics = audit_csv(fh)
+        corpus, diagnostics = read_csv_file(args.csv, audit_csv)
     except SchemaError as err:
         print(f"schema error: {err}", file=sys.stderr)
         return 1
@@ -166,8 +165,7 @@ def cmd_run(args) -> int:
 def cmd_metrics(args) -> int:
     # the seed plays no part in scoring
     econ = PipelineConfig.from_settings(_resolve_settings(args), seed=0).econ
-    with open(args.predictions, newline="") as fh:
-        outcomes = parse_predictions(fh)
+    outcomes = read_csv_file(args.predictions, parse_predictions)
     report = full_report(outcomes, econ)
     os.makedirs(args.out, exist_ok=True)
     json_path = os.path.join(args.out, "metrics.json")
@@ -203,8 +201,15 @@ def cmd_synth(args) -> int:
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """A malformed command line is a domain error: exit 1 with one line, not a usage block."""
+
+    def error(self, message):
+        raise SevpredictError(f"{self.prog}: {message}")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="sevpredict",
         description="Defect severity prediction: tree self-training with project-economics reporting.",
     )
@@ -258,8 +263,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except SevpredictError as err:
         print(f"error: {err}", file=sys.stderr)

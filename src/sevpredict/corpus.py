@@ -121,8 +121,18 @@ def _parse_feature(raw: str, line: int, column: str) -> float:
     return value
 
 
-def _read_header(reader, feature_names: Sequence[str] | None) -> tuple[str, ...]:
-    header = next(reader, None)
+def csv_records(source: Iterable[str]) -> Iterator[tuple[int, list[str]]]:
+    """(file line, fields) per CSV record; a record csv cannot parse raises RowError."""
+    reader = csv.reader(source)
+    try:
+        for fields in reader:
+            yield reader.line_num, fields
+    except csv.Error as err:  # e.g. a field over csv.field_size_limit()
+        raise RowError(reader.line_num, str(err)) from None
+
+
+def _read_header(records, feature_names: Sequence[str] | None) -> tuple[str, ...]:
+    _, header = next(records, (0, None))
     if header is None:
         raise SchemaError("empty input: missing header row")
     header = [h.strip() for h in header]
@@ -145,14 +155,13 @@ def _scan_rows(source: Iterable[str], feature_names: Sequence[str] | None):
 
     A row repeating an earlier valid row's module_id is a RowError too.
     """
-    reader = csv.reader(source)
-    schema = _read_header(reader, feature_names)
+    records = csv_records(source)
+    schema = _read_header(records, feature_names)
     width = len(REQUIRED_COLUMNS) + len(schema)
     first_line: dict[str, int] = {}  # module_id -> file line of its first valid row
 
     def rows() -> Iterator[ModuleRecord | RowError]:
-        for fields in reader:
-            line = reader.line_num
+        for line, fields in records:
             if not fields:
                 continue
             if len(fields) != width:
@@ -228,9 +237,17 @@ def audit_csv(source: Iterable[str]) -> tuple[Corpus, list[str]]:
     return _assemble(schema, records), diagnostics
 
 
-def load_corpus(path) -> Corpus:
+def read_csv_file(path, parse):
+    """parse(open file) for the CSV at path; undecodable bytes raise a SevpredictError naming it."""
     with open(path, newline="") as fh:
-        return parse_corpus(fh)
+        try:
+            return parse(fh)
+        except UnicodeDecodeError as err:  # its position counts from the decoder's chunk, not the file
+            raise SevpredictError(f"{path}: not valid {err.encoding} text ({err.reason})") from None
+
+
+def load_corpus(path) -> Corpus:
+    return read_csv_file(path, parse_corpus)
 
 
 def write_corpus_csv(corpus: Corpus, stream) -> None:

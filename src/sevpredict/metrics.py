@@ -15,6 +15,7 @@ from dataclasses import asdict, dataclass
 from functools import cached_property
 from typing import Iterable, Mapping
 
+from .corpus import _parse_int, csv_records
 from .errors import RowError, SchemaError, SevpredictError
 from .severity import (
     CLASS_INDEX,
@@ -298,26 +299,20 @@ PREDICTIONS_HEADER: tuple[str, ...] = ("module_id", "loc", "actual", "predicted"
 
 
 def parse_predictions(source: Iterable[str]) -> OutcomeSet:
-    reader = csv.reader(source)
-    header = next(reader, None)
+    records = csv_records(source)
+    _, header = next(records, (0, None))
     if header is None:
         raise SchemaError("empty input: missing header row")
     if tuple(h.strip() for h in header) != PREDICTIONS_HEADER:
         raise SchemaError(f"predictions header must be {','.join(PREDICTIONS_HEADER)}")
     outcomes: list[Outcome] = []
-    for fields in reader:
-        line = reader.line_num
+    for line, fields in records:
         if not fields:
             continue
         if len(fields) != len(PREDICTIONS_HEADER):
             raise RowError(line, f"expected {len(PREDICTIONS_HEADER)} fields, found {len(fields)}")
         module_id = fields[0].strip()
-        try:
-            loc = int(fields[1].strip())
-        except ValueError:
-            raise RowError(line, f"column 'loc' must be an integer (got {fields[1]!r})") from None
-        if loc < 1:
-            raise RowError(line, f"column 'loc' must be >= 1 (got {loc})")
+        loc = _parse_int(fields[1], line, "loc", minimum=1)
         try:
             actual = SeverityClass.from_name(fields[2].strip())
             predicted = SeverityClass.from_name(fields[3].strip())

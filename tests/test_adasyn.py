@@ -1,11 +1,24 @@
 from __future__ import annotations
 
 from collections import Counter
+from dataclasses import replace
+from typing import Sequence
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from sevpredict import SamplerConfig, SevpredictError, adasyn_balance, nearest_neighbors
+from sevpredict import (
+    SEVERITY_ORDER,
+    LabelledInstance,
+    SamplerConfig,
+    SevpredictError,
+    adasyn_balance,
+    synth_corpus,
+)
+from sevpredict.adasyn import _minmax_params
+from sevpredict.corpus import PROVENANCE_SYNTHETIC
 
 from conftest import CL, CR, HS, MA, NT, make_labelled
 
@@ -19,34 +32,130 @@ def cluster(center, n, cls, rng, spread=0.5, tag=""):
 
 
 # ---------------------------------------------------------------------------
-# nearest_neighbors
+# reference: the two-search implementation adasyn_balance replaced
 
 
-def test_nearest_neighbors_identical_point_comes_first():
-    pool = [(0.0, 0.0), (5.0, 5.0), (1.0, 1.0)]
-    assert nearest_neighbors((0.0, 0.0), pool, 2) == [0, 2]
+def _neighbors_of(scaled: np.ndarray, i: int, candidates: Sequence[int], k: int) -> list[int]:
+    """k nearest candidate rows to row i, self excluded, stable on ties."""
+    cand = np.asarray([j for j in candidates if j != i])
+    dists = np.sqrt(((scaled[cand] - scaled[i]) ** 2).sum(axis=1))
+    order = np.argsort(dists, kind="stable")
+    return [int(cand[j]) for j in order[:k]]
 
 
-def test_nearest_neighbors_one_dimensional_ordering():
-    pool = [(0.0,), (1.0,), (2.0,)]
-    assert nearest_neighbors((0.9,), pool, 2) == [1, 0]
+def _reference_balance(labelled: Sequence[LabelledInstance], config: SamplerConfig) -> list[LabelledInstance]:
+    """adasyn_balance as it was with one neighbour search per list, kept as its reference."""
+    instances = list(labelled)
+    if not instances:
+        raise SevpredictError("cannot balance an empty labelled set")
+    X = np.asarray([inst.features for inst in instances], dtype=float)
+    if not np.all(np.isfinite(X)):
+        raise SevpredictError("features must be finite")
+    labels = [inst.label for inst in instances]
+    sizes = {cls: labels.count(cls) for cls in SEVERITY_ORDER}
+    if sum(1 for n in sizes.values() if n > 0) < 2:
+        raise SevpredictError("balancing requires at least 2 classes present")
+
+    n_majority = max(sizes.values())
+    mins, scales = _minmax_params(X)
+    scaled = (X - mins) * scales
+    everyone = list(range(len(instances)))
+    rng = np.random.default_rng(config.seed)
+
+    synthetics: list[LabelledInstance] = []
+    for cls in SEVERITY_ORDER:
+        m = sizes[cls]
+        if m == 0 or m == n_majority:
+            continue
+        if m / n_majority >= config.d_threshold:
+            continue
+        target = (n_majority - m) * config.beta
+        if target <= 0:
+            continue
+        seeds = [i for i, lbl in enumerate(labels) if lbl is cls]
+
+        # learning difficulty: out-of-class share of each seed's neighborhood
+        difficulty = []
+        for i in seeds:
+            neigh = _neighbors_of(scaled, i, everyone, config.k_neighbors)
+            difficulty.append(sum(labels[j] is not cls for j in neigh) / len(neigh))
+        total = sum(difficulty)
+        if total > 0:
+            shares = [d / total for d in difficulty]
+        else:
+            shares = [1.0 / m] * m  # interior class: spread evenly
+
+        for i, share in zip(seeds, shares):
+            g = int(round(share * target))
+            if g == 0:
+                continue
+            seed_inst = instances[i]
+            if m == 1:
+                # no same-class neighbor to interpolate toward; replicate
+                synthetics.extend(
+                    replace(seed_inst, provenance=PROVENANCE_SYNTHETIC, module_id=None)
+                    for _ in range(g)
+                )
+                continue
+            partners = _neighbors_of(scaled, i, seeds, config.k_neighbors)
+            for _ in range(g):
+                z = partners[int(rng.integers(len(partners)))]
+                lam = float(rng.random())
+                feats = tuple(float(a + lam * (b - a)) for a, b in zip(X[i], X[z]))
+                synthetics.append(
+                    LabelledInstance(feats, seed_inst.loc, cls, PROVENANCE_SYNTHETIC, None)
+                )
+    return instances + synthetics
 
 
-def test_nearest_neighbors_tie_prefers_lower_index():
-    pool = [(1.0,), (-1.0,), (1.0,)]
-    assert nearest_neighbors((0.0,), pool, 3) == [0, 1, 2]
+def _outcome(balance, instances, config):
+    """The balanced pool, or the message of the SevpredictError raised instead."""
+    try:
+        return balance(instances, config)
+    except SevpredictError as err:
+        return str(err)
 
 
-def test_nearest_neighbors_clamps_k_to_pool():
-    pool = [(0.0,), (1.0,)]
-    assert nearest_neighbors((0.0,), pool, 10) == [0, 1]
+@st.composite
+def balance_inputs(draw):
+    """A labelled pool and a sampler config; small integer grids tie many distances."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    classes = draw(st.permutations(SEVERITY_ORDER))[: draw(st.integers(1, 5))]
+    # a singleton class is replicated, not interpolated
+    sizes = [draw(st.one_of(st.just(1), st.integers(1, 40))) for _ in classes]
+    n, p = sum(sizes), draw(st.integers(1, 24))
+    if draw(st.booleans()):
+        X = rng.integers(0, draw(st.integers(1, 4)), size=(n, p)).astype(float)
+    else:
+        X = rng.normal(size=(n, p)) * draw(st.sampled_from([1e-3, 1.0, 1e4]))
+    labels = np.repeat(np.arange(len(classes)), sizes)[rng.permutation(n)]
+    instances = [
+        make_labelled(X[j], classes[labels[j]], loc=int(rng.integers(1, 500)), module_id=f"m{j}")
+        for j in range(n)
+    ]
+    config = SamplerConfig(
+        k_neighbors=draw(st.one_of(st.integers(1, 8), st.integers(max(n - 1, 1), n + 3))),  # past the pool
+        beta=draw(st.one_of(st.just(1.0), st.floats(0.0, 1.0))),
+        d_threshold=draw(st.one_of(st.just(1.0), st.floats(0.05, 1.0))),
+        seed=draw(st.integers(0, 2**32 - 1)),
+    )
+    return instances, config
 
 
-def test_nearest_neighbors_rejects_bad_inputs():
-    with pytest.raises(SevpredictError):
-        nearest_neighbors((0.0,), [], 1)
-    with pytest.raises(SevpredictError):
-        nearest_neighbors((0.0,), [(0.0,)], 0)
+@settings(max_examples=300, deadline=None)
+@given(balance_inputs())
+def test_balance_matches_the_two_search_reference(case):
+    instances, config = case
+    assert _outcome(adasyn_balance, instances, config) == _outcome(_reference_balance, instances, config)
+
+
+def test_balance_matches_the_reference_on_a_synth_corpus():
+    counts = dict(zip(SEVERITY_ORDER, (100, 200, 400, 400, 1000)))
+    instances = list(synth_corpus(counts, 20, 1.0, seed=1).labelled)
+    config = SamplerConfig(seed=7)
+    balanced = adasyn_balance(instances, config)
+    assert len(balanced) > len(instances)
+    assert balanced == _reference_balance(instances, config)
 
 
 # ---------------------------------------------------------------------------

@@ -54,6 +54,57 @@ def test_validate_missing_file_is_io_error(capsys, tmp_path):
 
 
 # ---------------------------------------------------------------------------
+# malformed input of any command: exit 1, one line
+
+
+CORPUS_HEADER = "module_id,loc,n_high_severity,n_critical,n_major,n_non_trivial,n_total_defects,m1\n"
+HUGE_FIELD = "9" * 140_000  # past csv.field_size_limit()
+
+
+@pytest.mark.parametrize("command", ["validate", "run", "metrics"])
+@pytest.mark.parametrize("defect", ["undecodable", "oversized"])
+def test_unparseable_csv_exits_1_with_one_line(capsys, tmp_path, command, defect):
+    if command == "metrics":
+        head, good, bad = "module_id,loc,actual,predicted\n", "a,10,clean,clean\n", "b,10,clean,{}\n"
+    else:
+        head, good, bad = CORPUS_HEADER, "a,10,0,0,0,0,0,1.5\n", "b,10,0,0,0,0,0,{}\n"
+    path = tmp_path / "input.csv"
+    bad = bad.format("\xff" if defect == "undecodable" else HUGE_FIELD)
+    path.write_bytes((head + good + bad).encode("latin-1"))  # \xff: not UTF-8
+    extra = ["--seed", "1"] if command == "run" else []
+    if command != "validate":
+        extra += ["--out", str(tmp_path / "out")]
+    code, _, err = run(capsys, command, str(path), *extra)
+    assert code == 1
+    assert err.count("\n") == 1 and "Traceback" not in err
+    assert (str(path) if defect == "undecodable" else "row 3: field larger than field limit") in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("synth", "--seed", "abc"),
+        ("run", "x.csv", "--gamma", "abc"),
+        ("synth", "--seed", "1", "--clean", "5", "--separation", "-inf"),
+        ("run",),
+    ],
+)
+def test_malformed_command_line_exits_1_with_one_line(capsys, tmp_path, argv):
+    code, out, err = run(capsys, *argv, "--out", str(tmp_path / "out.csv"))
+    assert code == 1
+    assert out == "" and err.startswith("error: sevpredict ")
+    assert err.count("\n") == 1 and "Traceback" not in err
+    assert not (tmp_path / "out.csv").exists()
+
+
+def test_help_exits_0(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["run", "--help"])
+    assert exc.value.code == 0
+    assert "usage: sevpredict run" in capsys.readouterr().out
+
+
+# ---------------------------------------------------------------------------
 # synth
 
 
