@@ -27,6 +27,7 @@ from .severity import CLASS_INDEX, SEVERITY_ORDER, SeverityClass
 
 N_CLASSES = len(SEVERITY_ORDER)
 MAX_TRAIN_ROWS = 3_300_000  # MAX_TRAIN_ROWS^3 / 4 < 2^63
+SCAN_CELLS = 4096  # values per scanned block; nodes this large scan one feature at a time
 
 
 def _check_rows(n: int) -> None:
@@ -77,43 +78,41 @@ def _make_leaf(counts: np.ndarray) -> Leaf:
     return Leaf(tuple(int(c) for c in counts), int(counts.sum()), majority)
 
 
-def _scan_feature(values: np.ndarray, labels: np.ndarray):
-    """Best midpoint threshold on one feature: (threshold, q_num, q_den).
+def _scan_features(values: np.ndarray, labels: np.ndarray):
+    """Best midpoint split in a (b, n) block of feature rows: (num, den, row, threshold).
 
-    Scores all boundaries between consecutive distinct sorted values from
+    Scores every boundary between consecutive distinct sorted values from
     per-class prefix counts. Float only screens out clearly worse candidates;
-    among the rest the first strictly-better one wins by exact integer
-    comparison, so equal-quality thresholds resolve to the lowest one.
-    Returns None for a constant feature.
+    among the rest, walked row-major, the first strictly-better one wins by
+    exact integer comparison, so equal-quality splits resolve to the lowest
+    row, then the lowest threshold. None when every row is constant.
     """
-    n = len(values)
-    order = np.argsort(values, kind="stable")
-    sv = values[order]
+    n = values.shape[1]
+    order = np.argsort(values, axis=1, kind="stable")
+    sv = np.take_along_axis(values, order, axis=1)
     sl = labels[order]
-    cut = np.flatnonzero(sv[:-1] != sv[1:])  # boundary pos splits [0, pos] | [pos + 1, n)
-    if len(cut) == 0:
+    cut = sv[:, :-1] != sv[:, 1:]  # boundary pos splits [0, pos] | [pos + 1, n)
+    if not cut.any():
         return None
-    n_left = cut + 1
+    n_left = np.arange(1, n, dtype=np.int64)
     n_right = n - n_left
-    s_left = np.zeros(len(cut), dtype=np.int64)
-    s_right = np.zeros(len(cut), dtype=np.int64)
-    totals = np.bincount(sl, minlength=N_CLASSES)
+    s_left = s_right = 0
+    totals = np.bincount(labels, minlength=N_CLASSES)
     for c in np.flatnonzero(totals):
-        left = np.cumsum(sl[:-1] == c, dtype=np.int64)[cut]
+        left = np.cumsum(sl[:, :-1] == c, axis=1, dtype=np.int64)
         right = totals[c] - left
         s_left += left * left
         s_right += right * right
     num = s_left * n_right + s_right * n_left  # <= n^3 / 4, exact below MAX_TRAIN_ROWS
     den = n_left * n_right
-    q = num / den
+    q = np.where(cut, num / den, -np.inf)
     best = None
     # q carries ~1e-15 relative rounding error, so the exact best always passes
-    for i in np.flatnonzero(q >= q.max() * (1 - 1e-9)):
-        cand_num, cand_den = int(num[i]), int(den[i])
+    for row, pos in zip(*np.nonzero(q >= q.max() * (1 - 1e-9))):
+        cand_num, cand_den = int(num[row, pos]), int(den[pos])
         if best is None or cand_num * best[1] > best[0] * cand_den:
-            best = (cand_num, cand_den, int(cut[i]))
-    best_num, best_den, pos = best
-    return float((sv[pos] + sv[pos + 1]) / 2.0), best_num, best_den
+            best = (cand_num, cand_den, int(row), float((sv[row, pos] + sv[row, pos + 1]) / 2.0))
+    return best
 
 
 def best_split(instances: Sequence[LabelledInstance], feature_index: int):
@@ -128,18 +127,19 @@ def best_split(instances: Sequence[LabelledInstance], feature_index: int):
     _check_rows(len(instances))
     values = np.asarray([inst.features[feature_index] for inst in instances], dtype=float)
     labels = np.asarray([CLASS_INDEX[inst.label] for inst in instances])
-    scan = _scan_feature(values, labels)
+    scan = _scan_features(values[None, :], labels)
     if scan is None:
         return None
-    threshold, num, den = scan
+    num, den, _, threshold = scan
     n = len(instances)
     sumsq = sum(int(c) ** 2 for c in np.bincount(labels, minlength=N_CLASSES))
     decrease = num / (den * n) - sumsq / (n * n)
     return threshold, decrease
 
 
-def _grow(X: np.ndarray, y: np.ndarray, idx: np.ndarray, depth: int, config: TreeConfig) -> TreeNode:
-    counts = np.bincount(y[idx], minlength=N_CLASSES)
+def _grow(XT: np.ndarray, y: np.ndarray, idx: np.ndarray, depth: int, config: TreeConfig) -> TreeNode:
+    labels = y[idx]
+    counts = np.bincount(labels, minlength=N_CLASSES)
     n = len(idx)
     if (
         int((counts > 0).sum()) == 1
@@ -149,23 +149,22 @@ def _grow(X: np.ndarray, y: np.ndarray, idx: np.ndarray, depth: int, config: Tre
         return _make_leaf(counts)
 
     best = None  # (num, den, feature, threshold)
-    for feature in range(X.shape[1]):
-        scan = _scan_feature(X[idx, feature], y[idx])
+    width = max(1, SCAN_CELLS // n)
+    for start in range(0, XT.shape[0], width):
+        scan = _scan_features(XT[start : start + width, idx], labels)
         if scan is None:
             continue
-        threshold, num, den = scan
+        num, den, row, threshold = scan
         if best is None or num * best[1] > best[0] * den:
-            best = (num, den, feature, threshold)
-    if best is None:
-        return _make_leaf(counts)  # all features constant here
-    num, den, feature, threshold = best
+            best = (num, den, start + row, threshold)
     sumsq = sum(int(c) ** 2 for c in counts)
-    if num * n <= sumsq * den:
-        return _make_leaf(counts)  # best candidate does not reduce impurity
+    if best is None or best[0] * n <= sumsq * best[1]:
+        return _make_leaf(counts)  # all features constant, or no candidate reduces impurity
+    _, _, feature, threshold = best
 
-    mask = X[idx, feature] <= threshold
-    left = _grow(X, y, idx[mask], depth + 1, config)
-    right = _grow(X, y, idx[~mask], depth + 1, config)
+    mask = XT[feature, idx] <= threshold
+    left = _grow(XT, y, idx[mask], depth + 1, config)
+    right = _grow(XT, y, idx[~mask], depth + 1, config)
     return Split(feature, threshold, left, right)
 
 
@@ -184,16 +183,16 @@ def fit_tree(
     if not instances:
         raise SevpredictError("cannot fit a tree on an empty training set")
     _check_rows(len(instances))
-    X = np.asarray([inst.features for inst in instances], dtype=float)
-    if not np.all(np.isfinite(X)):
+    XT = np.asarray([inst.features for inst in instances], dtype=float).T.copy()  # feature-major
+    if not np.all(np.isfinite(XT)):
         raise SevpredictError("features must be finite")
     y = np.asarray([CLASS_INDEX[inst.label] for inst in instances])
-    p = X.shape[1]
+    p = XT.shape[0]
     if schema is None:
         schema = tuple(f"f{j}" for j in range(p))
     elif len(schema) != p:
         raise SevpredictError(f"schema names {len(schema)} features but instances have {p}")
-    root = _grow(X, y, np.arange(len(instances)), 0, config)
+    root = _grow(XT, y, np.arange(len(instances)), 0, config)
     return DecisionTree(root, tuple(schema))
 
 

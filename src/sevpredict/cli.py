@@ -129,33 +129,46 @@ def _project_names(paths: list[str], folds: int | None) -> list[str]:
     return projects
 
 
+def _write_report(out_dir: str, report) -> None:
+    """Write report_<project>.json whole or not at all: a temp file beside it, then a rename."""
+    path = os.path.join(out_dir, f"report_{report.project}.json")
+    tmp = f"{path}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "w") as fh:
+            fh.write(report_to_json(report))
+        os.replace(tmp, path)
+    finally:
+        if os.path.exists(tmp):
+            os.remove(tmp)
+
+
 def cmd_run(args) -> int:
+    """All or nothing: every corpus is parsed and run before the first report is written."""
     settings = _resolve_settings(args)
     seed = _resolve_seed(args, settings)
     base_cfg = PipelineConfig.from_settings(settings, seed)
     projects = _project_names(args.csv, base_cfg.folds)
-    os.makedirs(args.out, exist_ok=True)
-    reports = []
-    for index, (path, project) in enumerate(zip(args.csv, projects)):
-        corpus = load_corpus(path)
+    corpora = [load_corpus(path) for path in args.csv]
+    reports, to_write = [], []
+    for index, (corpus, project) in enumerate(zip(corpora, projects)):
         cfg = base_cfg.reseeded(seed + index)
         if cfg.folds is not None:
             fold_reports = run_kfold(corpus, cfg, project)
-            for fold in fold_reports:
-                with open(os.path.join(args.out, f"report_{fold.project}.json"), "w") as fh:
-                    fh.write(report_to_json(fold))
+            to_write += fold_reports
             report = average_reports(fold_reports, project)
         else:
             report = run_experiment(corpus, cfg, project)
-        with open(os.path.join(args.out, f"report_{project}.json"), "w") as fh:
-            fh.write(report_to_json(report))
-        print(_one_line_summary(report))
         reports.append(report)
+        to_write.append(report)
+    summaries = list(reports)
     if len(reports) > 1:
-        avg = average_reports(reports, "average")
-        with open(os.path.join(args.out, "report_average.json"), "w") as fh:
-            fh.write(report_to_json(avg))
-        print(_one_line_summary(avg))
+        summaries.append(average_reports(reports, "average"))
+        to_write.append(summaries[-1])
+    os.makedirs(args.out, exist_ok=True)
+    for report in to_write:
+        _write_report(args.out, report)
+    for report in summaries:
+        print(_one_line_summary(report))
     if args.table:
         for path in write_comparison_tables(reports, args.out):
             print(f"wrote {path}")

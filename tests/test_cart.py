@@ -152,20 +152,57 @@ def _reference_scan(values: np.ndarray, labels: np.ndarray):
     return best_thr, best_num, best_den
 
 
-@st.composite
-def scan_inputs(draw):
-    """One feature column and its class indices; coarse grids give many ties."""
-    n = draw(st.integers(2, 300))
-    classes = draw(st.permutations(range(N_CLASSES)))[: draw(st.integers(1, N_CLASSES))]
+def _reference_block_scan(block: np.ndarray, labels: np.ndarray):
+    """_reference_scan on each row in turn; a later row wins only if strictly better."""
+    best = None
+    for row, values in enumerate(block):
+        scan = _reference_scan(values, labels)
+        if scan is None:
+            continue
+        threshold, num, den = scan
+        if best is None or num * best[1] > best[0] * den:
+            best = (num, den, row, threshold)
+    return best
+
+
+def _column(draw, rng, n):
+    """One feature column; coarse grids give many ties."""
     kind = draw(st.sampled_from(["grid", "scaled", "continuous"]))
-    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    labels = np.asarray(classes, dtype=np.int64)[rng.integers(0, len(classes), size=n)]
     if kind == "continuous":
-        return rng.normal(size=n) * 1e3, labels
+        return rng.normal(size=n) * 1e3
     values = rng.integers(0, draw(st.integers(1, 12)), size=n).astype(float)  # 1: constant
     if kind == "scaled":
         values = values * draw(st.sampled_from([0.1, 1e-3, 3.7, 1e6])) - 0.3
-    return values, labels
+    return values
+
+
+def _labels(draw, rng, n):
+    classes = draw(st.permutations(range(N_CLASSES)))[: draw(st.integers(1, N_CLASSES))]
+    return np.asarray(classes, dtype=np.int64)[rng.integers(0, len(classes), size=n)]
+
+
+@st.composite
+def scan_inputs(draw):
+    """One feature column and its class indices."""
+    n = draw(st.integers(2, 300))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    return _column(draw, rng, n), _labels(draw, rng, n)
+
+
+@st.composite
+def block_inputs(draw):
+    """A (b, n) block of feature rows; rows may repeat or mirror earlier ones."""
+    n = draw(st.integers(2, 120))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    rows = []
+    for _ in range(draw(st.integers(1, 24))):
+        source = draw(st.sampled_from(["new", "copy", "mirror"])) if rows else "new"
+        if source == "new":
+            rows.append(_column(draw, rng, n))
+        else:
+            earlier = rows[draw(st.integers(0, len(rows) - 1))]
+            rows.append(earlier.copy() if source == "copy" else -earlier)
+    return np.vstack(rows), _labels(draw, rng, n)
 
 
 @settings(max_examples=400, deadline=None)
@@ -174,7 +211,22 @@ def scan_inputs(draw):
 @example((np.arange(6.0), np.asarray([0, 1, 1, 1, 1, 0])))  # 0.5 and 4.5 tie exactly
 def test_scan_feature_matches_the_reference_loop(case):
     values, labels = case
-    assert cart._scan_feature(values, labels) == _reference_scan(values, labels)
+    block = values[None, :]
+    assert cart._scan_features(block, labels) == _reference_block_scan(block, labels)
+
+
+TIE_LABELS = np.asarray([0, 0, 1, 1, 1, 1])
+
+
+@settings(max_examples=400, deadline=None)
+@given(block_inputs())
+@example((np.vstack([np.arange(6.0), np.arange(6.0)]), TIE_LABELS))  # identical rows: row 0
+@example((np.vstack([np.arange(6.0), -np.arange(6.0)]), TIE_LABELS))  # mirror: row 0, not -3.5
+@example((np.full((3, 5), 2.5), np.asarray([0, 1, 2, 1, 0])))  # all constant: None
+@example((np.vstack([np.full(6, 1.0), np.arange(6.0)]), TIE_LABELS))  # constant first row
+def test_scan_features_matches_the_reference_on_blocks(case):
+    block, labels = case
+    assert cart._scan_features(block, labels) == _reference_block_scan(block, labels)
 
 
 def test_scan_feature_matches_the_reference_on_a_long_column():
@@ -184,21 +236,46 @@ def test_scan_feature_matches_the_reference_on_a_long_column():
     values = rng.integers(0, 400, size=n).astype(float)
     noise = rng.integers(0, 5, size=n)
     labels = np.where(rng.random(n) < 0.95, np.where(values < 360, 4, 0), noise).astype(np.int64)
-    assert cart._scan_feature(values, labels) == _reference_scan(values, labels)
+    block = values[None, :]
+    assert cart._scan_features(block, labels) == _reference_block_scan(block, labels)
 
 
 def test_unbounded_trees_match_the_reference_scan(monkeypatch):
-    trees = []
+    cases = []
     for seed in range(10):
         counts = {cls: 10 + 15 * ((seed + k) % 4) for k, cls in enumerate(SEVERITY_ORDER)}
         corpus = synth_corpus(counts, 2 + seed % 4, 0.5 + 0.3 * seed, seed=seed)
         instances = list(corpus.labelled)
         if seed % 2:  # one decimal place: many tied values per feature
             instances = [make_labelled(np.round(i.features, 1), i.label) for i in instances]
-        trees.append((instances, fit_tree(instances, schema=corpus.schema)))
-    monkeypatch.setattr(cart, "_scan_feature", _reference_scan)
-    for instances, tree in trees:
-        assert fit_tree(instances, schema=tree.schema) == tree
+        cases.append((instances, corpus.schema))
+    # the oracle scans every node's features in one call to the per-feature reference
+    monkeypatch.setattr(cart, "SCAN_CELLS", 10**9)
+    monkeypatch.setattr(cart, "_scan_features", _reference_block_scan)
+    oracle = [fit_tree(instances, schema=schema) for instances, schema in cases]
+    monkeypatch.undo()
+    for cells in (1, 16, 10**9):  # one feature per block, mixed widths, one block per node
+        monkeypatch.setattr(cart, "SCAN_CELLS", cells)
+        for (instances, schema), tree in zip(cases, oracle):
+            assert fit_tree(instances, schema=schema) == tree, f"SCAN_CELLS={cells}"
+
+
+def test_scan_blocks_stay_within_scan_cells(monkeypatch):
+    # a block holds at most SCAN_CELLS values, or one feature of a larger node
+    corpus = synth_corpus({cls: 600 for cls in SEVERITY_ORDER}, 8, 0.5, seed=4)
+    shapes = []
+    scan = cart._scan_features
+
+    def recording_scan(values, labels):
+        shapes.append(values.shape)
+        return scan(values, labels)
+
+    monkeypatch.setattr(cart, "_scan_features", recording_scan)
+    fit_tree(list(corpus.labelled))
+    assert max(n for _, n in shapes) == 3000
+    assert any(b == 8 for b, _ in shapes)  # small nodes scan all features at once
+    for b, n in shapes:
+        assert b * n <= max(n, cart.SCAN_CELLS), (b, n)
 
 
 def test_training_set_above_the_row_limit_is_rejected(monkeypatch):

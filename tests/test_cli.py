@@ -248,9 +248,10 @@ def test_run_multiple_corpora_adds_average(capsys, tmp_path):
     out_dir = tmp_path / "out"
     code, out, _ = run(capsys, "run", str(a), str(b), "--seed", "5", "--out", str(out_dir))
     assert code == 0
-    assert (out_dir / "report_alpha.json").exists()
-    assert (out_dir / "report_beta.json").exists()
-    assert (out_dir / "report_average.json").exists()
+    # the reports and nothing else: no temp file is left behind
+    assert sorted(p.name for p in out_dir.iterdir()) == [
+        "report_alpha.json", "report_average.json", "report_beta.json"
+    ]
     assert "alpha:" in out and "beta:" in out and "average:" in out
 
 
@@ -264,6 +265,20 @@ def test_run_rejects_report_name_clashes_before_running(capsys, tmp_path):
         code, out, err = run(capsys, "run", *map(str, inputs), "--seed", "5", "--out", str(out_dir))
         assert code == 1
         assert f"{inputs[0]} and {inputs[1]} would both write report_x.json" in err
+        assert err.count("\n") == 1 and "Traceback" not in err
+        assert out == "" and not out_dir.exists()
+
+
+def test_run_writes_nothing_when_a_later_corpus_fails(capsys, tmp_path):
+    good = make_corpus_csv(capsys, tmp_path, "good", seed=3)
+    undecodable = tmp_path / "undecodable.csv"
+    undecodable.write_bytes((CORPUS_HEADER + "a,10,0,0,0,0,0,\xff\n").encode("latin-1"))
+    small = tmp_path / "small.csv"  # largest class 3: a fourth fold gets no test module
+    run(capsys, "synth", "--out", str(small), "--seed", "1", "--clean", "3", "--major", "3")
+    for bad, extra in ((undecodable, []), (small, ["--folds", "4"])):
+        out_dir = tmp_path / f"out_{bad.stem}"
+        code, out, err = run(capsys, "run", str(good), str(bad), "--seed", "5", "--out", str(out_dir), *extra)
+        assert code == 1
         assert err.count("\n") == 1 and "Traceback" not in err
         assert out == "" and not out_dir.exists()
 
