@@ -23,7 +23,6 @@ from .cart import (
 from .corpus import (
     Corpus,
     LabelledInstance,
-    ModuleRecord,
     UnlabelledInstance,
     class_summary,
     derive_label,
@@ -41,7 +40,6 @@ from .metrics import (
     EconConfig,
     MetricReport,
     Outcome,
-    OutcomeSet,
     accuracy,
     budget_metrics,
     build_confusion,
@@ -85,9 +83,7 @@ __all__ = [
     "LabelledInstance",
     "Leaf",
     "MetricReport",
-    "ModuleRecord",
     "Outcome",
-    "OutcomeSet",
     "PipelineConfig",
     "RowError",
     "SamplerConfig",

@@ -32,6 +32,8 @@ class SamplerConfig:
     seed: int = 0
 
     def __post_init__(self):
+        if self.seed < 0:
+            raise SevpredictError(f"seed must be a non-negative integer, got {self.seed}")
         if self.k_neighbors < 1:
             raise SevpredictError(f"k_neighbors must be >= 1, got {self.k_neighbors}")
         if not 0.0 <= self.beta <= 1.0:

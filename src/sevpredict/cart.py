@@ -85,7 +85,9 @@ def _scan_features(values: np.ndarray, labels: np.ndarray):
     per-class prefix counts. Float only screens out clearly worse candidates;
     among the rest, walked row-major, the first strictly-better one wins by
     exact integer comparison, so equal-quality splits resolve to the lowest
-    row, then the lowest threshold. None when every row is constant.
+    row, then the lowest threshold. The threshold is the midpoint of the two
+    values either side, or the lower one where the midpoint rounds up to the
+    upper value (adjacent doubles) or overflows. None when every row is constant.
     """
     n = values.shape[1]
     order = np.argsort(values, axis=1, kind="stable")
@@ -111,8 +113,11 @@ def _scan_features(values: np.ndarray, labels: np.ndarray):
     for row, pos in zip(*np.nonzero(q >= q.max() * (1 - 1e-9))):
         cand_num, cand_den = int(num[row, pos]), int(den[pos])
         if best is None or cand_num * best[1] > best[0] * cand_den:
-            best = (cand_num, cand_den, int(row), float((sv[row, pos] + sv[row, pos + 1]) / 2.0))
-    return best
+            best = (cand_num, cand_den, int(row), int(pos))
+    best_num, best_den, row, pos = best
+    low, high = float(sv[row, pos]), float(sv[row, pos + 1])
+    mid = (low + high) / 2.0
+    return best_num, best_den, row, mid if low <= mid < high else low
 
 
 def best_split(instances: Sequence[LabelledInstance], feature_index: int):

@@ -36,20 +36,6 @@ PROVENANCE_PSEUDO = "pseudo"
 
 
 @dataclass(frozen=True)
-class ModuleRecord:
-    """One raw CSV row, before labelling."""
-
-    module_id: str
-    loc: int
-    defect_counts: tuple[int, int, int, int]  # per DEFECTIVE_CLASSES order
-    total_defects: int
-    features: tuple[float, ...]
-
-    def count(self, cls: SeverityClass) -> int:
-        return self.defect_counts[DEFECTIVE_CLASSES.index(cls)]
-
-
-@dataclass(frozen=True)
 class LabelledInstance:
     features: tuple[float, ...]
     loc: int
@@ -81,18 +67,18 @@ class Corpus:
         return len(self.labelled) + len(self.unlabelled)
 
 
-def derive_label(record: ModuleRecord) -> SeverityClass | None:
+def derive_label(defect_counts: Sequence[int], total_defects: int) -> SeverityClass | None:
     """Assign a severity label to a module, or None when it stays unlabelled.
 
     A module with no defects at all is clean. A module whose defects are on
     record only in the total, with every per-severity count zero, carries no
     usable label. Otherwise the label is the most severe category with a
-    nonzero count.
+    nonzero count; `defect_counts` follows DEFECTIVE_CLASSES order.
     """
-    nonzero = [c for c, n in zip(DEFECTIVE_CLASSES, record.defect_counts) if n > 0]
-    if record.total_defects > 0 and not nonzero:
+    nonzero = [c for c, n in zip(DEFECTIVE_CLASSES, defect_counts) if n > 0]
+    if total_defects > 0 and not nonzero:
         return None
-    if record.total_defects == 0:
+    if total_defects == 0:
         return SeverityClass.CLEAN
     return nonzero[0]
 
@@ -151,7 +137,7 @@ def _read_header(records, feature_names: Sequence[str] | None) -> tuple[str, ...
 
 
 def _scan_rows(source: Iterable[str], feature_names: Sequence[str] | None):
-    """Yield ModuleRecord or RowError per data row; raises SchemaError early.
+    """Yield an instance, or a RowError, per data row; raises SchemaError early.
 
     A row repeating an earlier valid row's module_id is a RowError too.
     """
@@ -160,7 +146,7 @@ def _scan_rows(source: Iterable[str], feature_names: Sequence[str] | None):
     width = len(REQUIRED_COLUMNS) + len(schema)
     first_line: dict[str, int] = {}  # module_id -> file line of its first valid row
 
-    def rows() -> Iterator[ModuleRecord | RowError]:
+    def rows() -> Iterator[LabelledInstance | UnlabelledInstance | RowError]:
         for line, fields in records:
             if not fields:
                 continue
@@ -190,34 +176,30 @@ def _scan_rows(source: Iterable[str], feature_names: Sequence[str] | None):
                 )
                 continue
             first_line[module_id] = line
-            yield ModuleRecord(module_id, loc, counts, total, feats)
+            label = derive_label(counts, total)
+            if label is None:
+                yield UnlabelledInstance(feats, loc, module_id)
+            else:
+                yield LabelledInstance(feats, loc, label, PROVENANCE_ORIGINAL, module_id)
 
     return schema, rows()
 
 
-def _assemble(schema: tuple[str, ...], records: Iterable[ModuleRecord]) -> Corpus:
-    labelled: list[LabelledInstance] = []
-    unlabelled: list[UnlabelledInstance] = []
-    for rec in records:
-        label = derive_label(rec)
-        if label is None:
-            unlabelled.append(UnlabelledInstance(rec.features, rec.loc, rec.module_id))
-        else:
-            labelled.append(
-                LabelledInstance(rec.features, rec.loc, label, PROVENANCE_ORIGINAL, rec.module_id)
-            )
-    return Corpus(schema, tuple(labelled), tuple(unlabelled))
+def _assemble(schema: tuple[str, ...], instances: Sequence) -> Corpus:
+    labelled = tuple(i for i in instances if isinstance(i, LabelledInstance))
+    unlabelled = tuple(i for i in instances if isinstance(i, UnlabelledInstance))
+    return Corpus(schema, labelled, unlabelled)
 
 
 def parse_corpus(source: Iterable[str], feature_names: Sequence[str] | None = None) -> Corpus:
     """Parse the module CSV into a Corpus, raising on the first bad row."""
     schema, rows = _scan_rows(source, feature_names)
-    records = []
+    instances = []
     for item in rows:
         if isinstance(item, RowError):
             raise item
-        records.append(item)
-    return _assemble(schema, records)
+        instances.append(item)
+    return _assemble(schema, instances)
 
 
 def audit_csv(source: Iterable[str]) -> tuple[Corpus, list[str]]:
@@ -227,14 +209,14 @@ def audit_csv(source: Iterable[str]) -> tuple[Corpus, list[str]]:
     interpreted at all.
     """
     schema, rows = _scan_rows(source, None)
-    records = []
+    instances = []
     diagnostics: list[str] = []
     for item in rows:
         if isinstance(item, RowError):
             diagnostics.append(str(item))
         else:
-            records.append(item)
-    return _assemble(schema, records), diagnostics
+            instances.append(item)
+    return _assemble(schema, instances), diagnostics
 
 
 def read_csv_file(path, parse):
@@ -365,6 +347,8 @@ def synth_corpus(
     overlapping classes); unlabelled instances are drawn from the same
     mixture with weights proportional to the labelled class counts.
     """
+    if seed < 0:
+        raise SevpredictError(f"seed must be a non-negative integer, got {seed}")
     if n_features < 1:
         raise SevpredictError(f"n_features must be >= 1, got {n_features}")
     if n_unlabelled < 0:

@@ -1,10 +1,10 @@
 """Confusion matrix and project-economics evaluation measures.
 
-All measures derive from a set of per-module outcomes (actual class,
-predicted class, LoC). Rows of the confusion matrix are actuals, columns
-are predictions, both in severity order. A module counts as a true
-negative only when it is clean and predicted clean; LoC-weighted measures
-(saved budget, remaining edits, service times) follow from that partition.
+Every measure reads one confusion matrix built from per-module outcomes
+(actual class, predicted class, LoC): rows are actuals, columns are
+predictions, both in severity order, and each cell holds a module count and
+those modules' LoC. The (clean, clean) cell is the only true negative; the
+LoC-weighted measures (saved budget, remaining edits, service times) read it.
 """
 
 from __future__ import annotations
@@ -12,7 +12,6 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import asdict, dataclass
-from functools import cached_property
 from typing import Iterable, Mapping
 
 from .corpus import _parse_int, csv_records
@@ -38,49 +37,19 @@ class Outcome:
         if self.loc < 1:
             raise SevpredictError(f"loc must be >= 1, got {self.loc}")
 
-    @property
-    def is_true_negative(self) -> bool:
-        return self.actual is SeverityClass.CLEAN and self.predicted is SeverityClass.CLEAN
-
-
-class OutcomeSet:
-    """Non-empty bundle of outcomes for one evaluated test set."""
-
-    def __init__(self, outcomes: Iterable[Outcome]):
-        self.outcomes: tuple[Outcome, ...] = tuple(outcomes)
-        if not self.outcomes:
-            raise SevpredictError("outcome set is empty")
-
-    def __len__(self) -> int:
-        return len(self.outcomes)
-
-    def __iter__(self):
-        return iter(self.outcomes)
-
-    @cached_property
-    def total_loc(self) -> int:
-        return sum(o.loc for o in self.outcomes)
-
-    @cached_property
-    def clean_loc_split(self) -> tuple[int, int, int]:
-        """(true negatives, their LoC, LoC of clean modules predicted defective)."""
-        tn = saved = flagged = 0
-        for o in self.outcomes:
-            if o.is_true_negative:
-                tn += 1
-                saved += o.loc
-            elif o.actual is SeverityClass.CLEAN:
-                flagged += o.loc
-        return tn, saved, flagged
-
 
 @dataclass(frozen=True)
 class ConfusionMatrix:
     counts: tuple[tuple[int, ...], ...]  # [actual][predicted], severity order
+    loc: tuple[tuple[int, ...], ...]  # LoC of the modules in each cell
 
     @property
     def n_t(self) -> int:
         return sum(sum(row) for row in self.counts)
+
+    @property
+    def total_loc(self) -> int:
+        return sum(sum(row) for row in self.loc)
 
     def count(self, actual: SeverityClass, predicted: SeverityClass) -> int:
         return self.counts[CLASS_INDEX[actual]][CLASS_INDEX[predicted]]
@@ -93,11 +62,24 @@ class ConfusionMatrix:
         return sum(row[j] for row in self.counts)
 
 
-def build_confusion(outcomes: OutcomeSet) -> ConfusionMatrix:
-    grid = [[0] * len(SEVERITY_ORDER) for _ in SEVERITY_ORDER]
+def build_confusion(outcomes: Iterable[Outcome]) -> ConfusionMatrix:
+    """Module count and LoC per (actual, predicted) cell; raises on no outcomes."""
+    counts = [[0] * len(SEVERITY_ORDER) for _ in SEVERITY_ORDER]
+    loc = [[0] * len(SEVERITY_ORDER) for _ in SEVERITY_ORDER]
     for o in outcomes:
-        grid[CLASS_INDEX[o.actual]][CLASS_INDEX[o.predicted]] += 1
-    return ConfusionMatrix(tuple(tuple(row) for row in grid))
+        i, j = CLASS_INDEX[o.actual], CLASS_INDEX[o.predicted]
+        counts[i][j] += 1
+        loc[i][j] += o.loc
+    cm = ConfusionMatrix(tuple(map(tuple, counts)), tuple(map(tuple, loc)))
+    if cm.n_t == 0:
+        raise SevpredictError("outcome set is empty")
+    return cm
+
+
+def _clean_split(cm: ConfusionMatrix) -> tuple[int, int, int]:
+    """(true negatives, their LoC, LoC of clean modules predicted defective)."""
+    c = CLASS_INDEX[SeverityClass.CLEAN]
+    return cm.counts[c][c], cm.loc[c][c], sum(cm.loc[c]) - cm.loc[c][c]
 
 
 def accuracy(cm: ConfusionMatrix) -> float:
@@ -177,11 +159,11 @@ class BudgetMetrics:
     lsb: float  # LoC share of clean modules flagged defective
 
 
-def budget_metrics(outcomes: OutcomeSet) -> BudgetMetrics:
-    total_loc = outcomes.total_loc
-    tn, saved, lost = outcomes.clean_loc_split
+def budget_metrics(cm: ConfusionMatrix) -> BudgetMetrics:
+    total_loc = cm.total_loc
+    tn, saved, lost = _clean_split(cm)
     return BudgetMetrics(
-        ptn=tn / len(outcomes),
+        ptn=tn / cm.n_t,
         saved_budget=saved,
         psb=saved / total_loc,
         lsb=lost / total_loc,
@@ -197,12 +179,12 @@ class ServiceMetrics:
     gst_hours: float  # service time gained back on mispredicted clean modules
 
 
-def service_metrics(outcomes: OutcomeSet, config: "EconConfig") -> ServiceMetrics:
-    total_loc = outcomes.total_loc
-    tn, saved, gained = outcomes.clean_loc_split
+def service_metrics(cm: ConfusionMatrix, config: "EconConfig") -> ServiceMetrics:
+    total_loc = cm.total_loc
+    tn, saved, gained = _clean_split(cm)
     remaining = total_loc - saved
     return ServiceMetrics(
-        pntn=(len(outcomes) - tn) / len(outcomes),
+        pntn=(cm.n_t - tn) / cm.n_t,
         remaining_edits=remaining,
         pre=remaining / total_loc,
         rst_hours=remaining / config.delta,
@@ -273,8 +255,8 @@ class MetricReport:
         ]
 
 
-def full_report(outcomes: OutcomeSet, config: EconConfig = EconConfig()) -> MetricReport:
-    """Compose every measure over one outcome set."""
+def full_report(outcomes: Iterable[Outcome], config: EconConfig = EconConfig()) -> MetricReport:
+    """Compose every measure over one non-empty set of outcomes."""
     cm = build_confusion(outcomes)
     fm = f_measures(cm)
     rf = risk_factor(cm, config.weight_map())
@@ -285,8 +267,8 @@ def full_report(outcomes: OutcomeSet, config: EconConfig = EconConfig()) -> Metr
         f_measure_weighted=fm.weighted,
         risk_factor={cls.value: rf[cls] for cls in DEFECTIVE_CLASSES},
         system_rf=system_risk_factor(rf),
-        **asdict(budget_metrics(outcomes)),
-        **asdict(service_metrics(outcomes, config)),
+        **asdict(budget_metrics(cm)),
+        **asdict(service_metrics(cm, config)),
         delta=config.delta,
         ordinal_weights=tuple(config.ordinal_weights),
     )
@@ -298,7 +280,7 @@ def full_report(outcomes: OutcomeSet, config: EconConfig = EconConfig()) -> Metr
 PREDICTIONS_HEADER: tuple[str, ...] = ("module_id", "loc", "actual", "predicted")
 
 
-def parse_predictions(source: Iterable[str]) -> OutcomeSet:
+def parse_predictions(source: Iterable[str]) -> tuple[Outcome, ...]:
     records = csv_records(source)
     _, header = next(records, (0, None))
     if header is None:
@@ -319,10 +301,10 @@ def parse_predictions(source: Iterable[str]) -> OutcomeSet:
         except SevpredictError as exc:
             raise RowError(line, str(exc)) from None
         outcomes.append(Outcome(actual, predicted, loc, module_id))
-    return OutcomeSet(outcomes)
+    return tuple(outcomes)
 
 
-def write_predictions(outcomes: OutcomeSet, stream) -> None:
+def write_predictions(outcomes: Iterable[Outcome], stream) -> None:
     writer = csv.writer(stream, lineterminator="\n")
     writer.writerow(PREDICTIONS_HEADER)
     auto = 0

@@ -22,7 +22,7 @@ from .adasyn import SamplerConfig, adasyn_balance
 from .cart import DecisionTree, TreeConfig, fit_tree, predict_label
 from .corpus import Corpus, LabelledInstance, class_summary, stratified_kfold, stratified_split
 from .errors import SevpredictError
-from .metrics import EconConfig, MetricReport, Outcome, OutcomeSet, full_report
+from .metrics import EconConfig, MetricReport, Outcome, full_report
 from .selftrain import SelfTrainConfig, SelfTrainTrace, self_train
 from .severity import DEFECTIVE_CLASSES
 
@@ -40,6 +40,8 @@ class PipelineConfig:
     oversample_first: bool = True  # False starts self-training from the raw labelled pool
 
     def __post_init__(self) -> None:
+        if self.seed < 0:
+            raise SevpredictError(f"seed must be a non-negative integer, got {self.seed}")
         if not 0.0 < self.test_fraction < 1.0:
             raise SevpredictError(f"test_fraction must be in (0, 1), got {self.test_fraction}")
         if self.folds is not None and self.folds < 2:
@@ -194,8 +196,8 @@ def compare(baseline: MetricReport, other: MetricReport) -> dict:
     return deltas
 
 
-def _evaluate(tree: DecisionTree, test: Sequence[LabelledInstance]) -> OutcomeSet:
-    return OutcomeSet(
+def _evaluate(tree: DecisionTree, test: Sequence[LabelledInstance]) -> tuple[Outcome, ...]:
+    return tuple(
         Outcome(inst.label, predict_label(tree, inst.features), inst.loc, inst.module_id)
         for inst in test
     )

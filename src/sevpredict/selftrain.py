@@ -10,7 +10,6 @@ iteration budget runs out.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, fields
 from typing import Sequence
 
@@ -57,11 +56,6 @@ class SelfTrainTrace:
             "status": self.status,
             "iterations": [{f.name: getattr(r, f.name) for f in fields(r)} for r in self.iterations],
         }
-
-    def to_jsonl(self) -> str:
-        """One JSON object per iteration, newline separated."""
-        rows = self.to_dict()["iterations"]
-        return "\n".join(json.dumps(row, sort_keys=True) for row in rows)
 
 
 @dataclass(frozen=True)

@@ -47,10 +47,6 @@ DEFAULT_WEIGHTS: dict[SeverityClass, float] = {
 }
 
 
-def more_severe(a: SeverityClass, b: SeverityClass) -> bool:
-    return CLASS_INDEX[a] < CLASS_INDEX[b]
-
-
 def validate_weights(weights: Mapping[SeverityClass, float]) -> dict[SeverityClass, float]:
     """Check an ordinal weight assignment and return it in canonical order.
 

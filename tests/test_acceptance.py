@@ -16,7 +16,6 @@ from sevpredict import (
     EconConfig,
     Leaf,
     Outcome,
-    OutcomeSet,
     SamplerConfig,
     SelfTrainConfig,
     SEVERITY_ORDER,
@@ -51,11 +50,11 @@ def announce(n, text):
 def random_outcomes(rng, n=None):
     classes = list(SEVERITY_ORDER)
     n = n or int(rng.integers(2, 50))
-    return OutcomeSet(
+    return [
         Outcome(classes[int(rng.integers(0, 5))], classes[int(rng.integers(0, 5))],
                 int(rng.integers(1, 4000)))
         for _ in range(n)
-    )
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -65,11 +64,11 @@ def test_criterion_1_budget_and_service_arithmetic():
     start = time.perf_counter()
     # 143788 LoC total: 73590 in true negatives, 23103 in clean modules
     # falsely flagged, the remaining 47095 in defective modules
-    outcomes = OutcomeSet([
+    outcomes = [
         Outcome(CL, CL, 73590),
         Outcome(CL, MA, 23103),
         Outcome(MA, MA, 143788 - 73590 - 23103),
-    ])
+    ]
     report = full_report(outcomes, EconConfig(delta=100.0))
     assert report.psb == pytest.approx(0.5118, abs=5e-5)
     assert report.lsb == pytest.approx(0.1607, abs=5e-5)
@@ -101,9 +100,10 @@ def test_criterion_3_economics_identities():
     config = EconConfig(delta=100.0)
     for _ in range(1000):
         outcomes = random_outcomes(rng)
-        bm = budget_metrics(outcomes)
-        sm = service_metrics(outcomes, config)
-        total = outcomes.total_loc
+        cm = build_confusion(outcomes)
+        bm = budget_metrics(cm)
+        sm = service_metrics(cm, config)
+        total = sum(o.loc for o in outcomes)
         clean_loc = sum(o.loc for o in outcomes if o.actual is CL)
         assert bm.psb + sm.pre == pytest.approx(1.0, abs=1e-12)
         assert bm.psb + bm.lsb == pytest.approx(clean_loc / total, abs=1e-12)

@@ -362,3 +362,5 @@ def test_sampler_config_validation():
         SamplerConfig(d_threshold=0.0)
     with pytest.raises(SevpredictError):
         SamplerConfig(d_threshold=1.2)
+    with pytest.raises(SevpredictError, match="seed"):
+        SamplerConfig(seed=-1)

@@ -40,6 +40,19 @@ def test_best_split_constant_feature_yields_nothing():
     assert best_split(points([3, 3, 3, 3], [CL, MA, CL, MA]), 0) is None
 
 
+@pytest.mark.parametrize("low, high", [
+    (1.0 + 2.0**-52, 1.0 + 2.0**-51),  # adjacent doubles: the midpoint rounds to high
+    (1.7e308, 1.79e308),  # the sum overflows to inf
+    (-1.79e308, -1.7e308),  # and to -inf
+])
+def test_split_threshold_separates_adjacent_and_huge_values(low, high):
+    tree = fit_tree(points([low, high], [CL, MA]))
+    assert isinstance(tree.root, Split)
+    assert low <= tree.root.threshold < high
+    assert isinstance(tree.root.left, Leaf) and tree.root.left.majority is CL
+    assert isinstance(tree.root.right, Leaf) and tree.root.right.majority is MA
+
+
 def test_best_split_two_point_separation():
     threshold, decrease = best_split(points([1, 2], [CL, MA]), 0)
     assert threshold == 1.5

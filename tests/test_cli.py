@@ -324,6 +324,28 @@ def test_run_without_any_seed_fails(capsys, tmp_path, monkeypatch):
     assert "seed" in err
 
 
+@pytest.mark.parametrize("source", ["run flag", "synth flag", "environment", "config file"])
+def test_negative_seed_exits_1_naming_seed(capsys, tmp_path, monkeypatch, source):
+    corpus_csv = make_corpus_csv(capsys, tmp_path)
+    out = str(tmp_path / "out")
+    monkeypatch.delenv("SEVPREDICT_SEED", raising=False)
+    if source == "run flag":
+        argv = ["run", str(corpus_csv), "--seed", "-1", "--out", out]
+    elif source == "synth flag":
+        argv = ["synth", "--seed", "-1", "--clean", "5", "--major", "5", "--out", out]
+    elif source == "environment":
+        monkeypatch.setenv("SEVPREDICT_SEED", "-1")
+        argv = ["run", str(corpus_csv), "--out", out]
+    else:
+        config = tmp_path / "config.json"
+        config.write_text('{"seed": -1}')
+        argv = ["run", str(corpus_csv), "--config", str(config), "--out", out]
+    code, stdout, err = run(capsys, *argv)
+    assert code == 1
+    assert stdout == "" and err == "error: seed must be a non-negative integer, got -1\n"
+    assert not (tmp_path / "out").exists()
+
+
 def test_run_flag_overrides_config_file(capsys, tmp_path):
     corpus_csv = make_corpus_csv(capsys, tmp_path)
     config = tmp_path / "config.json"

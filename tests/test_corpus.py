@@ -8,7 +8,6 @@ import pytest
 
 from sevpredict import (
     Corpus,
-    ModuleRecord,
     RowError,
     SchemaError,
     SevpredictError,
@@ -29,31 +28,27 @@ from conftest import CL, CR, HS, MA, NT, make_labelled
 HEADER = "module_id,loc,n_high_severity,n_critical,n_major,n_non_trivial,n_total_defects,wmc,rfc"
 
 
-def record(*, counts=(0, 0, 0, 0), total=0, loc=100):
-    return ModuleRecord("m", loc, tuple(counts), total, (1.0, 2.0))
-
-
 # ---------------------------------------------------------------------------
 # labelling rule
 
 
 def test_derive_label_unlabelled_when_total_positive_but_categories_empty():
-    assert derive_label(record(counts=(0, 0, 0, 0), total=3)) is None
+    assert derive_label((0, 0, 0, 0), 3) is None
 
 
 def test_derive_label_clean_when_no_defects():
-    assert derive_label(record(counts=(0, 0, 0, 0), total=0)) is CL
+    assert derive_label((0, 0, 0, 0), 0) is CL
 
 
 def test_derive_label_most_severe_nonzero_category():
-    assert derive_label(record(counts=(0, 1, 2, 0), total=3)) is CR
-    assert derive_label(record(counts=(1, 0, 0, 1), total=2)) is HS
-    assert derive_label(record(counts=(0, 0, 0, 4), total=4)) is NT
+    assert derive_label((0, 1, 2, 0), 3) is CR
+    assert derive_label((1, 0, 0, 1), 2) is HS
+    assert derive_label((0, 0, 0, 4), 4) is NT
 
 
 def test_derive_label_total_zero_wins_over_stray_counts():
     # the total is authoritative for the zero test
-    assert derive_label(record(counts=(1, 0, 0, 0), total=0)) is CL
+    assert derive_label((1, 0, 0, 0), 0) is CL
 
 
 # ---------------------------------------------------------------------------
@@ -292,6 +287,8 @@ def test_synth_corpus_rejects_degenerate_specs():
         synth_corpus({CL: 5}, 0, 1.0, seed=0)
     with pytest.raises(SevpredictError):
         synth_corpus({CL: 5}, 3, -1.0, seed=0)
+    with pytest.raises(SevpredictError, match="seed"):
+        synth_corpus({CL: 5}, 3, 1.0, seed=-1)
 
 
 @pytest.mark.parametrize("separation", [float("nan"), float("inf"), float("-inf")])

@@ -12,7 +12,6 @@ from sevpredict import (
     DEFECTIVE_CLASSES,
     EconConfig,
     Outcome,
-    OutcomeSet,
     SEVERITY_ORDER,
     SevpredictError,
     accuracy,
@@ -27,7 +26,7 @@ from sevpredict import (
     write_predictions,
 )
 from sevpredict.errors import RowError, SchemaError
-from sevpredict.metrics import REPORT_CSV_HEADER
+from sevpredict.metrics import REPORT_CSV_HEADER, BudgetMetrics, ServiceMetrics
 
 from conftest import CL, CR, HS, MA, NT
 
@@ -51,7 +50,7 @@ def random_outcome_set(rng, n=None):
             classes[int(rng.integers(0, 5))],
             loc=int(rng.integers(1, 5000)),
         ))
-    return OutcomeSet(rows)
+    return rows
 
 
 # ---------------------------------------------------------------------------
@@ -59,9 +58,9 @@ def random_outcome_set(rng, n=None):
 
 
 def test_confusion_matrix_placement():
-    cm = build_confusion(OutcomeSet([
+    cm = build_confusion([
         outcome(HS, MA), outcome(HS, MA), outcome(CL, CL), outcome(MA, HS),
-    ]))
+    ])
     assert cm.count(HS, MA) == 2
     assert cm.count(MA, HS) == 1
     assert cm.count(CL, CL) == 1
@@ -71,15 +70,27 @@ def test_confusion_matrix_placement():
     assert cm.predicted_total(MA) == 2
 
 
+def test_confusion_matrix_sums_loc_per_cell():
+    cm = build_confusion([
+        outcome(HS, MA, loc=10), outcome(HS, MA, loc=32),
+        outcome(CL, CL, loc=7), outcome(CL, NT, loc=5),
+    ])
+    assert cm.loc[0][2] == 42
+    assert cm.loc[4][4] == 7 and cm.loc[4][3] == 5
+    assert sum(map(sum, cm.loc)) == cm.total_loc == 54
+    nonzero = lambda grid: [[v > 0 for v in row] for row in grid]
+    assert nonzero(cm.loc) == nonzero(cm.counts)
+
+
 def test_accuracy_is_diagonal_share():
-    cm = build_confusion(OutcomeSet([
+    cm = build_confusion([
         outcome(CL, CL), outcome(CL, CL), outcome(MA, MA), outcome(MA, CL),
-    ]))
+    ])
     assert accuracy(cm) == pytest.approx(0.75)
 
 
 def test_f_measures_perfect_prediction():
-    cm = build_confusion(OutcomeSet([outcome(CL, CL), outcome(MA, MA)]))
+    cm = build_confusion([outcome(CL, CL), outcome(MA, MA)])
     fm = f_measures(cm)
     assert fm.per_class[CL].f1 == pytest.approx(1.0)
     assert fm.per_class[MA].f1 == pytest.approx(1.0)
@@ -89,9 +100,9 @@ def test_f_measures_perfect_prediction():
 
 def test_f_measures_absent_class_excluded_from_macro():
     # HS never appears in actuals; it must not drag the macro mean down
-    cm = build_confusion(OutcomeSet([
+    cm = build_confusion([
         outcome(CL, CL), outcome(CL, CL), outcome(MA, MA), outcome(MA, MA),
-    ]))
+    ])
     fm = f_measures(cm)
     assert fm.per_class[HS].f1 == 0.0
     assert fm.macro == pytest.approx(1.0)
@@ -99,10 +110,10 @@ def test_f_measures_absent_class_excluded_from_macro():
 
 def test_f_measure_half_precision_full_recall():
     # every MA found, but as many false alarms: P=0.5, R=1, F1=2/3
-    cm = build_confusion(OutcomeSet([
+    cm = build_confusion([
         outcome(MA, MA), outcome(MA, MA), outcome(CL, MA), outcome(CL, MA),
         outcome(CL, CL), outcome(CL, CL),
-    ]))
+    ])
     fm = f_measures(cm)
     assert fm.per_class[MA].precision == pytest.approx(0.5)
     assert fm.per_class[MA].recall == pytest.approx(1.0)
@@ -110,7 +121,7 @@ def test_f_measure_half_precision_full_recall():
 
 
 def test_f_measures_zero_denominators_give_zero():
-    cm = build_confusion(OutcomeSet([outcome(CL, MA), outcome(MA, CL)]))
+    cm = build_confusion([outcome(CL, MA), outcome(MA, CL)])
     fm = f_measures(cm)
     assert fm.per_class[CL].f1 == 0.0
     assert fm.per_class[MA].f1 == 0.0
@@ -118,9 +129,9 @@ def test_f_measures_zero_denominators_give_zero():
 
 
 def test_weighted_f_measure_uses_actual_supports():
-    cm = build_confusion(OutcomeSet(
+    cm = build_confusion(
         [outcome(CL, CL)] * 3 + [outcome(MA, CL)]
-    ))
+    )
     fm = f_measures(cm)
     # CL: P=3/4, R=1 -> F1=6/7; MA: F1=0; weighted = (3*6/7 + 1*0)/4
     assert fm.weighted == pytest.approx(3 / 4 * 6 / 7)
@@ -132,35 +143,35 @@ def test_weighted_f_measure_uses_actual_supports():
 
 def test_risk_factor_worst_case_miss():
     # an HS module predicted clean costs |0.1 - 0.5| = 0.4
-    cm = build_confusion(OutcomeSet([outcome(HS, CL)]))
+    cm = build_confusion([outcome(HS, CL)])
     rf = risk_factor(cm)
     assert rf[HS] == pytest.approx(0.4)
 
 
 def test_risk_factor_one_step_under():
-    cm = build_confusion(OutcomeSet([outcome(HS, CR)]))
+    cm = build_confusion([outcome(HS, CR)])
     assert risk_factor(cm)[HS] == pytest.approx(0.1)
 
 
 def test_risk_factor_ignores_over_severe_predictions():
-    cm = build_confusion(OutcomeSet([outcome(MA, HS), outcome(MA, CR), outcome(MA, MA)]))
+    cm = build_confusion([outcome(MA, HS), outcome(MA, CR), outcome(MA, MA)])
     assert risk_factor(cm)[MA] == 0.0
 
 
 def test_risk_factor_averages_over_class_support():
     # two HS modules: one caught exactly, one sent to clean
-    cm = build_confusion(OutcomeSet([outcome(HS, HS), outcome(HS, CL)]))
+    cm = build_confusion([outcome(HS, HS), outcome(HS, CL)])
     assert risk_factor(cm)[HS] == pytest.approx(0.2)
 
 
 def test_risk_factor_two_misses_mixed():
-    cm = build_confusion(OutcomeSet([outcome(HS, CR), outcome(HS, CL)]))
+    cm = build_confusion([outcome(HS, CR), outcome(HS, CL)])
     # (0.1 + 0.4) / 2
     assert risk_factor(cm)[HS] == pytest.approx(0.25)
 
 
 def test_risk_factor_absent_class_is_zero():
-    cm = build_confusion(OutcomeSet([outcome(CL, CL)]))
+    cm = build_confusion([outcome(CL, CL)])
     rf = risk_factor(cm)
     assert all(rf[cls] == 0.0 for cls in DEFECTIVE_CLASSES)
 
@@ -173,7 +184,7 @@ def test_system_risk_factor_sums_components():
 
 
 def test_risk_factor_custom_weights():
-    cm = build_confusion(OutcomeSet([outcome(HS, CL)]))
+    cm = build_confusion([outcome(HS, CL)])
     weights = {HS: 1.0, CR: 2.0, MA: 3.0, NT: 4.0, CL: 10.0}
     assert risk_factor(cm, weights)[HS] == pytest.approx(9.0)
 
@@ -194,8 +205,7 @@ def test_per_class_risk_factor_bounds():
 
 
 def test_budget_metrics_on_reference_predictions(reference_bst_path):
-    outcomes = load_fixture(reference_bst_path)
-    bm = budget_metrics(outcomes)
+    bm = budget_metrics(build_confusion(load_fixture(reference_bst_path)))
     assert bm.saved_budget == 73590
     assert bm.ptn == pytest.approx(18 / 72)  # module-count share, not LoC
     assert bm.psb == pytest.approx(0.511795, abs=5e-6)
@@ -203,8 +213,7 @@ def test_budget_metrics_on_reference_predictions(reference_bst_path):
 
 
 def test_service_metrics_on_reference_predictions(reference_bst_path):
-    outcomes = load_fixture(reference_bst_path)
-    sm = service_metrics(outcomes, EconConfig())
+    sm = service_metrics(build_confusion(load_fixture(reference_bst_path)), EconConfig())
     assert sm.remaining_edits == 143788 - 73590
     assert sm.pre == pytest.approx(0.488205, abs=5e-6)
     assert sm.rst_hours == pytest.approx(701.98, abs=0.01)
@@ -212,9 +221,9 @@ def test_service_metrics_on_reference_predictions(reference_bst_path):
 
 
 def test_second_arm_reference_predictions(reference_ast_path):
-    outcomes = load_fixture(reference_ast_path)
-    bm = budget_metrics(outcomes)
-    sm = service_metrics(outcomes, EconConfig())
+    cm = build_confusion(load_fixture(reference_ast_path))
+    bm = budget_metrics(cm)
+    sm = service_metrics(cm, EconConfig())
     assert bm.saved_budget == 76165
     assert bm.psb == pytest.approx(0.529703, abs=5e-6)
     assert sm.rst_hours == pytest.approx(676.23, abs=0.01)
@@ -222,24 +231,25 @@ def test_second_arm_reference_predictions(reference_ast_path):
 
 
 def test_true_negative_definition():
-    assert outcome(CL, CL).is_true_negative
-    assert not outcome(CL, MA).is_true_negative
-    assert not outcome(MA, CL).is_true_negative
-    assert not outcome(MA, MA).is_true_negative
+    # only the (clean, clean) cell counts as a true negative
+    for actual, predicted, tn in ((CL, CL, 1), (CL, MA, 0), (MA, CL, 0), (MA, MA, 0)):
+        bm = budget_metrics(build_confusion([outcome(actual, predicted)]))
+        assert bm.ptn == tn
+        assert bm.saved_budget == 100 * tn
 
 
 def test_budget_metrics_simple_hand_case():
-    outcomes = OutcomeSet([
+    cm = build_confusion([
         outcome(CL, CL, loc=600),   # true negative: saved
         outcome(CL, MA, loc=300),   # false positive: lost saving
         outcome(MA, MA, loc=100),   # defective: must be edited anyway
     ])
-    bm = budget_metrics(outcomes)
+    bm = budget_metrics(cm)
     assert bm.saved_budget == 600
     assert bm.ptn == pytest.approx(1 / 3)
     assert bm.psb == pytest.approx(0.6)
     assert bm.lsb == pytest.approx(0.3)
-    sm = service_metrics(outcomes, EconConfig(delta=100.0))
+    sm = service_metrics(cm, EconConfig(delta=100.0))
     assert sm.remaining_edits == 400
     assert sm.pre == pytest.approx(0.4)
     assert sm.pntn == pytest.approx(2 / 3)
@@ -248,9 +258,9 @@ def test_budget_metrics_simple_hand_case():
 
 
 def test_service_delta_scales_hours():
-    outcomes = OutcomeSet([outcome(CL, MA, loc=500), outcome(CL, CL, loc=500)])
-    fast = service_metrics(outcomes, EconConfig(delta=500.0))
-    slow = service_metrics(outcomes, EconConfig(delta=50.0))
+    cm = build_confusion([outcome(CL, MA, loc=500), outcome(CL, CL, loc=500)])
+    fast = service_metrics(cm, EconConfig(delta=500.0))
+    slow = service_metrics(cm, EconConfig(delta=50.0))
     assert fast.rst_hours == pytest.approx(1.0)
     assert slow.rst_hours == pytest.approx(10.0)
     assert fast.gst_hours == pytest.approx(1.0)  # the false positive is clean LoC
@@ -260,9 +270,10 @@ def test_identities_over_random_outcome_sets():
     rng = np.random.default_rng(99)
     for _ in range(300):
         outcomes = random_outcome_set(rng)
-        bm = budget_metrics(outcomes)
-        sm = service_metrics(outcomes, EconConfig())
-        total = outcomes.total_loc
+        cm = build_confusion(outcomes)
+        bm = budget_metrics(cm)
+        sm = service_metrics(cm, EconConfig())
+        total = sum(o.loc for o in outcomes)
         clean_loc = sum(o.loc for o in outcomes if o.actual is CL)
         defective_loc = total - clean_loc
         assert bm.saved_budget + sm.remaining_edits == total
@@ -272,6 +283,34 @@ def test_identities_over_random_outcome_sets():
         assert 0.0 <= bm.psb <= 1.0 and 0.0 <= bm.lsb <= 1.0
         assert 0.0 <= sm.pre <= 1.0 and 0.0 <= sm.pntn <= 1.0
         assert sm.rst_hours >= sm.gst_hours >= 0.0
+
+
+def _reference_clean_split(outcomes):
+    """Reference: (true negatives, their LoC, LoC of clean modules flagged), outcome by outcome."""
+    tn = saved = flagged = 0
+    for o in outcomes:
+        if o.actual is CL and o.predicted is CL:
+            tn += 1
+            saved += o.loc
+        elif o.actual is CL:
+            flagged += o.loc
+    return tn, saved, flagged
+
+
+def test_budget_and_service_match_a_per_outcome_pass():
+    rng = np.random.default_rng(7)
+    config = EconConfig(delta=37.0)
+    for _ in range(300):
+        outcomes = random_outcome_set(rng)
+        n, total = len(outcomes), sum(o.loc for o in outcomes)
+        tn, saved, flagged = _reference_clean_split(outcomes)
+        cm = build_confusion(outcomes)
+        # the same int divisions, so the floats are equal, not just close
+        assert budget_metrics(cm) == BudgetMetrics(tn / n, saved, saved / total, flagged / total)
+        assert service_metrics(cm, config) == ServiceMetrics(
+            (n - tn) / n, total - saved, (total - saved) / total,
+            (total - saved) / config.delta, flagged / config.delta,
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -307,7 +346,7 @@ def test_full_report_risk_factor_block(reference_bst_path):
 
 
 def test_custom_ordinal_weights_flow_through():
-    outcomes = OutcomeSet([outcome(HS, CL, loc=10), outcome(CL, CL, loc=10)])
+    outcomes = [outcome(HS, CL, loc=10), outcome(CL, CL, loc=10)]
     config = EconConfig(ordinal_weights=(1.0, 2.0, 3.0, 4.0, 5.0))
     report = full_report(outcomes, config)
     assert report.risk_factor["high_severity"] == pytest.approx(4.0)
@@ -358,8 +397,10 @@ def test_outcome_requires_positive_loc():
 
 
 def test_outcome_set_rejects_empty():
-    with pytest.raises(SevpredictError):
-        OutcomeSet([])
+    with pytest.raises(SevpredictError, match="outcome set is empty"):
+        build_confusion([])
+    with pytest.raises(SevpredictError, match="outcome set is empty"):
+        full_report([])
 
 
 def test_predictions_round_trip(tmp_path, reference_bst_path):

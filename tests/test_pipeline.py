@@ -295,6 +295,8 @@ def test_pipeline_config_validation():
         PipelineConfig.with_seed(0, test_fraction=1.0)
     with pytest.raises(SevpredictError):
         PipelineConfig.with_seed(0, folds=1)
+    with pytest.raises(SevpredictError, match="seed"):
+        PipelineConfig(seed=-1)
 
 
 @st.composite

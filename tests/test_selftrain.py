@@ -1,7 +1,5 @@
 from __future__ import annotations
 
-import json
-
 import numpy as np
 import pytest
 
@@ -239,7 +237,7 @@ def test_self_train_is_deterministic():
     a = self_train(fit_tree(pool), pool, unlabelled, config)
     b = self_train(fit_tree(pool), pool, unlabelled, config)
     assert a.labelled == b.labelled
-    assert a.trace.to_jsonl() == b.trace.to_jsonl()
+    assert a.trace.to_dict() == b.trace.to_dict()
 
 
 def test_config_validation():
@@ -251,15 +249,13 @@ def test_config_validation():
         SelfTrainConfig(max_iterations=0)
 
 
-def test_trace_jsonl_round_trips():
+def test_trace_dict_lists_each_iteration():
     labelled, unlabelled = separable_sets()
     result = self_train(fit_tree(labelled), labelled, unlabelled, SelfTrainConfig(gamma=0.0))
-    lines = result.trace.to_jsonl().strip().splitlines()
-    assert len(lines) == len(result.trace.iterations)
-    first = json.loads(lines[0])
+    as_dict = result.trace.to_dict()
+    first = as_dict["iterations"][0]
     assert first["iteration"] == 1
     assert first["accepted"] == 2
     assert "supervised_risk" in first and "unsupervised_risk" not in first
-    as_dict = result.trace.to_dict()
     assert as_dict["status"] == STATUS_EXHAUSTED_U
     assert len(as_dict["iterations"]) == 1
