@@ -44,11 +44,24 @@ class SamplerConfig:
 
 def _minmax_params(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     mins = matrix.min(axis=0)
-    spans = matrix.max(axis=0) - mins
-    # constant features scale to 0 rather than dividing by zero
-    scales = np.zeros_like(spans)
-    np.divide(1.0, spans, out=scales, where=spans > 0)
+    with np.errstate(over="ignore"):
+        spans = matrix.max(axis=0) - mins
+        # constant features scale to 0 rather than dividing by zero, and so
+        # do spans too narrow for a finite reciprocal (under about 2**-1024)
+        scales = np.zeros_like(spans)
+        np.divide(1.0, spans, out=scales, where=spans > 0)
+    wide = np.flatnonzero(np.isinf(spans))
+    if wide.size:
+        raise SevpredictError(f"feature {wide[0] + 1} spans more than the float range and cannot be scaled")
+    scales[np.isinf(scales)] = 0.0
     return mins, scales
+
+
+def _first_k(dist: np.ndarray, k: int) -> np.ndarray:
+    """Positions of the first k entries of dist's stable ascending order."""
+    cut = np.partition(dist, k - 1)[k - 1]
+    near = np.flatnonzero(dist <= cut)  # in index order, so ties keep the lower one
+    return near[np.argsort(dist[near], kind="stable")[:k]]
 
 
 def adasyn_balance(labelled: Sequence[LabelledInstance], config: SamplerConfig) -> list[LabelledInstance]:
@@ -87,20 +100,22 @@ def adasyn_balance(labelled: Sequence[LabelledInstance], config: SamplerConfig) 
         if target <= 0:
             continue
         member = members[cls]
-        seeds = np.flatnonzero(member).tolist()
+        in_class = np.flatnonzero(member)
+        seeds = in_class.tolist()
+        kn, kp = min(k, len(instances) - 1), min(k, m - 1)
 
-        # One stable distance order per seed, self excluded: its first k rows
-        # set the seed's difficulty (out-of-class share), its first k
-        # same-class rows are the interpolation partners. Partners are kept
-        # as Python ints, since a slice would pin the whole order in memory.
+        # One distance row per seed, its own entry set to inf: scaled
+        # features are finite, so the seed sorts after every other row. The
+        # first kn rows of its stable order set the seed's difficulty
+        # (out-of-class share), its first kp same-class rows are the
+        # interpolation partners; a one-member class has none.
         difficulty = []
         partners_of = []
         for i in seeds:
-            order = np.argsort(np.sqrt(((scaled - scaled[i]) ** 2).sum(axis=1)), kind="stable")
-            order = order[order != i]
-            neigh = order[:k]
-            difficulty.append(np.count_nonzero(~member[neigh]) / len(neigh))
-            partners_of.append(order[member[order]][:k].tolist())
+            dist = np.sqrt(((scaled - scaled[i]) ** 2).sum(axis=1))
+            dist[i] = np.inf
+            difficulty.append(np.count_nonzero(~member[_first_k(dist, kn)]) / kn)
+            partners_of.append(in_class[_first_k(dist[in_class], kp)].tolist() if m > 1 else [])
         total = sum(difficulty)
         if total > 0:
             shares = [d / total for d in difficulty]

@@ -176,8 +176,10 @@ def cmd_run(args) -> int:
 
 
 def cmd_metrics(args) -> int:
-    # the seed plays no part in scoring
-    econ = PipelineConfig.from_settings(_resolve_settings(args), seed=0).econ
+    # the seed plays no part in scoring, but a config file's seed is still checked
+    settings = _resolve_settings(args)
+    seed = 0 if settings["seed"] is None else settings["seed"]
+    econ = PipelineConfig.from_settings(settings, seed).econ
     outcomes = read_csv_file(args.predictions, parse_predictions)
     report = full_report(outcomes, econ)
     os.makedirs(args.out, exist_ok=True)

@@ -17,7 +17,7 @@ from sevpredict import (
     adasyn_balance,
     synth_corpus,
 )
-from sevpredict.adasyn import _minmax_params
+from sevpredict.adasyn import _first_k, _minmax_params
 from sevpredict.corpus import PROVENANCE_SYNTHETIC
 
 from conftest import CL, CR, HS, MA, NT, make_labelled
@@ -156,6 +156,50 @@ def test_balance_matches_the_reference_on_a_synth_corpus():
     balanced = adasyn_balance(instances, config)
     assert len(balanced) > len(instances)
     assert balanced == _reference_balance(instances, config)
+
+
+def test_balance_matches_the_reference_on_an_imbalanced_pool():
+    # the adasyn_imbalanced benchmark's shape at a tenth of its size
+    counts = dict(zip(SEVERITY_ORDER, (40, 80, 120, 160, 400)))
+    instances = list(synth_corpus(counts, 4, 1.0, seed=2).labelled)
+    config = SamplerConfig(seed=7)
+    assert adasyn_balance(instances, config) == _reference_balance(instances, config)
+
+
+@st.composite
+def first_k_inputs(draw):
+    """A distance row, often tied or holding one inf."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n = draw(st.integers(1, 60))
+    if draw(st.booleans()):
+        d = rng.integers(0, draw(st.integers(1, 4)), size=n).astype(float)
+    else:
+        d = rng.random(n)
+    if draw(st.booleans()):
+        d[rng.integers(n)] = np.inf
+    return d
+
+
+@settings(max_examples=300, deadline=None)
+@given(first_k_inputs())
+def test_first_k_is_the_head_of_the_stable_order(d):
+    order = np.argsort(d, kind="stable")
+    for k in range(1, len(d) + 1):
+        assert _first_k(d, k).tolist() == order[:k].tolist()
+
+
+def test_feature_too_narrow_to_scale_is_left_out_of_the_distance():
+    # 1/5e-324 overflows: the feature scales to 0 like a constant one, so the
+    # balanced pool matches the one built without it
+    rng = np.random.default_rng(16)
+    plain = cluster((0.0, 0.0), 12, CL, rng) + cluster((1.0, 1.0), 4, MA, rng)
+    tiny = [replace(inst, features=inst.features + (5e-324 * (j % 2),)) for j, inst in enumerate(plain)]
+    assert _minmax_params(np.array([inst.features for inst in tiny]))[1].tolist() == [
+        *_minmax_params(np.array([inst.features for inst in plain]))[1].tolist(), 0.0]
+    config = SamplerConfig(k_neighbors=3, seed=17)
+    with_tiny, without = adasyn_balance(tiny, config), adasyn_balance(plain, config)
+    assert [inst.features[:2] for inst in with_tiny] == [inst.features for inst in without]
+    assert [inst.label for inst in with_tiny] == [inst.label for inst in without]
 
 
 # ---------------------------------------------------------------------------
@@ -349,6 +393,10 @@ def test_balance_input_validation():
     bad = [make_labelled([0.0], CL), make_labelled([float("nan")], MA)]
     with pytest.raises(SevpredictError):
         adasyn_balance(bad, SamplerConfig())
+    too_wide = [make_labelled([0.0, -1.7e308], CL), make_labelled([1.0, 1.0], CL),
+                make_labelled([2.0, 1.7e308], MA)]
+    with pytest.raises(SevpredictError, match="^feature 2 spans more than the float range"):
+        adasyn_balance(too_wide, SamplerConfig())
 
 
 def test_sampler_config_validation():

@@ -97,6 +97,21 @@ def test_malformed_command_line_exits_1_with_one_line(capsys, tmp_path, argv):
     assert not (tmp_path / "out.csv").exists()
 
 
+@pytest.mark.filterwarnings("error")
+def test_feature_wider_than_the_float_range_exits_1_with_one_line(capsys, tmp_path, mini_fixture_path):
+    lines = mini_fixture_path.read_text().splitlines()
+    for row, value in ((1, "-1.7e308"), (2, "1.7e308")):  # column 7 is wmc
+        cells = lines[row].split(",")
+        cells[7] = value
+        lines[row] = ",".join(cells)
+    path = tmp_path / "wide.csv"
+    path.write_text("\n".join(lines) + "\n")
+    code, out, err = run(capsys, "run", str(path), "--seed", "1", "--out", str(tmp_path / "out"))
+    assert code == 1
+    assert out == "" and err == "error: feature 1 spans more than the float range and cannot be scaled\n"
+    assert not (tmp_path / "out").exists()
+
+
 def test_help_exits_0(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["run", "--help"])
@@ -406,6 +421,8 @@ def test_run_weights_flag_validated(capsys, tmp_path):
         ('{"oversample_first": 1}', "oversample_first"),
         ('[1]', "expected a JSON object"),
         ('"str"', "expected a JSON object"),
+        ('{"seed": "abc"}', "seed"),
+        ('{"seed": -1}', "seed"),
     ],
 )
 def test_bad_config_value_exits_1_naming_the_key(
@@ -414,7 +431,8 @@ def test_bad_config_value_exits_1_naming_the_key(
     config = tmp_path / "config.json"
     config.write_text(content)
     target = str(make_corpus_csv(capsys, tmp_path) if command == "run" else reference_bst_path)
-    extra = ["--seed", "1"] if command == "run" else []
+    # a --seed flag would take the place of the file's seed
+    extra = ["--seed", "1"] if command == "run" and named != "seed" else []
     code, _, err = run(capsys, command, target, *extra, "--config", str(config),
                        "--out", str(tmp_path / "out"))
     assert code == 1
