@@ -41,13 +41,10 @@ from .metrics import (
     MetricReport,
     Outcome,
     accuracy,
-    budget_metrics,
     build_confusion,
-    f_measures,
     full_report,
     parse_predictions,
     risk_factor,
-    service_metrics,
     system_risk_factor,
     write_predictions,
 )
@@ -101,13 +98,11 @@ __all__ = [
     "adasyn_balance",
     "average_reports",
     "best_split",
-    "budget_metrics",
     "build_confusion",
     "class_summary",
     "compare",
     "derive_label",
     "dump_tree",
-    "f_measures",
     "fit_tree",
     "full_report",
     "load_corpus",
@@ -123,7 +118,6 @@ __all__ = [
     "run_kfold",
     "save_corpus",
     "self_train",
-    "service_metrics",
     "stratified_kfold",
     "stratified_split",
     "synth_corpus",

@@ -87,36 +87,6 @@ def accuracy(cm: ConfusionMatrix) -> float:
     return sum(cm.counts[i][i] for i in range(len(SEVERITY_ORDER))) / cm.n_t
 
 
-@dataclass(frozen=True)
-class ClassScores:
-    precision: float
-    recall: float
-    f1: float
-
-
-@dataclass(frozen=True)
-class FMeasures:
-    per_class: dict[SeverityClass, ClassScores]
-    macro: float  # unweighted mean over classes present in actuals
-    weighted: float  # weighted by actual class counts
-
-
-def f_measures(cm: ConfusionMatrix) -> FMeasures:
-    per_class: dict[SeverityClass, ClassScores] = {}
-    for cls in SEVERITY_ORDER:
-        tp = cm.count(cls, cls)
-        predicted = cm.predicted_total(cls)
-        actual = cm.actual_total(cls)
-        precision = tp / predicted if predicted else 0.0
-        recall = tp / actual if actual else 0.0
-        f1 = 2 * precision * recall / (precision + recall) if precision + recall else 0.0
-        per_class[cls] = ClassScores(precision, recall, f1)
-    present = [cls for cls in SEVERITY_ORDER if cm.actual_total(cls) > 0]
-    macro = sum(per_class[c].f1 for c in present) / len(present)
-    weighted = sum(per_class[c].f1 * cm.actual_total(c) for c in present) / cm.n_t
-    return FMeasures(per_class, macro, weighted)
-
-
 def risk_factor(
     cm: ConfusionMatrix, weights: Mapping[SeverityClass, float] | None = None
 ) -> dict[SeverityClass, float]:
@@ -152,47 +122,6 @@ def system_risk_factor(per_class: Mapping[SeverityClass, float]) -> float:
 
 
 @dataclass(frozen=True)
-class BudgetMetrics:
-    ptn: float  # true-negative share of test modules
-    saved_budget: int  # LoC of correctly skipped clean modules
-    psb: float  # saved_budget / total LoC
-    lsb: float  # LoC share of clean modules flagged defective
-
-
-def budget_metrics(cm: ConfusionMatrix) -> BudgetMetrics:
-    total_loc = cm.total_loc
-    tn, saved, lost = _clean_split(cm)
-    return BudgetMetrics(
-        ptn=tn / cm.n_t,
-        saved_budget=saved,
-        psb=saved / total_loc,
-        lsb=lost / total_loc,
-    )
-
-
-@dataclass(frozen=True)
-class ServiceMetrics:
-    pntn: float  # non-true-negative share of test modules
-    remaining_edits: int  # LoC still on the review queue
-    pre: float  # remaining_edits / total LoC
-    rst_hours: float  # remaining service time at delta LoC per hour
-    gst_hours: float  # service time gained back on mispredicted clean modules
-
-
-def service_metrics(cm: ConfusionMatrix, config: "EconConfig") -> ServiceMetrics:
-    total_loc = cm.total_loc
-    tn, saved, gained = _clean_split(cm)
-    remaining = total_loc - saved
-    return ServiceMetrics(
-        pntn=(cm.n_t - tn) / cm.n_t,
-        remaining_edits=remaining,
-        pre=remaining / total_loc,
-        rst_hours=remaining / config.delta,
-        gst_hours=gained / config.delta,
-    )
-
-
-@dataclass(frozen=True)
 class EconConfig:
     delta: float = 100.0  # LoC serviced per hour
     ordinal_weights: tuple[float, float, float, float, float] = tuple(DEFAULT_WEIGHTS.values())
@@ -208,67 +137,77 @@ class EconConfig:
         return dict(zip(SEVERITY_ORDER, self.ordinal_weights))
 
 
-# Column order for one report as a CSV row. `f_measure` is the weighted
-# F-measure and `rf_<class>` that class's risk factor.
-REPORT_CSV_HEADER: tuple[str, ...] = (
-    "accuracy",
-    "f_measure",
-    "psb",
-    "lsb",
-    "pre",
-    "rst_hours",
-    "gst_hours",
-    *(f"rf_{cls.value}" for cls in DEFECTIVE_CLASSES),
-    "system_rf",
-)
+# Columns of one report as a CSV row: the rates, then the risk factors.
+# `f_measure` is the weighted F-measure and `rf_<class>` that class's risk factor.
+RATE_COLUMNS: tuple[str, ...] = ("accuracy", "f_measure", "psb", "lsb", "pre", "rst_hours", "gst_hours")
+RISK_COLUMNS: tuple[str, ...] = (*(f"rf_{cls.value}" for cls in DEFECTIVE_CLASSES), "system_rf")
+REPORT_CSV_HEADER: tuple[str, ...] = RATE_COLUMNS + RISK_COLUMNS
 
 
 @dataclass(frozen=True)
 class MetricReport:
-    accuracy: float
-    per_class: dict[str, dict[str, float]]  # class name -> precision/recall/f1
-    f_measure_macro: float
-    f_measure_weighted: float
+    accuracy: float  # diagonal share of test modules
+    per_class: dict[str, dict[str, float]]  # class name -> precision/recall/f1, 0 on a zero denominator
+    f_measure_macro: float  # unweighted mean F1 over classes present in actuals
+    f_measure_weighted: float  # mean F1 weighted by actual class counts
     risk_factor: dict[str, float]  # defective class name -> RF
-    system_rf: float
-    ptn: float
-    psb: float
-    saved_budget: float  # integer LoC for a single run; fractional when averaged
-    lsb: float
-    pntn: float
-    pre: float
-    remaining_edits: float
-    rst_hours: float
-    gst_hours: float
+    system_rf: float  # sum of the four risk factors
+    ptn: float  # true-negative share of test modules
+    psb: float  # saved_budget / total LoC
+    saved_budget: float  # LoC of correctly skipped clean modules; integer for a single run
+    lsb: float  # LoC share of clean modules flagged defective
+    pntn: float  # non-true-negative share of test modules
+    pre: float  # remaining_edits / total LoC
+    remaining_edits: float  # LoC still on the review queue; integer for a single run
+    rst_hours: float  # remaining service time at delta LoC per hour
+    gst_hours: float  # service time gained back on mispredicted clean modules
     delta: float
     ordinal_weights: tuple[float, ...]
 
     def to_json_dict(self) -> dict:
         return asdict(self)
 
+    def column(self, name: str) -> float:
+        """The value of one of REPORT_CSV_HEADER's columns."""
+        if name.startswith("rf_"):
+            return self.risk_factor[name.removeprefix("rf_")]
+        return getattr(self, "f_measure_weighted" if name == "f_measure" else name)
+
     def csv_values(self) -> list:
-        return [
-            self.risk_factor[name.removeprefix("rf_")]
-            if name.startswith("rf_")
-            else getattr(self, "f_measure_weighted" if name == "f_measure" else name)
-            for name in REPORT_CSV_HEADER
-        ]
+        return [self.column(name) for name in REPORT_CSV_HEADER]
 
 
 def full_report(outcomes: Iterable[Outcome], config: EconConfig = EconConfig()) -> MetricReport:
-    """Compose every measure over one non-empty set of outcomes."""
+    """Every measure of one non-empty set of outcomes, read off its confusion matrix."""
     cm = build_confusion(outcomes)
-    fm = f_measures(cm)
+    n, total_loc = cm.n_t, cm.total_loc
+    per_class: dict[str, dict[str, float]] = {}
+    for cls in SEVERITY_ORDER:
+        tp, predicted, actual = cm.count(cls, cls), cm.predicted_total(cls), cm.actual_total(cls)
+        precision = tp / predicted if predicted else 0.0
+        recall = tp / actual if actual else 0.0
+        f1 = 2 * precision * recall / (precision + recall) if precision + recall else 0.0
+        per_class[cls.value] = {"precision": precision, "recall": recall, "f1": f1}
+    present = [cls for cls in SEVERITY_ORDER if cm.actual_total(cls) > 0]
     rf = risk_factor(cm, config.weight_map())
+    tn, saved, lost = _clean_split(cm)
+    remaining = total_loc - saved
     return MetricReport(
         accuracy=accuracy(cm),
-        per_class={cls.value: asdict(fm.per_class[cls]) for cls in SEVERITY_ORDER},
-        f_measure_macro=fm.macro,
-        f_measure_weighted=fm.weighted,
+        per_class=per_class,
+        f_measure_macro=sum(per_class[c.value]["f1"] for c in present) / len(present),
+        f_measure_weighted=sum(per_class[c.value]["f1"] * cm.actual_total(c) for c in present) / n,
         risk_factor={cls.value: rf[cls] for cls in DEFECTIVE_CLASSES},
         system_rf=system_risk_factor(rf),
-        **asdict(budget_metrics(cm)),
-        **asdict(service_metrics(cm, config)),
+        ptn=tn / n,
+        psb=saved / total_loc,
+        saved_budget=saved,
+        lsb=lost / total_loc,
+        pntn=(n - tn) / n,
+        pre=remaining / total_loc,
+        remaining_edits=remaining,
+        rst_hours=remaining / config.delta,
+        gst_hours=lost / config.delta,
         delta=config.delta,
         ordinal_weights=tuple(config.ordinal_weights),
     )

@@ -22,9 +22,8 @@ from .adasyn import SamplerConfig, adasyn_balance
 from .cart import DecisionTree, TreeConfig, fit_tree, predict_label
 from .corpus import Corpus, LabelledInstance, class_summary, stratified_kfold, stratified_split
 from .errors import SevpredictError
-from .metrics import EconConfig, MetricReport, Outcome, full_report
+from .metrics import RATE_COLUMNS, RISK_COLUMNS, EconConfig, MetricReport, Outcome, full_report
 from .selftrain import SelfTrainConfig, SelfTrainTrace, self_train
-from .severity import DEFECTIVE_CLASSES
 
 
 @dataclass(frozen=True)
@@ -222,7 +221,6 @@ def _run_arms(
     bst_report = full_report(bst_outcomes, cfg.econ)
     ast_report = full_report(ast_outcomes, cfg.econ)
 
-    accepted = sum(inst.provenance == "pseudo" for inst in st.labelled)
     test_rows = [
         {
             "module_id": b.module_id,
@@ -239,7 +237,7 @@ def _run_arms(
         training={
             "bst_train_size": len(pools[bst_flag]),
             "ast_train_size": len(st.labelled),
-            "accepted_pseudo": accepted,
+            "accepted_pseudo": sum(r.accepted for r in st.trace.iterations),
             "residual_unlabelled": len(st.residual_unlabelled),
             "test_modules": len(test),
             "test_total_loc": sum(i.loc for i in test),
@@ -319,27 +317,6 @@ def average_reports(reports: Sequence[ExperimentReport], project: str = "average
 # ---------------------------------------------------------------------------
 # Comparison tables: one row per report, BST and AST side by side.
 
-RISK_TABLE_HEADER = (
-    ["project"]
-    + [f"{cls.value}_{arm}" for cls in DEFECTIVE_CLASSES for arm in ("bst", "ast")]
-    + ["system_rf_bst", "system_rf_ast"]
-)
-
-# performance table column -> MetricReport field
-_PERFORMANCE_COLUMNS = {
-    "accuracy": "accuracy",
-    "f_measure": "f_measure_weighted",
-    "psb": "psb",
-    "lsb": "lsb",
-    "pre": "pre",
-    "rst": "rst_hours",
-    "gst": "gst_hours",
-}
-
-PERFORMANCE_TABLE_HEADER = ["project"] + [
-    f"{name}_{arm}" for name in _PERFORMANCE_COLUMNS for arm in ("bst", "ast")
-]
-
 BUDGET_TABLE_HEADER = [
     "project",
     "total_loc",
@@ -350,20 +327,19 @@ BUDGET_TABLE_HEADER = [
 ]
 
 
-def _risk_row(r: ExperimentReport) -> list:
-    row: list = [r.project]
-    for cls in DEFECTIVE_CLASSES:
-        row += [f"{r.bst.risk_factor[cls.value]:.4f}", f"{r.ast.risk_factor[cls.value]:.4f}"]
-    row += [f"{r.bst.system_rf:.4f}", f"{r.ast.system_rf:.4f}"]
-    return row
+def _side_by_side(reports: Sequence[ExperimentReport], columns: Sequence[str]) -> list[list]:
+    """Header and rows holding each column's BST and AST values.
 
-
-def _performance_row(r: ExperimentReport) -> list:
-    row: list = [r.project]
-    for field in _PERFORMANCE_COLUMNS.values():
-        fmt = "{:.2f}" if field.endswith("_hours") else "{:.4f}"
-        row += [fmt.format(getattr(r.bst, field)), fmt.format(getattr(r.ast, field))]
-    return row
+    Headings drop a column's `rf_` prefix or `_hours` suffix; hours print
+    with two decimals, everything else with four.
+    """
+    names = [c.removeprefix("rf_").removesuffix("_hours") for c in columns]
+    header = ["project"] + [f"{name}_{arm}" for name in names for arm in ("bst", "ast")]
+    formats = [".2f" if c.endswith("_hours") else ".4f" for c in columns]
+    return [header] + [
+        [r.project] + [format(arm.column(c), f) for c, f in zip(columns, formats) for arm in (r.bst, r.ast)]
+        for r in reports
+    ]
 
 
 def _fmt_loc(value) -> str:
@@ -387,25 +363,21 @@ def write_comparison_tables(reports: Sequence[ExperimentReport], out_dir) -> lis
     With several reports the risk and performance tables gain an unweighted
     average row and the budget table a total row.
     """
-    risk_rows = [_risk_row(r) for r in reports]
-    perf_rows = [_performance_row(r) for r in reports]
+    scored = list(reports) + ([average_reports(reports, "average")] if len(reports) > 1 else [])
     budget_values = [_budget_values(r) for r in reports]
-    budget_rows = [[r.project, *map(_fmt_loc, v)] for r, v in zip(reports, budget_values)]
+    budget_rows = [BUDGET_TABLE_HEADER]
+    budget_rows += [[r.project, *map(_fmt_loc, v)] for r, v in zip(reports, budget_values)]
     if len(reports) > 1:
-        avg = average_reports(reports, "average")
-        risk_rows.append(_risk_row(avg))
-        perf_rows.append(_performance_row(avg))
         budget_rows.append(["total", *(_fmt_loc(sum(col)) for col in zip(*budget_values))])
     paths = []
-    for name, header, rows in (
-        ("risk_factors.csv", RISK_TABLE_HEADER, risk_rows),
-        ("performance.csv", PERFORMANCE_TABLE_HEADER, perf_rows),
-        ("budget_edits.csv", BUDGET_TABLE_HEADER, budget_rows),
+    for name, rows in (
+        ("risk_factors.csv", _side_by_side(scored, RISK_COLUMNS)),
+        ("performance.csv", _side_by_side(scored, RATE_COLUMNS)),
+        ("budget_edits.csv", budget_rows),
     ):
         path = os.path.join(out_dir, name)
         with open(path, "w", newline="") as fh:
             writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(header)
             writer.writerows(rows)
         paths.append(path)
     return paths

@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass, fields
 from typing import Sequence
 
-from .cart import DecisionTree, TreeConfig, fit_tree, predict_confidence, predict_label
+from .cart import DecisionTree, TreeConfig, fit_tree, iter_leaves, predict_confidence
 from .corpus import PROVENANCE_PSEUDO, LabelledInstance, UnlabelledInstance
 from .errors import SevpredictError
 from .severity import CLASS_NAMES
@@ -66,12 +66,17 @@ class SelfTrainResult:
     trace: SelfTrainTrace
 
 
-def pseudo_label_risk(tree: DecisionTree, labelled: Sequence[LabelledInstance]) -> float:
-    """0-1 risk of a tree: its misclassification rate on the labelled pool."""
-    if not labelled:
-        raise SevpredictError("risk needs a non-empty labelled pool")
-    wrong = sum(predict_label(tree, inst.features) is not inst.label for inst in labelled)
-    return wrong / len(labelled)
+def pseudo_label_risk(tree: DecisionTree) -> float:
+    """0-1 risk of a tree: its misclassification rate on the pool it was grown on.
+
+    Every training row sits in the leaf it routes to, so the leaf counts
+    already hold the answer: a leaf misclassifies all but its majority.
+    """
+    wrong = total = 0
+    for leaf in iter_leaves(tree):
+        wrong += leaf.nl - max(leaf.counts)
+        total += leaf.nl
+    return wrong / total
 
 
 def self_train(
@@ -100,7 +105,7 @@ def self_train(
         if iteration > config.max_iterations:
             status = STATUS_MAX_ITERATIONS
             break
-        supervised = pseudo_label_risk(tree, pool)
+        supervised = pseudo_label_risk(tree)
         accepted: list[tuple[int, LabelledInstance]] = []
         kept: list[tuple[int, UnlabelledInstance]] = []
         for original_index, inst in remaining:

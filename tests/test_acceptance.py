@@ -21,7 +21,6 @@ from sevpredict import (
     SEVERITY_ORDER,
     Split,
     adasyn_balance,
-    budget_metrics,
     fit_tree,
     full_report,
     predict_confidence,
@@ -29,7 +28,6 @@ from sevpredict import (
     risk_factor,
     route_to_leaf,
     self_train,
-    service_metrics,
     system_risk_factor,
 )
 from sevpredict.cart import iter_leaves
@@ -100,16 +98,14 @@ def test_criterion_3_economics_identities():
     config = EconConfig(delta=100.0)
     for _ in range(1000):
         outcomes = random_outcomes(rng)
-        cm = build_confusion(outcomes)
-        bm = budget_metrics(cm)
-        sm = service_metrics(cm, config)
+        r = full_report(outcomes, config)
         total = sum(o.loc for o in outcomes)
         clean_loc = sum(o.loc for o in outcomes if o.actual is CL)
-        assert bm.psb + sm.pre == pytest.approx(1.0, abs=1e-12)
-        assert bm.psb + bm.lsb == pytest.approx(clean_loc / total, abs=1e-12)
-        assert sm.rst_hours - sm.gst_hours == pytest.approx(
+        assert r.psb + r.pre == pytest.approx(1.0, abs=1e-12)
+        assert r.psb + r.lsb == pytest.approx(clean_loc / total, abs=1e-12)
+        assert r.rst_hours - r.gst_hours == pytest.approx(
             (total - clean_loc) / config.delta, abs=1e-9)
-        assert bm.saved_budget + sm.remaining_edits == total  # exact in ints
+        assert r.saved_budget + r.remaining_edits == total  # exact in ints
     elapsed = time.perf_counter() - start
     assert elapsed < 5.0
     announce(3, "psb+pre=1, psb+lsb=clean share, rst-gst=defective/delta over 1000 random outcome sets")

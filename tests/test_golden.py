@@ -1,7 +1,8 @@
 """Golden report hashes: a faster implementation must write the same bytes.
 
-Each case runs `sevpredict run` in process on a small synthetic corpus and
-pins the sha1 of every file it writes. Acceptance criterion 7 checks that a
+Each case runs `sevpredict run` in process on a small synthetic corpus, or
+`sevpredict metrics` on a checked-in predictions file, and pins the sha1 of
+every file it writes. Acceptance criterion 7 checks that a
 rerun is byte-identical; this test checks that the bytes stay the same
 across changes to the code. A change that alters the output on purpose
 updates the pinned values and says why in CHANGES.md.
@@ -15,7 +16,7 @@ import pytest
 
 from sevpredict import cli, save_corpus, synth_corpus
 
-from conftest import CL, CR, HS, MA, NT
+from conftest import CL, CR, DATA_DIR, HS, MA, NT
 
 CASES = {
     "default": (
@@ -53,3 +54,28 @@ def test_run_writes_the_pinned_bytes(tmp_path, capsys, case):
         path.name: hashlib.sha1(path.read_bytes()).hexdigest() for path in sorted(out.iterdir())
     }
     assert written == pinned
+
+
+METRICS_CASES = {
+    "bst": {
+        "metrics.csv": "2be01f4e0fd97cac0d84a780a95e441a634bac5f",
+        "metrics.json": "0effdcd665c7a18ec1171d0a01d72455455d687f",
+    },
+    "ast": {
+        "metrics.csv": "3638df27e42b93dfe92fb332ceb12090741c4600",
+        "metrics.json": "a4861a94be51e3bf2752d15238ace512bbf2b0e8",
+    },
+}
+
+
+@pytest.mark.parametrize("arm", sorted(METRICS_CASES))
+def test_metrics_writes_the_pinned_bytes(tmp_path, capsys, arm):
+    predictions = DATA_DIR / f"reference_{arm}_predictions.csv"
+    out = tmp_path / "out"
+    flags = ("--delta", "37", "--weights", "0.1,0.25,0.3,0.45,0.5")
+    assert cli.main(["metrics", str(predictions), "--out", str(out), *flags]) == 0
+    capsys.readouterr()
+    written = {
+        path.name: hashlib.sha1(path.read_bytes()).hexdigest() for path in sorted(out.iterdir())
+    }
+    assert written == METRICS_CASES[arm]

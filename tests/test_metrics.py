@@ -15,18 +15,15 @@ from sevpredict import (
     SEVERITY_ORDER,
     SevpredictError,
     accuracy,
-    budget_metrics,
     build_confusion,
-    f_measures,
     full_report,
     parse_predictions,
     risk_factor,
-    service_metrics,
     system_risk_factor,
     write_predictions,
 )
 from sevpredict.errors import RowError, SchemaError
-from sevpredict.metrics import REPORT_CSV_HEADER, BudgetMetrics, ServiceMetrics
+from sevpredict.metrics import RATE_COLUMNS, REPORT_CSV_HEADER, RISK_COLUMNS
 
 from conftest import CL, CR, HS, MA, NT
 
@@ -90,51 +87,42 @@ def test_accuracy_is_diagonal_share():
 
 
 def test_f_measures_perfect_prediction():
-    cm = build_confusion([outcome(CL, CL), outcome(MA, MA)])
-    fm = f_measures(cm)
-    assert fm.per_class[CL].f1 == pytest.approx(1.0)
-    assert fm.per_class[MA].f1 == pytest.approx(1.0)
-    assert fm.macro == pytest.approx(1.0)
-    assert fm.weighted == pytest.approx(1.0)
+    report = full_report([outcome(CL, CL), outcome(MA, MA)])
+    assert report.per_class["clean"]["f1"] == pytest.approx(1.0)
+    assert report.per_class["major"]["f1"] == pytest.approx(1.0)
+    assert report.f_measure_macro == pytest.approx(1.0)
+    assert report.f_measure_weighted == pytest.approx(1.0)
 
 
 def test_f_measures_absent_class_excluded_from_macro():
     # HS never appears in actuals; it must not drag the macro mean down
-    cm = build_confusion([
+    report = full_report([
         outcome(CL, CL), outcome(CL, CL), outcome(MA, MA), outcome(MA, MA),
     ])
-    fm = f_measures(cm)
-    assert fm.per_class[HS].f1 == 0.0
-    assert fm.macro == pytest.approx(1.0)
+    assert report.per_class["high_severity"]["f1"] == 0.0
+    assert report.f_measure_macro == pytest.approx(1.0)
 
 
 def test_f_measure_half_precision_full_recall():
     # every MA found, but as many false alarms: P=0.5, R=1, F1=2/3
-    cm = build_confusion([
+    report = full_report([
         outcome(MA, MA), outcome(MA, MA), outcome(CL, MA), outcome(CL, MA),
         outcome(CL, CL), outcome(CL, CL),
     ])
-    fm = f_measures(cm)
-    assert fm.per_class[MA].precision == pytest.approx(0.5)
-    assert fm.per_class[MA].recall == pytest.approx(1.0)
-    assert fm.per_class[MA].f1 == pytest.approx(2 / 3)
+    assert report.per_class["major"] == pytest.approx({"precision": 0.5, "recall": 1.0, "f1": 2 / 3})
 
 
 def test_f_measures_zero_denominators_give_zero():
-    cm = build_confusion([outcome(CL, MA), outcome(MA, CL)])
-    fm = f_measures(cm)
-    assert fm.per_class[CL].f1 == 0.0
-    assert fm.per_class[MA].f1 == 0.0
-    assert fm.weighted == 0.0
+    report = full_report([outcome(CL, MA), outcome(MA, CL)])
+    assert report.per_class["clean"]["f1"] == 0.0
+    assert report.per_class["major"]["f1"] == 0.0
+    assert report.f_measure_weighted == 0.0
 
 
 def test_weighted_f_measure_uses_actual_supports():
-    cm = build_confusion(
-        [outcome(CL, CL)] * 3 + [outcome(MA, CL)]
-    )
-    fm = f_measures(cm)
+    report = full_report([outcome(CL, CL)] * 3 + [outcome(MA, CL)])
     # CL: P=3/4, R=1 -> F1=6/7; MA: F1=0; weighted = (3*6/7 + 1*0)/4
-    assert fm.weighted == pytest.approx(3 / 4 * 6 / 7)
+    assert report.f_measure_weighted == pytest.approx(3 / 4 * 6 / 7)
 
 
 # ---------------------------------------------------------------------------
@@ -205,62 +193,58 @@ def test_per_class_risk_factor_bounds():
 
 
 def test_budget_metrics_on_reference_predictions(reference_bst_path):
-    bm = budget_metrics(build_confusion(load_fixture(reference_bst_path)))
-    assert bm.saved_budget == 73590
-    assert bm.ptn == pytest.approx(18 / 72)  # module-count share, not LoC
-    assert bm.psb == pytest.approx(0.511795, abs=5e-6)
-    assert bm.lsb == pytest.approx(0.160674, abs=5e-6)
+    report = full_report(load_fixture(reference_bst_path))
+    assert report.saved_budget == 73590
+    assert report.ptn == pytest.approx(18 / 72)  # module-count share, not LoC
+    assert report.psb == pytest.approx(0.511795, abs=5e-6)
+    assert report.lsb == pytest.approx(0.160674, abs=5e-6)
 
 
 def test_service_metrics_on_reference_predictions(reference_bst_path):
-    sm = service_metrics(build_confusion(load_fixture(reference_bst_path)), EconConfig())
-    assert sm.remaining_edits == 143788 - 73590
-    assert sm.pre == pytest.approx(0.488205, abs=5e-6)
-    assert sm.rst_hours == pytest.approx(701.98, abs=0.01)
-    assert sm.gst_hours == pytest.approx(231.03, abs=0.01)
+    report = full_report(load_fixture(reference_bst_path), EconConfig())
+    assert report.remaining_edits == 143788 - 73590
+    assert report.pre == pytest.approx(0.488205, abs=5e-6)
+    assert report.rst_hours == pytest.approx(701.98, abs=0.01)
+    assert report.gst_hours == pytest.approx(231.03, abs=0.01)
 
 
 def test_second_arm_reference_predictions(reference_ast_path):
-    cm = build_confusion(load_fixture(reference_ast_path))
-    bm = budget_metrics(cm)
-    sm = service_metrics(cm, EconConfig())
-    assert bm.saved_budget == 76165
-    assert bm.psb == pytest.approx(0.529703, abs=5e-6)
-    assert sm.rst_hours == pytest.approx(676.23, abs=0.01)
-    assert sm.gst_hours == pytest.approx(205.28, abs=0.01)
+    report = full_report(load_fixture(reference_ast_path), EconConfig())
+    assert report.saved_budget == 76165
+    assert report.psb == pytest.approx(0.529703, abs=5e-6)
+    assert report.rst_hours == pytest.approx(676.23, abs=0.01)
+    assert report.gst_hours == pytest.approx(205.28, abs=0.01)
 
 
 def test_true_negative_definition():
     # only the (clean, clean) cell counts as a true negative
     for actual, predicted, tn in ((CL, CL, 1), (CL, MA, 0), (MA, CL, 0), (MA, MA, 0)):
-        bm = budget_metrics(build_confusion([outcome(actual, predicted)]))
-        assert bm.ptn == tn
-        assert bm.saved_budget == 100 * tn
+        report = full_report([outcome(actual, predicted)])
+        assert report.ptn == tn
+        assert report.saved_budget == 100 * tn
 
 
 def test_budget_metrics_simple_hand_case():
-    cm = build_confusion([
+    report = full_report([
         outcome(CL, CL, loc=600),   # true negative: saved
         outcome(CL, MA, loc=300),   # false positive: lost saving
         outcome(MA, MA, loc=100),   # defective: must be edited anyway
-    ])
-    bm = budget_metrics(cm)
-    assert bm.saved_budget == 600
-    assert bm.ptn == pytest.approx(1 / 3)
-    assert bm.psb == pytest.approx(0.6)
-    assert bm.lsb == pytest.approx(0.3)
-    sm = service_metrics(cm, EconConfig(delta=100.0))
-    assert sm.remaining_edits == 400
-    assert sm.pre == pytest.approx(0.4)
-    assert sm.pntn == pytest.approx(2 / 3)
-    assert sm.rst_hours == pytest.approx(4.0)
-    assert sm.gst_hours == pytest.approx(3.0)
+    ], EconConfig(delta=100.0))
+    assert report.saved_budget == 600
+    assert report.ptn == pytest.approx(1 / 3)
+    assert report.psb == pytest.approx(0.6)
+    assert report.lsb == pytest.approx(0.3)
+    assert report.remaining_edits == 400
+    assert report.pre == pytest.approx(0.4)
+    assert report.pntn == pytest.approx(2 / 3)
+    assert report.rst_hours == pytest.approx(4.0)
+    assert report.gst_hours == pytest.approx(3.0)
 
 
 def test_service_delta_scales_hours():
-    cm = build_confusion([outcome(CL, MA, loc=500), outcome(CL, CL, loc=500)])
-    fast = service_metrics(cm, EconConfig(delta=500.0))
-    slow = service_metrics(cm, EconConfig(delta=50.0))
+    outcomes = [outcome(CL, MA, loc=500), outcome(CL, CL, loc=500)]
+    fast = full_report(outcomes, EconConfig(delta=500.0))
+    slow = full_report(outcomes, EconConfig(delta=50.0))
     assert fast.rst_hours == pytest.approx(1.0)
     assert slow.rst_hours == pytest.approx(10.0)
     assert fast.gst_hours == pytest.approx(1.0)  # the false positive is clean LoC
@@ -270,19 +254,17 @@ def test_identities_over_random_outcome_sets():
     rng = np.random.default_rng(99)
     for _ in range(300):
         outcomes = random_outcome_set(rng)
-        cm = build_confusion(outcomes)
-        bm = budget_metrics(cm)
-        sm = service_metrics(cm, EconConfig())
+        r = full_report(outcomes, EconConfig())
         total = sum(o.loc for o in outcomes)
         clean_loc = sum(o.loc for o in outcomes if o.actual is CL)
         defective_loc = total - clean_loc
-        assert bm.saved_budget + sm.remaining_edits == total
-        assert bm.psb + sm.pre == pytest.approx(1.0, abs=1e-12)
-        assert bm.psb + bm.lsb == pytest.approx(clean_loc / total, abs=1e-12)
-        assert sm.rst_hours - sm.gst_hours == pytest.approx(defective_loc / 100.0, abs=1e-9)
-        assert 0.0 <= bm.psb <= 1.0 and 0.0 <= bm.lsb <= 1.0
-        assert 0.0 <= sm.pre <= 1.0 and 0.0 <= sm.pntn <= 1.0
-        assert sm.rst_hours >= sm.gst_hours >= 0.0
+        assert r.saved_budget + r.remaining_edits == total
+        assert r.psb + r.pre == pytest.approx(1.0, abs=1e-12)
+        assert r.psb + r.lsb == pytest.approx(clean_loc / total, abs=1e-12)
+        assert r.rst_hours - r.gst_hours == pytest.approx(defective_loc / 100.0, abs=1e-9)
+        assert 0.0 <= r.psb <= 1.0 and 0.0 <= r.lsb <= 1.0
+        assert 0.0 <= r.pre <= 1.0 and 0.0 <= r.pntn <= 1.0
+        assert r.rst_hours >= r.gst_hours >= 0.0
 
 
 def _reference_clean_split(outcomes):
@@ -300,14 +282,15 @@ def _reference_clean_split(outcomes):
 def test_budget_and_service_match_a_per_outcome_pass():
     rng = np.random.default_rng(7)
     config = EconConfig(delta=37.0)
+    names = ("ptn", "saved_budget", "psb", "lsb", "pntn", "remaining_edits", "pre", "rst_hours", "gst_hours")
     for _ in range(300):
         outcomes = random_outcome_set(rng)
         n, total = len(outcomes), sum(o.loc for o in outcomes)
         tn, saved, flagged = _reference_clean_split(outcomes)
-        cm = build_confusion(outcomes)
+        report = full_report(outcomes, config)
         # the same int divisions, so the floats are equal, not just close
-        assert budget_metrics(cm) == BudgetMetrics(tn / n, saved, saved / total, flagged / total)
-        assert service_metrics(cm, config) == ServiceMetrics(
+        assert tuple(getattr(report, name) for name in names) == (
+            tn / n, saved, saved / total, flagged / total,
             (n - tn) / n, total - saved, (total - saved) / total,
             (total - saved) / config.delta, flagged / config.delta,
         )
@@ -329,9 +312,12 @@ def test_full_report_field_names_and_csv_row(reference_bst_path):
     }
     assert set(as_dict) == expected_keys
     assert json.dumps(as_dict)  # serialisable
+    assert REPORT_CSV_HEADER == RATE_COLUMNS + RISK_COLUMNS
     row = report.csv_values()
-    assert len(row) == len(REPORT_CSV_HEADER)
+    assert row == [report.column(name) for name in REPORT_CSV_HEADER]
     by_name = dict(zip(REPORT_CSV_HEADER, row))
+    assert by_name["f_measure"] == report.f_measure_weighted
+    assert by_name["rf_major"] == report.risk_factor["major"]
     assert by_name["psb"] == pytest.approx(0.511795, abs=5e-6)
     assert by_name["rst_hours"] == pytest.approx(701.98, abs=0.01)
     assert by_name["system_rf"] == pytest.approx(0.706268, abs=5e-6)

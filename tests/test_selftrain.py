@@ -11,6 +11,7 @@ from sevpredict import (
     adasyn_balance,
     fit_tree,
     predict_confidence,
+    predict_label,
     pseudo_label_risk,
     self_train,
 )
@@ -49,10 +50,16 @@ def conflicted_sets():
 # risk estimates
 
 
+def _reference_risk(tree, labelled):
+    """Reference: route every pool row and count the misclassified ones."""
+    wrong = sum(predict_label(tree, inst.features) is not inst.label for inst in labelled)
+    return wrong / len(labelled)
+
+
 def test_supervised_risk_zero_for_perfectly_fit_tree():
     labelled, _ = separable_sets()
     tree = fit_tree(labelled)
-    assert pseudo_label_risk(tree, labelled) == 0.0
+    assert pseudo_label_risk(tree) == 0.0
 
 
 def test_supervised_risk_counts_stump_errors():
@@ -61,13 +68,24 @@ def test_supervised_risk_counts_stump_errors():
     labelled += [make_labelled([float(i)], MA) for i in range(4, 8)]
     labelled += [make_labelled([float(i)], CL) for i in range(8, 10)]
     tree = fit_tree(labelled, TreeConfig(max_depth=1))
-    assert pseudo_label_risk(tree, labelled) == pytest.approx(0.2)
+    assert pseudo_label_risk(tree) == pytest.approx(0.2)
 
 
-def test_risk_requires_labelled_instances():
-    tree = fit_tree([make_labelled([0.0], CL), make_labelled([1.0], MA)])
-    with pytest.raises(SevpredictError):
-        pseudo_label_risk(tree, [])
+@pytest.mark.parametrize("max_depth", [0, 1, 2, None])
+def test_leaf_count_risk_matches_routing_the_pool(max_depth):
+    # small integer grids put conflicting labels on identical rows
+    rng = np.random.default_rng(41 if max_depth is None else max_depth)
+    classes = [HS, CR, MA, NT, CL]
+    for trial in range(60):
+        n, p = int(rng.integers(1, 50)), int(rng.integers(1, 4))
+        levels = int(rng.integers(1, 5))
+        grid = rng.integers(0, levels, size=(n, p)) if trial % 4 else rng.normal(size=(n, p))
+        labels = rng.integers(0, int(rng.integers(1, 6)), size=n)
+        pool = [make_labelled(row, classes[k]) for row, k in zip(grid, labels)]
+        cfg = TreeConfig(min_samples_split=int(rng.integers(2, 7)), max_depth=max_depth)
+        tree = fit_tree(pool, cfg)
+        # the same ints divided, so the floats are equal, not just close
+        assert pseudo_label_risk(tree) == _reference_risk(tree, pool)
 
 
 # ---------------------------------------------------------------------------
