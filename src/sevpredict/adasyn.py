@@ -29,11 +29,8 @@ class SamplerConfig:
     k_neighbors: int = 5
     beta: float = 1.0  # fraction of the class deficit to fill
     d_threshold: float = 1.0  # only classes with size ratio below this are balanced
-    seed: int = 0
 
     def __post_init__(self):
-        if self.seed < 0:
-            raise SevpredictError(f"seed must be a non-negative integer, got {self.seed}")
         if self.k_neighbors < 1:
             raise SevpredictError(f"k_neighbors must be >= 1, got {self.k_neighbors}")
         if not 0.0 <= self.beta <= 1.0:
@@ -64,13 +61,17 @@ def _first_k(dist: np.ndarray, k: int) -> np.ndarray:
     return near[np.argsort(dist[near], kind="stable")[:k]]
 
 
-def adasyn_balance(labelled: Sequence[LabelledInstance], config: SamplerConfig) -> list[LabelledInstance]:
+def adasyn_balance(
+    labelled: Sequence[LabelledInstance], config: SamplerConfig, seed: int
+) -> list[LabelledInstance]:
     """Oversample every minority class toward the majority count.
 
     Returns the input instances verbatim (same order) followed by the
     synthetic ones, each tagged with provenance 'synthetic' and carrying
-    its seed's label and loc. Deterministic for a fixed config.
+    its seed's label and loc. Deterministic for a fixed config and seed.
     """
+    if seed < 0:
+        raise SevpredictError(f"seed must be a non-negative integer, got {seed}")
     instances = list(labelled)
     if not instances:
         raise SevpredictError("cannot balance an empty labelled set")
@@ -87,7 +88,7 @@ def adasyn_balance(labelled: Sequence[LabelledInstance], config: SamplerConfig) 
     mins, scales = _minmax_params(X)
     scaled = (X - mins) * scales
     k = config.k_neighbors
-    rng = np.random.default_rng(config.seed)
+    rng = np.random.default_rng(seed)
 
     synthetics: list[LabelledInstance] = []
     for cls in SEVERITY_ORDER:

@@ -10,6 +10,7 @@ import argparse
 import json
 import os
 import sys
+from dataclasses import replace
 
 from .corpus import audit_csv, class_summary, load_corpus, read_csv_file, save_corpus, synth_corpus
 from .errors import SchemaError, SevpredictError
@@ -27,11 +28,9 @@ from .severity import SEVERITY_ORDER, SeverityClass
 SEED_ENV_VAR = "SEVPREDICT_SEED"
 
 # Flag and config-file keys are the report's config keys, except that the
-# ordinal weights are called `weights`, and `seed`, which has no default,
-# seeds the sampler too.
+# ordinal weights are called `weights`, and `seed` has no default.
 DEFAULTS = PipelineConfig().settings()
 DEFAULTS["weights"] = DEFAULTS.pop("ordinal_weights")
-del DEFAULTS["sampler_seed"]
 DEFAULTS["seed"] = None
 
 
@@ -69,11 +68,9 @@ def _resolve_settings(args) -> dict:
     return settings
 
 
-def _resolve_seed(args, settings=None) -> int:
-    if getattr(args, "seed", None) is not None:
-        return args.seed
-    if settings is not None and settings["seed"] is not None:
-        return settings["seed"]  # type-checked by PipelineConfig.from_settings
+def _resolve_seed(value):
+    if value is not None:  # from the flag or config file; PipelineConfig.from_settings checks its type
+        return value
     env = os.environ.get(SEED_ENV_VAR)
     if env is not None:
         try:
@@ -145,13 +142,13 @@ def _write_report(out_dir: str, report) -> None:
 def cmd_run(args) -> int:
     """All or nothing: every corpus is parsed and run before the first report is written."""
     settings = _resolve_settings(args)
-    seed = _resolve_seed(args, settings)
-    base_cfg = PipelineConfig.from_settings(settings, seed)
-    projects = _project_names(args.csv, base_cfg.folds)
+    settings["seed"] = _resolve_seed(settings["seed"])
+    base = PipelineConfig.from_settings(settings)
+    projects = _project_names(args.csv, base.folds)
     corpora = [load_corpus(path) for path in args.csv]
     reports, to_write = [], []
     for index, (corpus, project) in enumerate(zip(corpora, projects)):
-        cfg = base_cfg.reseeded(seed + index)
+        cfg = replace(base, seed=base.seed + index)
         if cfg.folds is not None:
             fold_reports = run_kfold(corpus, cfg, project)
             to_write += fold_reports
@@ -160,17 +157,18 @@ def cmd_run(args) -> int:
             report = run_experiment(corpus, cfg, project)
         reports.append(report)
         to_write.append(report)
-    summaries = list(reports)
+    summaries, average = list(reports), None
     if len(reports) > 1:
-        summaries.append(average_reports(reports, "average"))
-        to_write.append(summaries[-1])
+        average = average_reports(reports, "average")
+        summaries.append(average)
+        to_write.append(average)
     os.makedirs(args.out, exist_ok=True)
     for report in to_write:
         _write_report(args.out, report)
     for report in summaries:
         print(_one_line_summary(report))
     if args.table:
-        for path in write_comparison_tables(reports, args.out):
+        for path in write_comparison_tables(reports, average, args.out):
             print(f"wrote {path}")
     return 0
 
@@ -178,8 +176,8 @@ def cmd_run(args) -> int:
 def cmd_metrics(args) -> int:
     # the seed plays no part in scoring, but a config file's seed is still checked
     settings = _resolve_settings(args)
-    seed = 0 if settings["seed"] is None else settings["seed"]
-    econ = PipelineConfig.from_settings(settings, seed).econ
+    settings["seed"] = 0 if settings["seed"] is None else settings["seed"]
+    econ = PipelineConfig.from_settings(settings).econ
     outcomes = read_csv_file(args.predictions, parse_predictions)
     report = full_report(outcomes, econ)
     os.makedirs(args.out, exist_ok=True)
@@ -202,7 +200,7 @@ def cmd_metrics(args) -> int:
 
 
 def cmd_synth(args) -> int:
-    seed = _resolve_seed(args)
+    seed = _resolve_seed(args.seed)
     counts = {
         SeverityClass.HIGH_SEVERITY: args.high_severity,
         SeverityClass.CRITICAL: args.critical,

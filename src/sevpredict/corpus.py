@@ -97,6 +97,13 @@ def _parse_int(raw: str, line: int, column: str, minimum: int) -> int:
     return value
 
 
+def _parse_loc(raw: str, line: int) -> int:
+    loc = _parse_int(raw, line, "loc", minimum=1)
+    if loc > 2**53:  # the largest integer a float64 holds exactly; LoC sums are divided as floats
+        raise RowError(line, "column 'loc' must be <= 2**53")
+    return loc
+
+
 def _parse_feature(raw: str, line: int, column: str) -> float:
     try:
         value = float(raw.strip())
@@ -157,7 +164,7 @@ def _scan_rows(source: Iterable[str], feature_names: Sequence[str] | None):
                 module_id = fields[0].strip()
                 if not module_id:
                     raise RowError(line, "column 'module_id' must be non-empty")
-                loc = _parse_int(fields[1], line, "loc", minimum=1)
+                loc = _parse_loc(fields[1], line)
                 counts = tuple(
                     _parse_int(fields[2 + k], line, REQUIRED_COLUMNS[2 + k], minimum=0)
                     for k in range(4)

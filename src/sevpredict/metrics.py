@@ -14,7 +14,7 @@ import math
 from dataclasses import asdict, dataclass
 from typing import Iterable, Mapping
 
-from .corpus import _parse_int, csv_records
+from .corpus import _parse_loc, csv_records
 from .errors import RowError, SchemaError, SevpredictError
 from .severity import (
     CLASS_INDEX,
@@ -164,6 +164,13 @@ class MetricReport:
     delta: float
     ordinal_weights: tuple[float, ...]
 
+    def __post_init__(self):
+        # JSON has no infinity: an extreme delta or weight must fail here, not reach a report
+        if not (math.isfinite(self.rst_hours) and math.isfinite(self.gst_hours)):
+            raise SevpredictError(f"delta {self.delta!r} is too small: service hours overflow a float")
+        if not math.isfinite(self.system_rf):
+            raise SevpredictError(f"ordinal weights {list(self.ordinal_weights)} overflow the risk factors")
+
     def to_json_dict(self) -> dict:
         return asdict(self)
 
@@ -233,7 +240,7 @@ def parse_predictions(source: Iterable[str]) -> tuple[Outcome, ...]:
         if len(fields) != len(PREDICTIONS_HEADER):
             raise RowError(line, f"expected {len(PREDICTIONS_HEADER)} fields, found {len(fields)}")
         module_id = fields[0].strip()
-        loc = _parse_int(fields[1], line, "loc", minimum=1)
+        loc = _parse_loc(fields[1], line)
         try:
             actual = SeverityClass.from_name(fields[2].strip())
             predicted = SeverityClass.from_name(fields[3].strip())

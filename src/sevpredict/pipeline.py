@@ -46,61 +46,46 @@ class PipelineConfig:
         if self.folds is not None and self.folds < 2:
             raise SevpredictError(f"folds must be >= 2, got {self.folds}")
 
-    @classmethod
-    def with_seed(cls, seed: int, **overrides) -> "PipelineConfig":
-        """Config whose sampler seed is wired to the base seed."""
-        overrides.setdefault("sampler", SamplerConfig(seed=seed))
-        return cls(seed=seed, **overrides)
-
-    def reseeded(self, seed: int) -> "PipelineConfig":
-        return replace(self, seed=seed, sampler=replace(self.sampler, seed=seed))
-
     def settings(self) -> dict:
         """Flat name -> value view of every setting: the report's `config` echo."""
         flat = {}
-        for name, section, field, _ in _SETTING_FIELDS:
-            value = getattr(getattr(self, section) if section else self, field)
+        for section, name, _ in _SETTING_FIELDS:
+            value = getattr(getattr(self, section) if section else self, name)
             flat[name] = list(value) if isinstance(value, tuple) else value
         return flat
 
     @classmethod
-    def from_settings(cls, settings: Mapping, seed: int) -> "PipelineConfig":
+    def from_settings(cls, settings: Mapping) -> "PipelineConfig":
         """Config from a flat settings dict as `settings()` returns it.
 
-        Missing keys keep their defaults. Both seeds come from `seed`; the
-        dict's own seed entries are ignored. Each value must have its
-        field's type: true/false for a flag, an integer for an int, any
-        finite number for a float, null where the field allows None, and a
-        list of finite numbers for the ordinal weights.
+        Missing keys keep their defaults, so `from_settings(cfg.settings())`
+        equals `cfg`. Each value must have its field's type: true/false for a
+        flag, an integer for an int, any finite number for a float, null
+        where the field allows None, and a list of finite numbers for the
+        ordinal weights.
         """
         base = cls()
         top: dict = {}
         sections: dict[str, dict] = {}
-        for name, section, field, hint in _SETTING_FIELDS:
-            if field != "seed" and name in settings:
+        for section, name, hint in _SETTING_FIELDS:
+            if name in settings:
                 value = _checked(name, settings[name], hint)
-                (sections.setdefault(section, {}) if section else top)[field] = value
+                (sections.setdefault(section, {}) if section else top)[name] = value
         for section, values in sections.items():
             top[section] = replace(getattr(base, section), **values)
-        return replace(base, **top).reseeded(_checked("seed", seed, int))
+        return replace(base, **top)
 
 
 def _setting_fields() -> tuple:
-    """(flat name, section or None, field name, type) for every setting.
-
-    Fields of the nested configs are flattened; one whose name a top-level
-    field already takes is prefixed with its section (`sampler_seed`).
-    """
-    top_names = {f.name for f in fields(PipelineConfig)}
+    """(section or None, name, type) for every setting; nested fields keep their own names."""
     hints = get_type_hints(PipelineConfig)
     flat = []
     for outer in fields(PipelineConfig):
         if not is_dataclass(outer.default):
-            flat.append((outer.name, None, outer.name, hints[outer.name]))
+            flat.append((None, outer.name, hints[outer.name]))
             continue
-        for field, hint in get_type_hints(type(outer.default)).items():
-            name = f"{outer.name}_{field}" if field in top_names else field
-            flat.append((name, outer.name, field, hint))
+        for name, hint in get_type_hints(type(outer.default)).items():
+            flat.append((outer.name, name, hint))
     return tuple(flat)
 
 
@@ -212,7 +197,8 @@ def _run_arms(
     # one starting pool and tree per distinct oversampling flag, shared by the arms
     raw = list(train.labelled)
     bst_flag, ast_flag = cfg.bst_oversample, cfg.oversample_first
-    pools = {flag: adasyn_balance(raw, cfg.sampler) if flag else raw for flag in {bst_flag, ast_flag}}
+    pools = {flag: adasyn_balance(raw, cfg.sampler, cfg.seed) if flag else raw
+             for flag in {bst_flag, ast_flag}}
     trees = {flag: fit_tree(pool, cfg.tree, corpus.schema) for flag, pool in pools.items()}
     st = self_train(trees[ast_flag], pools[ast_flag], list(train.unlabelled), cfg.selftrain, cfg.tree)
 
@@ -273,8 +259,7 @@ def run_kfold(corpus: Corpus, cfg: PipelineConfig, project: str = "corpus") -> l
             raise SevpredictError(f"folds={cfg.folds} leaves fold {i} with an empty test set; lower folds")
     reports = []
     for i, (train, test) in enumerate(splits):
-        fold_cfg = cfg.reseeded(cfg.seed + i)
-        reports.append(_run_arms(corpus, train, test, fold_cfg, f"{project}_fold{i}"))
+        reports.append(_run_arms(corpus, train, test, replace(cfg, seed=cfg.seed + i), f"{project}_fold{i}"))
     return reports
 
 
@@ -357,13 +342,14 @@ def _budget_values(r: ExperimentReport) -> list:
     ]
 
 
-def write_comparison_tables(reports: Sequence[ExperimentReport], out_dir) -> list[str]:
+def write_comparison_tables(reports: Sequence[ExperimentReport], average, out_dir) -> list[str]:
     """Write the three side-by-side CSV tables; returns the file paths.
 
-    With several reports the risk and performance tables gain an unweighted
-    average row and the budget table a total row.
+    `average`, the reports' `average_reports` or None for one report, adds a
+    row to the risk and performance tables, and several reports a total row
+    to the budget table.
     """
-    scored = list(reports) + ([average_reports(reports, "average")] if len(reports) > 1 else [])
+    scored = list(reports) + ([average] if average is not None else [])
     budget_values = [_budget_values(r) for r in reports]
     budget_rows = [BUDGET_TABLE_HEADER]
     budget_rows += [[r.project, *map(_fmt_loc, v)] for r, v in zip(reports, budget_values)]

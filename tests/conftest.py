@@ -14,6 +14,13 @@ MA = SeverityClass.MAJOR
 NT = SeverityClass.NON_TRIVIAL
 CL = SeverityClass.CLEAN
 
+# The golden corpora: project -> synth_corpus arguments (class counts,
+# features, separation, unlabelled modules, corpus seed)
+GOLDEN_CORPORA = {
+    "alpha": ({HS: 6, CR: 10, MA: 20, NT: 20, CL: 60}, 4, 1.5, 40, 3),
+    "beta": ({HS: 5, CR: 8, MA: 15, NT: 15, CL: 40}, 3, 1.0, 60, 8),
+}
+
 
 def make_labelled(features, label, *, loc=100, provenance="original", module_id=None):
     return LabelledInstance(tuple(float(v) for v in features), loc, label, provenance, module_id)

@@ -193,9 +193,9 @@ def test_criterion_5_oversampler_properties():
             for _ in range(size):
                 feats = [float(c + 0.8 * rng.standard_normal()) for c in centre]
                 instances.append(make_labelled(feats, cls))
-        config = SamplerConfig(k_neighbors=5, beta=1.0, d_threshold=1.0, seed=trial)
+        config = SamplerConfig(k_neighbors=5, beta=1.0, d_threshold=1.0)
 
-        balanced = adasyn_balance(instances, config)
+        balanced = adasyn_balance(instances, config, trial)
         assert balanced[: len(instances)] == instances  # originals verbatim
 
         seed_counts = Counter(i.label for i in instances)
@@ -214,7 +214,7 @@ def test_criterion_5_oversampler_properties():
             feats = np.array(inst.features)
             assert np.all(feats >= lo - 1e-12) and np.all(feats <= hi + 1e-12)
 
-        assert adasyn_balance(instances, config) == balanced  # replays byte-equal
+        assert adasyn_balance(instances, config, trial) == balanced  # replays byte-equal
     elapsed = time.perf_counter() - start
     assert elapsed < 10.0
     announce(5, "balanced counts land within seed-count of majority, synthetics stay in class boxes, replays are identical")

@@ -43,7 +43,9 @@ def _neighbors_of(scaled: np.ndarray, i: int, candidates: Sequence[int], k: int)
     return [int(cand[j]) for j in order[:k]]
 
 
-def _reference_balance(labelled: Sequence[LabelledInstance], config: SamplerConfig) -> list[LabelledInstance]:
+def _reference_balance(
+    labelled: Sequence[LabelledInstance], config: SamplerConfig, seed: int
+) -> list[LabelledInstance]:
     """adasyn_balance as it was with one neighbour search per list, kept as its reference."""
     instances = list(labelled)
     if not instances:
@@ -60,7 +62,7 @@ def _reference_balance(labelled: Sequence[LabelledInstance], config: SamplerConf
     mins, scales = _minmax_params(X)
     scaled = (X - mins) * scales
     everyone = list(range(len(instances)))
-    rng = np.random.default_rng(config.seed)
+    rng = np.random.default_rng(seed)
 
     synthetics: list[LabelledInstance] = []
     for cls in SEVERITY_ORDER:
@@ -108,17 +110,17 @@ def _reference_balance(labelled: Sequence[LabelledInstance], config: SamplerConf
     return instances + synthetics
 
 
-def _outcome(balance, instances, config):
+def _outcome(balance, instances, config, seed):
     """The balanced pool, or the message of the SevpredictError raised instead."""
     try:
-        return balance(instances, config)
+        return balance(instances, config, seed)
     except SevpredictError as err:
         return str(err)
 
 
 @st.composite
 def balance_inputs(draw):
-    """A labelled pool and a sampler config; small integer grids tie many distances."""
+    """A labelled pool, a sampler config and a seed; small integer grids tie many distances."""
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     classes = draw(st.permutations(SEVERITY_ORDER))[: draw(st.integers(1, 5))]
     # a singleton class is replicated, not interpolated
@@ -137,33 +139,29 @@ def balance_inputs(draw):
         k_neighbors=draw(st.one_of(st.integers(1, 8), st.integers(max(n - 1, 1), n + 3))),  # past the pool
         beta=draw(st.one_of(st.just(1.0), st.floats(0.0, 1.0))),
         d_threshold=draw(st.one_of(st.just(1.0), st.floats(0.05, 1.0))),
-        seed=draw(st.integers(0, 2**32 - 1)),
     )
-    return instances, config
+    return instances, config, draw(st.integers(0, 2**32 - 1))
 
 
 @settings(max_examples=300, deadline=None)
 @given(balance_inputs())
 def test_balance_matches_the_two_search_reference(case):
-    instances, config = case
-    assert _outcome(adasyn_balance, instances, config) == _outcome(_reference_balance, instances, config)
+    assert _outcome(adasyn_balance, *case) == _outcome(_reference_balance, *case)
 
 
 def test_balance_matches_the_reference_on_a_synth_corpus():
     counts = dict(zip(SEVERITY_ORDER, (100, 200, 400, 400, 1000)))
     instances = list(synth_corpus(counts, 20, 1.0, seed=1).labelled)
-    config = SamplerConfig(seed=7)
-    balanced = adasyn_balance(instances, config)
+    balanced = adasyn_balance(instances, SamplerConfig(), 7)
     assert len(balanced) > len(instances)
-    assert balanced == _reference_balance(instances, config)
+    assert balanced == _reference_balance(instances, SamplerConfig(), 7)
 
 
 def test_balance_matches_the_reference_on_an_imbalanced_pool():
     # the adasyn_imbalanced benchmark's shape at a tenth of its size
     counts = dict(zip(SEVERITY_ORDER, (40, 80, 120, 160, 400)))
     instances = list(synth_corpus(counts, 4, 1.0, seed=2).labelled)
-    config = SamplerConfig(seed=7)
-    assert adasyn_balance(instances, config) == _reference_balance(instances, config)
+    assert adasyn_balance(instances, SamplerConfig(), 7) == _reference_balance(instances, SamplerConfig(), 7)
 
 
 @st.composite
@@ -196,8 +194,8 @@ def test_feature_too_narrow_to_scale_is_left_out_of_the_distance():
     tiny = [replace(inst, features=inst.features + (5e-324 * (j % 2),)) for j, inst in enumerate(plain)]
     assert _minmax_params(np.array([inst.features for inst in tiny]))[1].tolist() == [
         *_minmax_params(np.array([inst.features for inst in plain]))[1].tolist(), 0.0]
-    config = SamplerConfig(k_neighbors=3, seed=17)
-    with_tiny, without = adasyn_balance(tiny, config), adasyn_balance(plain, config)
+    config = SamplerConfig(k_neighbors=3)
+    with_tiny, without = adasyn_balance(tiny, config, 17), adasyn_balance(plain, config, 17)
     assert [inst.features[:2] for inst in with_tiny] == [inst.features for inst in without]
     assert [inst.label for inst in with_tiny] == [inst.label for inst in without]
 
@@ -250,8 +248,8 @@ def expected_allocation(instances, config):
 def test_allocation_matches_independent_oracle():
     rng = np.random.default_rng(3)
     instances = cluster((0.0, 0.0), 10, CL, rng) + cluster((0.6, 0.4), 2, MA, rng)
-    config = SamplerConfig(k_neighbors=5, beta=1.0, d_threshold=1.0, seed=7)
-    balanced = adasyn_balance(instances, config)
+    config = SamplerConfig(k_neighbors=5, beta=1.0, d_threshold=1.0)
+    balanced = adasyn_balance(instances, config, 7)
     produced = Counter(i.label for i in balanced if i.provenance == "synthetic")
     expected = expected_allocation(instances, config)
     assert dict(produced) == expected
@@ -269,9 +267,8 @@ def test_allocation_oracle_over_random_corpora():
             k_neighbors=int(rng.integers(1, 7)),
             beta=float(rng.uniform(0.2, 1.0)),
             d_threshold=1.0,
-            seed=trial,
         )
-        balanced = adasyn_balance(instances, config)
+        balanced = adasyn_balance(instances, config, trial)
         produced = Counter(i.label for i in balanced if i.provenance == "synthetic")
         assert dict(produced) == expected_allocation(instances, config)
 
@@ -283,14 +280,14 @@ def test_allocation_oracle_over_random_corpora():
 def test_equal_classes_come_back_unchanged():
     rng = np.random.default_rng(0)
     instances = cluster((0.0,), 6, CL, rng) + cluster((4.0,), 6, MA, rng)
-    out = adasyn_balance(instances, SamplerConfig(seed=1))
+    out = adasyn_balance(instances, SamplerConfig(), 1)
     assert out == instances
 
 
 def test_beta_zero_generates_nothing():
     rng = np.random.default_rng(1)
     instances = cluster((0.0,), 9, CL, rng) + cluster((4.0,), 3, MA, rng)
-    out = adasyn_balance(instances, SamplerConfig(beta=0.0, seed=1))
+    out = adasyn_balance(instances, SamplerConfig(beta=0.0), 1)
     assert out == instances
 
 
@@ -298,14 +295,14 @@ def test_d_threshold_skips_mild_imbalance():
     rng = np.random.default_rng(2)
     # 8/10 = 0.8 >= 0.5 threshold: no resampling
     instances = cluster((0.0,), 10, CL, rng) + cluster((4.0,), 8, MA, rng)
-    out = adasyn_balance(instances, SamplerConfig(d_threshold=0.5, seed=3))
+    out = adasyn_balance(instances, SamplerConfig(d_threshold=0.5), 3)
     assert out == instances
 
 
 def test_originals_preserved_as_prefix():
     rng = np.random.default_rng(4)
     instances = cluster((0.0, 0.0), 10, CL, rng, tag="c") + cluster((1.0, 1.0), 3, NT, rng, tag="n")
-    out = adasyn_balance(instances, SamplerConfig(seed=5))
+    out = adasyn_balance(instances, SamplerConfig(), 5)
     assert out[: len(instances)] == instances
     assert all(i.provenance == "synthetic" for i in out[len(instances):])
 
@@ -313,7 +310,7 @@ def test_originals_preserved_as_prefix():
 def test_synthetics_stay_inside_class_bounding_box():
     rng = np.random.default_rng(6)
     instances = cluster((0.0, 0.0), 14, CL, rng) + cluster((5.0, -2.0), 4, CR, rng)
-    out = adasyn_balance(instances, SamplerConfig(k_neighbors=3, seed=8))
+    out = adasyn_balance(instances, SamplerConfig(k_neighbors=3), 8)
     members = np.array([i.features for i in instances if i.label is CR])
     lo, hi = members.min(axis=0), members.max(axis=0)
     synth = [i for i in out if i.provenance == "synthetic"]
@@ -331,7 +328,7 @@ def test_two_member_minority_interpolates_on_the_segment():
         make_labelled([0.05, 0.05], CL), make_labelled([0.02, 0.08], CL),
         make_labelled([2.0, 2.0], HS), make_labelled([3.0, 3.0], HS),
     ]
-    out = adasyn_balance(instances, SamplerConfig(k_neighbors=2, seed=10))
+    out = adasyn_balance(instances, SamplerConfig(k_neighbors=2), 10)
     for inst in out[len(instances):]:
         x, y = inst.features
         assert 2.0 - 1e-12 <= x <= 3.0 + 1e-12
@@ -342,7 +339,7 @@ def test_singleton_minority_is_replicated():
     seed_inst = make_labelled([9.0, 9.0], HS, loc=777, module_id="lonely")
     instances = [make_labelled([float(i), 0.0], CL, module_id=f"c{i}") for i in range(8)]
     instances.append(seed_inst)
-    out = adasyn_balance(instances, SamplerConfig(k_neighbors=3, seed=0))
+    out = adasyn_balance(instances, SamplerConfig(k_neighbors=3), 0)
     copies = [i for i in out if i.provenance == "synthetic"]
     assert len(copies) == 7
     for copy in copies:
@@ -360,16 +357,16 @@ def test_uniform_fallback_when_minority_is_isolated():
     minority = cluster((0.0, 0.0), 8, MA, rng, spread=0.1)
     majority = cluster((100.0, 100.0), 24, CL, rng, spread=0.1)
     instances = minority + majority
-    out = adasyn_balance(instances, SamplerConfig(k_neighbors=5, seed=13))
+    out = adasyn_balance(instances, SamplerConfig(k_neighbors=5), 13)
     produced = sum(1 for i in out if i.provenance == "synthetic")
     assert produced == 16
-    assert produced == expected_allocation(instances, SamplerConfig(k_neighbors=5, seed=13))[MA]
+    assert produced == expected_allocation(instances, SamplerConfig(k_neighbors=5))[MA]
 
 
 def test_synthetic_loc_copied_from_seed_instance():
     instances = [make_labelled([float(i), 0.0], CL, loc=50) for i in range(9)]
     instances += [make_labelled([20.0, 1.0], MA, loc=321), make_labelled([21.0, 1.0], MA, loc=654)]
-    out = adasyn_balance(instances, SamplerConfig(k_neighbors=2, seed=14))
+    out = adasyn_balance(instances, SamplerConfig(k_neighbors=2), 14)
     for inst in out[len(instances):]:
         assert inst.loc in (321, 654)
         assert inst.module_id is None
@@ -378,25 +375,28 @@ def test_synthetic_loc_copied_from_seed_instance():
 def test_balance_is_deterministic():
     rng = np.random.default_rng(15)
     instances = cluster((0.0, 0.0), 11, CL, rng) + cluster((2.0, 2.0), 4, NT, rng)
-    config = SamplerConfig(seed=99)
-    assert adasyn_balance(instances, config) == adasyn_balance(instances, config)
-    other = adasyn_balance(instances, SamplerConfig(seed=100))
-    assert other != adasyn_balance(instances, config)
+    config = SamplerConfig()
+    assert adasyn_balance(instances, config, 99) == adasyn_balance(instances, config, 99)
+    other = adasyn_balance(instances, config, 100)
+    assert other != adasyn_balance(instances, config, 99)
 
 
 def test_balance_input_validation():
     with pytest.raises(SevpredictError):
-        adasyn_balance([], SamplerConfig())
+        adasyn_balance([], SamplerConfig(), 0)
     only_one_class = [make_labelled([float(i)], CL) for i in range(5)]
     with pytest.raises(SevpredictError):
-        adasyn_balance(only_one_class, SamplerConfig())
+        adasyn_balance(only_one_class, SamplerConfig(), 0)
     bad = [make_labelled([0.0], CL), make_labelled([float("nan")], MA)]
     with pytest.raises(SevpredictError):
-        adasyn_balance(bad, SamplerConfig())
+        adasyn_balance(bad, SamplerConfig(), 0)
     too_wide = [make_labelled([0.0, -1.7e308], CL), make_labelled([1.0, 1.0], CL),
                 make_labelled([2.0, 1.7e308], MA)]
     with pytest.raises(SevpredictError, match="^feature 2 spans more than the float range"):
-        adasyn_balance(too_wide, SamplerConfig())
+        adasyn_balance(too_wide, SamplerConfig(), 0)
+    two_classes = [make_labelled([0.0], CL), make_labelled([1.0], CL), make_labelled([2.0], MA)]
+    with pytest.raises(SevpredictError, match="seed"):
+        adasyn_balance(two_classes, SamplerConfig(), -1)
 
 
 def test_sampler_config_validation():
@@ -410,5 +410,3 @@ def test_sampler_config_validation():
         SamplerConfig(d_threshold=0.0)
     with pytest.raises(SevpredictError):
         SamplerConfig(d_threshold=1.2)
-    with pytest.raises(SevpredictError, match="seed"):
-        SamplerConfig(seed=-1)

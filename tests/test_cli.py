@@ -1,11 +1,14 @@
 from __future__ import annotations
 
+import csv
 import json
 
 import pytest
 
-from sevpredict import load_corpus
+from sevpredict import load_corpus, save_corpus, synth_corpus
 from sevpredict.cli import main
+
+from conftest import GOLDEN_CORPORA
 
 
 def run(capsys, *argv):
@@ -270,6 +273,27 @@ def test_run_multiple_corpora_adds_average(capsys, tmp_path):
     assert "alpha:" in out and "beta:" in out and "average:" in out
 
 
+def test_run_table_builds_the_average_once(capsys, tmp_path, monkeypatch):
+    import sevpredict.cli as cli_module
+    import sevpredict.pipeline as pipeline
+
+    projects = []
+
+    def counting(fn):
+        def wrapper(reports, project="average"):
+            projects.append(project)
+            return fn(reports, project)
+        return wrapper
+
+    for module in (cli_module, pipeline):
+        monkeypatch.setattr(module, "average_reports", counting(module.average_reports))
+    a = make_corpus_csv(capsys, tmp_path, "alpha", seed=3)
+    b = make_corpus_csv(capsys, tmp_path, "beta", seed=4)
+    code, _, _ = run(capsys, "run", str(a), str(b), "--seed", "5", "--table", "--out", str(tmp_path / "out"))
+    assert code == 0
+    assert projects.count("average") == 1
+
+
 def test_run_rejects_report_name_clashes_before_running(capsys, tmp_path):
     (tmp_path / "a").mkdir()
     (tmp_path / "b").mkdir()
@@ -448,6 +472,47 @@ def test_config_seed_must_be_an_integer(capsys, tmp_path):
                        "--out", str(tmp_path / "out"))
     assert code == 1
     assert "seed" in err
+
+
+HUGE_LOC = str(10**400)
+WIDE_WEIGHTS = "0.1,0.2,0.3,0.4,1e308"
+
+
+@pytest.mark.parametrize(
+    "command, loc, flags, named",
+    [
+        ("metrics", HUGE_LOC, [], "row 2: column 'loc'"),
+        ("run", HUGE_LOC, [], "row 2: column 'loc'"),
+        ("metrics", None, ["--delta", "1e-320"], "delta"),
+        ("run", None, ["--delta", "1e-320"], "delta"),
+        ("metrics", None, ["--weights", WIDE_WEIGHTS], "ordinal weights"),
+        ("run", None, ["--folds", "2", "--weights", WIDE_WEIGHTS], "ordinal weights"),
+    ],
+    ids=["metrics-loc", "run-loc", "metrics-delta", "run-delta", "metrics-weights", "run-weights"],
+)
+def test_economics_overflow_exits_1_with_one_line(
+    capsys, tmp_path, reference_bst_path, command, loc, flags, named
+):
+    # JSON has no infinity, and a loc past the float range cannot be scored
+    target = tmp_path / "input.csv"
+    if command == "run":
+        save_corpus(synth_corpus(*GOLDEN_CORPORA["alpha"]), target)
+    else:
+        target.write_bytes(reference_bst_path.read_bytes())
+    if loc is not None:
+        with open(target, newline="") as fh:
+            rows = list(csv.reader(fh))
+        for row in rows[1:]:
+            row[1] = loc
+        with open(target, "w", newline="") as fh:
+            csv.writer(fh, lineterminator="\n").writerows(rows)
+    extra = ["--seed", "7"] if command == "run" else []
+    out_dir = tmp_path / "out"
+    code, out, err = run(capsys, command, str(target), *extra, *flags, "--out", str(out_dir))
+    assert code == 1
+    assert err.startswith("error: ") and named in err
+    assert err.count("\n") == 1 and "Traceback" not in err
+    assert out == "" and not out_dir.exists()
 
 
 # ---------------------------------------------------------------------------

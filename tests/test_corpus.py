@@ -98,6 +98,7 @@ def test_parse_corpus_empty_input():
         ("a,-5,0,0,0,0,0,1.0,2.0", "loc"),
         ("a,0,0,0,0,0,0,1.0,2.0", "loc"),
         ("a,ten,0,0,0,0,0,1.0,2.0", "loc"),
+        (f"a,{2**53 + 1},0,0,0,0,0,1.0,2.0", r"^row 2: column 'loc' must be <= 2\*\*53"),
         ("a,10,-1,0,0,0,1,1.0,2.0", "n_high_severity"),
         ("a,10,0,0,0,0,-2,1.0,2.0", "n_total_defects"),
         ("a,10,0,0,0,0,0,nan,2.0", "wmc"),
@@ -109,6 +110,10 @@ def test_parse_corpus_empty_input():
 def test_parse_corpus_row_errors(row, fragment):
     with pytest.raises(RowError, match=fragment):
         parse_corpus(csv_stream(row))
+
+
+def test_parse_corpus_accepts_loc_up_to_2_to_the_53():
+    assert parse_corpus(csv_stream(f"a,{2**53},0,0,0,0,0,1.0,2.0")).labelled[0].loc == 2**53
 
 
 def test_parse_corpus_rejects_duplicate_module_ids():

@@ -1,42 +1,61 @@
 """Golden report hashes: a faster implementation must write the same bytes.
 
-Each case runs `sevpredict run` in process on a small synthetic corpus, or
-`sevpredict metrics` on a checked-in predictions file, and pins the sha1 of
-every file it writes. Acceptance criterion 7 checks that a
+Each case runs `sevpredict run` in process on one or two small synthetic
+corpora, or `sevpredict metrics` on a checked-in predictions file, and pins
+the sha1 of every file it writes. Acceptance criterion 7 checks that a
 rerun is byte-identical; this test checks that the bytes stay the same
 across changes to the code. A change that alters the output on purpose
-updates the pinned values and says why in CHANGES.md.
+updates the pinned values and says why in CHANGES.md. One more test checks
+that every way of building a run's config gives that run's bytes.
 """
 
 from __future__ import annotations
 
 import hashlib
+import json
+from dataclasses import replace
 
 import pytest
 
-from sevpredict import cli, save_corpus, synth_corpus
+from sevpredict import PipelineConfig, cli, load_corpus, report_to_json, run_experiment, save_corpus, synth_corpus
 
-from conftest import CL, CR, DATA_DIR, HS, MA, NT
+from conftest import DATA_DIR, GOLDEN_CORPORA
 
 CASES = {
     "default": (
-        "alpha", {HS: 6, CR: 10, MA: 20, NT: 20, CL: 60}, 4, 1.5, 40, 3,
+        ("alpha",),
         (),
         {
-            "report_alpha.json": "92415f38bba814f9584f33e43a03bba45e080168",
+            "report_alpha.json": "8d46eb72a518622149903cdee9b18c428e15a53c",
         },
     ),
     "folds_table": (
-        "beta", {HS: 5, CR: 8, MA: 15, NT: 15, CL: 40}, 3, 1.0, 60, 8,
+        ("beta",),
         ("--folds", "3", "--max-depth", "2", "--gamma", "0.9", "--table"),
         {
             "budget_edits.csv": "d018bc2aa23fc83125dd25b036e9e3c3d8c13379",
             "performance.csv": "b15069b58139ea67b7cf9808545fd08f39696c1f",
-            "report_beta.json": "f64ced2138606aabffd8308df81a620780e2a4cd",
-            "report_beta_fold0.json": "fe6b66333249218ca064f83bb9b7acab99f9d175",
-            "report_beta_fold1.json": "225aebbdd7d312a8a749a0cea4c9aee51697e3ef",
-            "report_beta_fold2.json": "7399b1d66500a6779e7bc87ebb164403297d83e3",
+            "report_beta.json": "4ce06fba385ca87532502e8b0b6138bbe91484ef",
+            "report_beta_fold0.json": "4412b99279e58df8d3f36c82e6f2cb65eb1220e5",
+            "report_beta_fold1.json": "ff241c789937ef82df77d5c1776be32913957e5c",
+            "report_beta_fold2.json": "7a4bae62ab37fd7aafbefd04091d7bfd5f587fd0",
             "risk_factors.csv": "2f27fa15a553e64de27feecc5e79b2f79e68f806",
+        },
+    ),
+    "two_corpora_table": (
+        ("alpha", "beta"),
+        ("--folds", "2", "--table"),
+        {
+            "budget_edits.csv": "aa0071dc9b557bb4b7db8250da195c286f1f9632",
+            "performance.csv": "d320c3bf7fc43ae35c6fe8dc5b899de066698dd4",
+            "report_alpha.json": "5f018ef4bc1f6ab37f5779bf5a3193906c5aed54",
+            "report_alpha_fold0.json": "1bdb952a4a6aeee6c36bab9adf902c44c46c8103",
+            "report_alpha_fold1.json": "16011d4c40d8f258712e8c8361880b2ced38df7d",
+            "report_average.json": "31132802e42f0ffd123d68395b1265441f2960e2",
+            "report_beta.json": "aba373ed33ecec31c9f49312107313c87b923653",
+            "report_beta_fold0.json": "f489f46a8ac393dbf4d58d5e32536cad8005bf4e",
+            "report_beta_fold1.json": "bb466810b14150fa0b2ae59996e03d2baa363e57",
+            "risk_factors.csv": "56a0876ba2c70c8f1a5fd88878fbdf063772fa23",
         },
     ),
 }
@@ -44,16 +63,36 @@ CASES = {
 
 @pytest.mark.parametrize("case", sorted(CASES))
 def test_run_writes_the_pinned_bytes(tmp_path, capsys, case):
-    project, counts, features, separation, unlabelled, corpus_seed, flags, pinned = CASES[case]
-    corpus_csv = tmp_path / f"{project}.csv"
-    save_corpus(synth_corpus(counts, features, separation, unlabelled, corpus_seed), corpus_csv)
+    projects, flags, pinned = CASES[case]
+    paths = []
+    for project in projects:
+        paths.append(str(tmp_path / f"{project}.csv"))
+        save_corpus(synth_corpus(*GOLDEN_CORPORA[project]), paths[-1])
     out = tmp_path / "out"
-    assert cli.main(["run", str(corpus_csv), "--seed", "7", "--out", str(out), *flags]) == 0
+    assert cli.main(["run", *paths, "--seed", "7", "--out", str(out), *flags]) == 0
     capsys.readouterr()
     written = {
         path.name: hashlib.sha1(path.read_bytes()).hexdigest() for path in sorted(out.iterdir())
     }
     assert written == pinned
+
+
+def test_one_seed_gives_one_report(tmp_path, capsys):
+    # however a seed-5 config is built, including from a report's config
+    # echo, the default case's corpus gets the report `run --seed 5` writes
+    corpus_csv = tmp_path / "alpha.csv"
+    save_corpus(synth_corpus(*GOLDEN_CORPORA["alpha"]), corpus_csv)
+    out = tmp_path / "out"
+    assert cli.main(["run", str(corpus_csv), "--seed", "5", "--out", str(out)]) == 0
+    capsys.readouterr()
+    text = (out / "report_alpha.json").read_text()
+    corpus = load_corpus(corpus_csv)
+    for cfg in (
+        PipelineConfig(seed=5),
+        replace(PipelineConfig(seed=4), seed=5),
+        PipelineConfig.from_settings(json.loads(text)["config"]),
+    ):
+        assert report_to_json(run_experiment(corpus, cfg, "alpha")) == text
 
 
 METRICS_CASES = {

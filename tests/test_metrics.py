@@ -409,3 +409,6 @@ def test_parse_predictions_schema_errors():
     with pytest.raises(RowError, match="loc"):
         parse_predictions(io.StringIO(
             "module_id,loc,actual,predicted\nx,0,clean,clean\n"))
+    with pytest.raises(RowError, match=r"^row 2: column 'loc' must be <= 2\*\*53"):
+        parse_predictions(io.StringIO(
+            f"module_id,loc,actual,predicted\nx,{2**53 + 1},clean,clean\n"))

@@ -9,6 +9,8 @@ from hypothesis import strategies as st
 
 from sevpredict import (
     EconConfig,
+    ExperimentReport,
+    Outcome,
     PipelineConfig,
     SamplerConfig,
     SelfTrainConfig,
@@ -42,7 +44,7 @@ def demo_corpus(seed=0, unlabelled=12):
 
 def test_run_experiment_shape():
     corpus = demo_corpus()
-    report = run_experiment(corpus, PipelineConfig.with_seed(5), project="demo")
+    report = run_experiment(corpus, PipelineConfig(seed=5), project="demo")
     assert report.project == "demo"
     assert report.bst.delta == report.ast.delta
     training = report.training
@@ -57,15 +59,15 @@ def test_run_experiment_shape():
 
 def test_run_experiment_is_byte_deterministic():
     corpus = demo_corpus()
-    a = run_experiment(corpus, PipelineConfig.with_seed(7))
-    b = run_experiment(corpus, PipelineConfig.with_seed(7))
+    a = run_experiment(corpus, PipelineConfig(seed=7))
+    b = run_experiment(corpus, PipelineConfig(seed=7))
     assert report_to_json(a) == report_to_json(b)
-    c = run_experiment(corpus, PipelineConfig.with_seed(8))
+    c = run_experiment(corpus, PipelineConfig(seed=8))
     assert report_to_json(c) != report_to_json(a)
 
 
 def test_report_json_layout():
-    report = run_experiment(demo_corpus(), PipelineConfig.with_seed(1), project="p")
+    report = run_experiment(demo_corpus(), PipelineConfig(seed=1), project="p")
     doc = json.loads(report_to_json(report))
     assert set(doc) == {
         "project", "corpus", "training", "bst", "ast", "deltas",
@@ -78,7 +80,7 @@ def test_report_json_layout():
 
 
 def test_arms_share_the_test_set():
-    report = run_experiment(demo_corpus(), PipelineConfig.with_seed(3))
+    report = run_experiment(demo_corpus(), PipelineConfig(seed=3))
     # both arms scored on the identical module list
     assert report.training["test_modules"] == len(report.test_outcomes)
     deltas_keys = set(report.deltas)
@@ -90,7 +92,7 @@ def test_no_unlabelled_and_matched_sampling_gives_zero_deltas():
     # with an empty pool and both arms oversampling identically, the AST
     # tree sees exactly the BST training set
     corpus = demo_corpus(unlabelled=0)
-    cfg = PipelineConfig.with_seed(11)
+    cfg = PipelineConfig(seed=11)
     assert cfg.bst_oversample and cfg.oversample_first
     report = run_experiment(corpus, cfg)
     for field in SCALAR_FIELDS:
@@ -114,9 +116,7 @@ def test_arms_share_one_pool_and_tree_per_flag(monkeypatch, bst_oversample, over
 
     for name in calls:
         monkeypatch.setattr(pipeline, name, counting(getattr(pipeline, name)))
-    cfg = PipelineConfig.with_seed(
-        5, bst_oversample=bst_oversample, oversample_first=oversample_first
-    )
+    cfg = PipelineConfig(seed=5, bst_oversample=bst_oversample, oversample_first=oversample_first)
     report = run_experiment(demo_corpus(), cfg)
     assert calls["adasyn_balance"] == int(bst_oversample or oversample_first)
     assert calls["fit_tree"] == (1 if bst_oversample == oversample_first else 2)
@@ -135,7 +135,7 @@ def test_oversample_first_balances_before_looping(monkeypatch):
         return results[-1]
 
     monkeypatch.setattr(pipeline, "self_train", recording_self_train)
-    cfg = PipelineConfig.with_seed(3, bst_oversample=False, oversample_first=True)
+    cfg = PipelineConfig(seed=3, bst_oversample=False, oversample_first=True)
     report = run_experiment(demo_corpus(unlabelled=0), cfg)
     (result,) = results
     assert any(inst.provenance == "synthetic" for inst in result.labelled)
@@ -145,7 +145,7 @@ def test_oversample_first_balances_before_looping(monkeypatch):
 def test_run_experiment_rejects_single_class_corpus():
     corpus = synth_corpus({CL: 20}, 2, 1.0, seed=0)
     with pytest.raises(SevpredictError):
-        run_experiment(corpus, PipelineConfig.with_seed(0))
+        run_experiment(corpus, PipelineConfig(seed=0))
 
 
 # ---------------------------------------------------------------------------
@@ -191,7 +191,7 @@ def test_compare_is_antisymmetric(reference_bst_path, reference_ast_path):
 
 def test_run_kfold_covers_every_module_once():
     corpus = demo_corpus(seed=2, unlabelled=5)
-    cfg = PipelineConfig.with_seed(4, folds=3)
+    cfg = PipelineConfig(seed=4, folds=3)
     reports = run_kfold(corpus, cfg, project="demo")
     assert [r.project for r in reports] == ["demo_fold0", "demo_fold1", "demo_fold2"]
     seen = []
@@ -204,18 +204,18 @@ def test_run_kfold_with_too_many_folds_names_folds():
     # largest class 3: a fourth fold gets no test module
     corpus = synth_corpus({CL: 3, MA: 3, CR: 3}, 2, 3.0, seed=0)
     with pytest.raises(SevpredictError, match=r"^folds=4 leaves fold 3 with an empty test set"):
-        run_kfold(corpus, PipelineConfig.with_seed(0, folds=4))
-    assert len(run_kfold(corpus, PipelineConfig.with_seed(0, folds=3))) == 3
+        run_kfold(corpus, PipelineConfig(seed=0, folds=4))
+    assert len(run_kfold(corpus, PipelineConfig(seed=0, folds=3))) == 3
 
 
 def test_run_kfold_requires_folds_setting():
     with pytest.raises(SevpredictError):
-        run_kfold(demo_corpus(), PipelineConfig.with_seed(0))
+        run_kfold(demo_corpus(), PipelineConfig(seed=0))
 
 
 def test_average_reports_means_scalars():
     corpus = demo_corpus(seed=3)
-    reports = run_kfold(corpus, PipelineConfig.with_seed(6, folds=3))
+    reports = run_kfold(corpus, PipelineConfig(seed=6, folds=3))
     avg = average_reports(reports, project="avg")
     assert avg.project == "avg"
     for field in SCALAR_FIELDS:
@@ -233,14 +233,22 @@ def test_average_reports_rejects_empty():
         average_reports([])
 
 
+def test_average_past_the_float_range_names_delta():
+    # each run's 1e308 hours is finite; their sum, and so the mean, is not
+    scored = full_report([Outcome(MA, CL, 1)], EconConfig(delta=1e-308))
+    report = ExperimentReport("p", {}, {}, scored, scored, {}, None, [], {})
+    with pytest.raises(SevpredictError, match="^delta 1e-308 is too small"):
+        average_reports([report, report])
+
+
 # ---------------------------------------------------------------------------
 # tables
 
 
 def test_write_comparison_tables(tmp_path):
     corpus = demo_corpus(seed=5)
-    reports = run_kfold(corpus, PipelineConfig.with_seed(9, folds=2))
-    paths = write_comparison_tables(reports, tmp_path)
+    reports = run_kfold(corpus, PipelineConfig(seed=9, folds=2))
+    paths = write_comparison_tables(reports, average_reports(reports), tmp_path)
     names = [p.split("/")[-1] for p in map(str, paths)]
     assert names == ["risk_factors.csv", "performance.csv", "budget_edits.csv"]
 
@@ -260,8 +268,8 @@ def test_write_comparison_tables(tmp_path):
 
 def test_single_report_tables_skip_summary_rows(tmp_path):
     corpus = demo_corpus(seed=6)
-    report = run_experiment(corpus, PipelineConfig.with_seed(2), project="solo")
-    paths = write_comparison_tables([report], tmp_path)
+    report = run_experiment(corpus, PipelineConfig(seed=2), project="solo")
+    paths = write_comparison_tables([report], None, tmp_path)
     for path in paths:
         with open(path, newline="") as fh:
             rows = list(csv.reader(fh))
@@ -273,45 +281,28 @@ def test_single_report_tables_skip_summary_rows(tmp_path):
 # configuration plumbing
 
 
-def test_with_seed_wires_sampler_seed():
-    cfg = PipelineConfig.with_seed(17)
-    assert cfg.seed == 17
-    assert cfg.sampler.seed == 17
-    re = cfg.reseeded(99)
-    assert re.seed == 99 and re.sampler.seed == 99
-    assert cfg.seed == 17  # original untouched
-
-
-def test_with_seed_accepts_overrides():
-    cfg = PipelineConfig.with_seed(1, test_fraction=0.3, folds=4)
-    assert cfg.test_fraction == 0.3
-    assert cfg.folds == 4
-
-
 def test_pipeline_config_validation():
     with pytest.raises(SevpredictError):
-        PipelineConfig.with_seed(0, test_fraction=0.0)
+        PipelineConfig(seed=0, test_fraction=0.0)
     with pytest.raises(SevpredictError):
-        PipelineConfig.with_seed(0, test_fraction=1.0)
+        PipelineConfig(seed=0, test_fraction=1.0)
     with pytest.raises(SevpredictError):
-        PipelineConfig.with_seed(0, folds=1)
+        PipelineConfig(seed=0, folds=1)
     with pytest.raises(SevpredictError, match="seed"):
         PipelineConfig(seed=-1)
 
 
 @st.composite
 def valid_configs(draw):
-    seed = draw(st.integers(0, 2**32))
     weights = sorted(draw(st.sets(st.floats(0.01, 100.0), min_size=5, max_size=5)))
     return PipelineConfig(
-        seed=seed,
+        seed=draw(st.integers(0, 2**32)),
         test_fraction=draw(st.floats(0.01, 0.99)),
         folds=draw(st.none() | st.integers(2, 20)),
         sampler=SamplerConfig(
             k_neighbors=draw(st.integers(1, 20)),
             beta=draw(st.floats(0.0, 1.0)),
             d_threshold=draw(st.floats(0.0, 1.0, exclude_min=True)),
-            seed=seed,
         ),
         tree=TreeConfig(
             min_samples_split=draw(st.integers(2, 50)),
@@ -330,15 +321,15 @@ def valid_configs(draw):
 @settings(max_examples=200, deadline=None)
 @given(valid_configs())
 def test_settings_round_trip(cfg):
-    assert PipelineConfig.from_settings(cfg.settings(), cfg.seed) == cfg
+    assert PipelineConfig.from_settings(cfg.settings()) == cfg
     # through JSON too, as the report's config echo is read back
     echoed = json.loads(json.dumps(cfg.settings()))
-    assert PipelineConfig.from_settings(echoed, cfg.seed) == cfg
+    assert PipelineConfig.from_settings(echoed) == cfg
 
 
 def test_settings_echo_names_every_setting_once():
     assert set(PipelineConfig().settings()) == {
         "seed", "test_fraction", "folds", "k_neighbors", "beta", "d_threshold",
-        "sampler_seed", "min_samples_split", "max_depth", "gamma", "max_iterations",
+        "min_samples_split", "max_depth", "gamma", "max_iterations",
         "oversample_first", "delta", "ordinal_weights", "bst_oversample",
     }

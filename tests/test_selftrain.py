@@ -251,7 +251,7 @@ def test_self_train_is_deterministic():
             labelled.append(make_labelled([float(rng.normal(centre, 0.6))], cls))
     unlabelled = [make_unlabelled([float(rng.uniform(-1, 4))]) for _ in range(12)]
     config = SelfTrainConfig(gamma=0.75)
-    pool = adasyn_balance(labelled, SamplerConfig(seed=2))
+    pool = adasyn_balance(labelled, SamplerConfig(), 2)
     a = self_train(fit_tree(pool), pool, unlabelled, config)
     b = self_train(fit_tree(pool), pool, unlabelled, config)
     assert a.labelled == b.labelled
