@@ -19,6 +19,7 @@ from typing import Sequence
 
 import numpy as np
 
+from .cart import SCAN_CELLS
 from .corpus import PROVENANCE_SYNTHETIC, LabelledInstance
 from .errors import SevpredictError
 from .severity import SEVERITY_ORDER, SeverityClass
@@ -61,6 +62,60 @@ def _first_k(dist: np.ndarray, k: int) -> np.ndarray:
     return near[np.argsort(dist[near], kind="stable")[:k]]
 
 
+def _squared_column(sT: np.ndarray, at: np.ndarray, j: int) -> np.ndarray:
+    """(b, n) squared differences in feature j between the block's seeds and every row."""
+    d = sT[j] - at[j]
+    return np.square(d, out=d)
+
+
+# Module level on purpose: a recursive closure would make a reference cycle
+# per block, freed only by the cyclic garbage collector, and raise peak memory.
+def _partials(sT: np.ndarray, at: np.ndarray, k: int, width: int) -> np.ndarray:
+    """Partial sums k to k + width - 1 of a block's rows of p >= 8 squares, added pairwise.
+
+    numpy's pairwise_sum puts value j of a row into partial sum j mod 8, for
+    j below p - p % 8, and combines the eight as
+    ((r0 + r1) + (r2 + r3)) + ((r4 + r5) + (r6 + r7)). Each partial is built
+    just before its combination, so at most five (b, n) buffers are live.
+    """
+    if width > 1:
+        r = _partials(sT, at, k, width // 2)
+        r += _partials(sT, at, k + width // 2, width // 2)
+        return r
+    p = len(sT)
+    r = _squared_column(sT, at, k)
+    for j in range(k + 8, p - p % 8, 8):
+        r += _squared_column(sT, at, j)
+    return r
+
+
+def _distance_rows(scaled: np.ndarray, sT: np.ndarray, rows: np.ndarray):
+    """Yield np.sqrt(((scaled - scaled[i]) ** 2).sum(axis=1)) for each i in rows, bit for bit.
+
+    sT is scaled.T made contiguous. Rows of 1 to 127 features come in
+    blocks of at most SCAN_CELLS distances, their squares added in the order
+    of numpy's pairwise_sum: left to right for p < 8, else the eight
+    partial sums first and then the last p mod 8 values in order. Longer
+    rows, and the all-zero rows of a pool without features, keep numpy's
+    own reduction.
+    """
+    n, p = scaled.shape
+    if not 0 < p < 128:
+        for i in rows:
+            yield np.sqrt(((scaled - scaled[i]) ** 2).sum(axis=1))
+        return
+    width = max(1, SCAN_CELLS // n)
+    for start in range(0, len(rows), width):
+        at = sT[:, rows[start : start + width], None]  # the block's seeds, (p, b, 1)
+        if p < 8:
+            total, rest = _squared_column(sT, at, 0), range(1, p)
+        else:
+            total, rest = _partials(sT, at, 0, 8), range(p - p % 8, p)
+        for j in rest:
+            total += _squared_column(sT, at, j)
+        yield from np.sqrt(total, out=total)
+
+
 def adasyn_balance(
     labelled: Sequence[LabelledInstance], config: SamplerConfig, seed: int
 ) -> list[LabelledInstance]:
@@ -87,6 +142,7 @@ def adasyn_balance(
     n_majority = max(sizes.values())
     mins, scales = _minmax_params(X)
     scaled = (X - mins) * scales
+    sT = np.ascontiguousarray(scaled.T)
     k = config.k_neighbors
     rng = np.random.default_rng(seed)
 
@@ -112,8 +168,7 @@ def adasyn_balance(
         # interpolation partners; a one-member class has none.
         difficulty = []
         partners_of = []
-        for i in seeds:
-            dist = np.sqrt(((scaled - scaled[i]) ** 2).sum(axis=1))
+        for i, dist in zip(seeds, _distance_rows(scaled, sT, in_class)):
             dist[i] = np.inf
             difficulty.append(np.count_nonzero(~member[_first_k(dist, kn)]) / kn)
             partners_of.append(in_class[_first_k(dist[in_class], kp)].tolist() if m > 1 else [])

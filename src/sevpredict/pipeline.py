@@ -328,8 +328,10 @@ def _side_by_side(reports: Sequence[ExperimentReport], columns: Sequence[str]) -
 
 
 def _fmt_loc(value) -> str:
-    f = float(value)
-    return str(int(f)) if f.is_integer() else f"{f:.2f}"
+    """A single run's LoC exactly; an averaged one as an integer when it is one, else to two decimals."""
+    if isinstance(value, int):
+        return str(value)
+    return str(int(value)) if value.is_integer() else f"{value:.2f}"
 
 
 def _budget_values(r: ExperimentReport) -> list:

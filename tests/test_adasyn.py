@@ -17,7 +17,8 @@ from sevpredict import (
     adasyn_balance,
     synth_corpus,
 )
-from sevpredict.adasyn import _first_k, _minmax_params
+from sevpredict.adasyn import _distance_rows, _first_k, _minmax_params
+from sevpredict.cart import SCAN_CELLS
 from sevpredict.corpus import PROVENANCE_SYNTHETIC
 
 from conftest import CL, CR, HS, MA, NT, make_labelled
@@ -162,6 +163,62 @@ def test_balance_matches_the_reference_on_an_imbalanced_pool():
     counts = dict(zip(SEVERITY_ORDER, (40, 80, 120, 160, 400)))
     instances = list(synth_corpus(counts, 4, 1.0, seed=2).labelled)
     assert adasyn_balance(instances, SamplerConfig(), 7) == _reference_balance(instances, SamplerConfig(), 7)
+
+
+def test_balance_matches_the_reference_past_128_features():
+    # rows this long keep numpy's own reduction
+    counts = dict(zip(SEVERITY_ORDER, (4, 8, 12, 16, 40)))
+    instances = list(synth_corpus(counts, 130, 1.0, seed=3).labelled)
+    assert adasyn_balance(instances, SamplerConfig(), 7) == _reference_balance(instances, SamplerConfig(), 7)
+
+
+def test_balance_matches_the_reference_without_features():
+    # every distance is 0, so the stable order alone picks the neighbours
+    instances = [make_labelled([], CL, module_id=f"c{j}") for j in range(9)]
+    instances += [make_labelled([], MA, module_id=f"m{j}") for j in range(3)]
+    balanced = adasyn_balance(instances, SamplerConfig(k_neighbors=2), 5)
+    assert len(balanced) == 18
+    assert balanced == _reference_balance(instances, SamplerConfig(k_neighbors=2), 5)
+
+
+def test_balance_matches_the_reference_over_several_seed_blocks():
+    # 600 rows take SCAN_CELLS // 600 = 6 seeds a block, so each minority class spans 7 to 20 blocks
+    counts = dict(zip(SEVERITY_ORDER, (40, 80, 120, 120, 240)))
+    instances = list(synth_corpus(counts, 12, 1.0, seed=4).labelled)
+    assert len(instances) == 600
+    assert adasyn_balance(instances, SamplerConfig(), 7) == _reference_balance(instances, SamplerConfig(), 7)
+
+
+@st.composite
+def distance_pools(draw, p):
+    """A pool of p columns (spread over many magnitudes, on a small integer grid, or of repeated rows) and some of its rows."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    # up to 64 rows fit any seed count in one block; past SCAN_CELLS // 2 rows a block holds one seed
+    n = draw(st.one_of(st.integers(1, 64), st.integers(65, 400), st.integers(SCAN_CELLS // 2 + 1, SCAN_CELLS + 200)))
+    kind = draw(st.sampled_from(["floats", "grid", "repeats"]))
+    if kind == "floats":
+        X = rng.normal(size=(n, p)) * 10.0 ** rng.integers(-4, 5, size=p)
+    elif kind == "grid":
+        X = rng.integers(0, draw(st.integers(1, 4)), size=(n, p)).astype(float)
+    else:
+        base = rng.random((draw(st.integers(1, 5)), p))
+        X = base[rng.integers(len(base), size=n)]
+    rows = rng.choice(n, size=draw(st.integers(1, min(n, 30))), replace=False)
+    return X, rows
+
+
+@pytest.mark.parametrize("p", [*range(1, 41), 127, 128, 130])
+@settings(max_examples=12, deadline=None)
+@given(data=st.data())
+def test_distance_rows_match_numpys_row_sum_bit_for_bit(p, data):
+    # the kernel follows numpy's summation order; if a numpy release changes
+    # that order, fall back to .sum(axis=1) rather than loosening this test
+    X, rows = data.draw(distance_pools(p))
+    got = list(_distance_rows(X, np.ascontiguousarray(X.T), rows))
+    assert len(got) == len(rows)
+    for i, dist in zip(rows, got):
+        want = np.sqrt(((X - X[i]) ** 2).sum(axis=1))
+        assert np.array_equal(dist.view(np.int64), want.view(np.int64)), f"row {i}"
 
 
 @st.composite

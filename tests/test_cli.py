@@ -235,6 +235,28 @@ def test_run_table_emits_three_csvs(capsys, tmp_path):
         assert name in out
 
 
+def test_run_table_prints_loc_sums_past_2_to_the_53_exactly(capsys, tmp_path, mini_fixture_path):
+    # every loc is within the 2**53 bound, but their sum is not a float64
+    with open(mini_fixture_path, newline="") as fh:
+        rows = list(csv.reader(fh))
+    for row in rows[1:]:
+        row[1] = str(2**53 - 1)
+    corpus_csv = tmp_path / "proj.csv"
+    with open(corpus_csv, "w", newline="") as fh:
+        csv.writer(fh, lineterminator="\n").writerows(rows)
+    out_dir = tmp_path / "out"
+    code, _, _ = run(capsys, "run", str(corpus_csv), "--table", "--test-fraction", "0.5",
+                     "--seed", "1", "--out", str(out_dir))
+    assert code == 0
+    doc = json.loads((out_dir / "report_proj.json").read_text())
+    with open(out_dir / "budget_edits.csv", newline="") as fh:
+        (table_row,) = list(csv.DictReader(fh))
+    assert doc["training"]["test_total_loc"] > 2**53
+    assert int(table_row["total_loc"]) == doc["training"]["test_total_loc"]
+    assert int(table_row["saved_budget_bst"]) == doc["bst"]["saved_budget"]
+    assert int(table_row["remaining_edits_ast"]) == doc["ast"]["remaining_edits"]
+
+
 def test_run_folds_writes_fold_and_average_reports(capsys, tmp_path):
     corpus_csv = make_corpus_csv(capsys, tmp_path)
     out_dir = tmp_path / "out"
