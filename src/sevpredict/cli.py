@@ -18,6 +18,7 @@ from .metrics import REPORT_CSV_HEADER, full_report, parse_predictions
 from .pipeline import (
     PipelineConfig,
     average_reports,
+    fold_project,
     report_to_json,
     run_experiment,
     run_kfold,
@@ -118,7 +119,7 @@ def _project_names(paths: list[str], folds: int | None) -> list[str]:
     owner = {"report_average.json": "the average over all corpora"} if len(paths) > 1 else {}
     projects = [os.path.splitext(os.path.basename(path))[0] for path in paths]
     for path, project in zip(paths, projects):
-        for name in [project] + [f"{project}_fold{i}" for i in range(folds or 0)]:
+        for name in [project] + [fold_project(project, i) for i in range(folds or 0)]:
             report = f"report_{name}.json"
             if report in owner:
                 raise SevpredictError(f"{owner[report]} and {path} would both write {report}")

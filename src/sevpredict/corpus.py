@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import csv
 import math
+from collections import Counter
 from dataclasses import dataclass, replace
 from typing import Iterable, Iterator, Mapping, Sequence
 
@@ -276,11 +277,25 @@ def save_corpus(corpus: Corpus, path) -> None:
 # Splits
 
 
-def _class_members(corpus: Corpus) -> dict[SeverityClass, list[int]]:
-    members: dict[SeverityClass, list[int]] = {c: [] for c in SEVERITY_ORDER}
+def _deal(corpus: Corpus, seed: int, fold_at) -> list[int]:
+    """Each labelled instance's fold: every class, in severity order, is shuffled by one
+    seeded permutation, and its member at position pos of m goes to fold fold_at(pos, m)."""
+    members_of: dict[SeverityClass, list[int]] = {c: [] for c in SEVERITY_ORDER}
     for i, inst in enumerate(corpus.labelled):
-        members[inst.label].append(i)
-    return members
+        members_of[inst.label].append(i)
+    rng = np.random.default_rng(seed)
+    fold_of = [0] * len(corpus.labelled)
+    for members in filter(None, members_of.values()):
+        for pos, j in enumerate(rng.permutation(len(members)).tolist()):
+            fold_of[members[j]] = fold_at(pos, len(members))
+    return fold_of
+
+
+def _cut(corpus: Corpus, fold_of: list[int], fold: int) -> tuple[Corpus, tuple[LabelledInstance, ...]]:
+    """(corpus labelled with the other folds, the fold's instances)."""
+    train = tuple(inst for inst, f in zip(corpus.labelled, fold_of) if f != fold)
+    test = tuple(inst for inst, f in zip(corpus.labelled, fold_of) if f == fold)
+    return replace(corpus, labelled=train), test
 
 
 def stratified_split(
@@ -288,27 +303,16 @@ def stratified_split(
 ) -> tuple[Corpus, tuple[LabelledInstance, ...]]:
     """Seeded per-class holdout split; unlabelled instances all stay in train.
 
-    Each class contributes floor(test_fraction * class_size) instances to the
-    test side, so test proportions track the class distribution to within one
-    instance and singleton classes are never drained from training.
+    Test is fold 0 of a two-way deal: floor(test_fraction * class_size) of
+    each class, so test proportions track the class distribution to within
+    one instance and singleton classes are never drained from training.
     """
     if not corpus.labelled:
         raise SevpredictError("cannot split: labelled set is empty")
     if not 0.0 < test_fraction < 1.0:
         raise SevpredictError(f"test_fraction must be in (0, 1), got {test_fraction}")
-    rng = np.random.default_rng(seed)
-    members_by_class = _class_members(corpus)
-    test_idx: set[int] = set()
-    for cls in SEVERITY_ORDER:
-        members = members_by_class[cls]
-        if not members:
-            continue
-        n_test = int(math.floor(test_fraction * len(members) + 1e-9))
-        perm = rng.permutation(len(members))
-        test_idx.update(members[j] for j in perm[:n_test].tolist())
-    train = tuple(inst for i, inst in enumerate(corpus.labelled) if i not in test_idx)
-    test = tuple(inst for i, inst in enumerate(corpus.labelled) if i in test_idx)
-    return replace(corpus, labelled=train), test
+    fold_of = _deal(corpus, seed, lambda pos, m: int(pos >= math.floor(test_fraction * m + 1e-9)))
+    return _cut(corpus, fold_of, 0)
 
 
 def stratified_kfold(
@@ -319,22 +323,8 @@ def stratified_kfold(
         raise SevpredictError(f"k-fold requires k >= 2, got {k}")
     if not corpus.labelled:
         raise SevpredictError("cannot split: labelled set is empty")
-    rng = np.random.default_rng(seed)
-    fold_of = [0] * len(corpus.labelled)
-    members_by_class = _class_members(corpus)
-    for cls in SEVERITY_ORDER:
-        members = members_by_class[cls]
-        if not members:
-            continue
-        perm = rng.permutation(len(members))
-        for pos, j in enumerate(perm.tolist()):
-            fold_of[members[j]] = pos % k
-    folds = []
-    for fold in range(k):
-        train = tuple(inst for i, inst in enumerate(corpus.labelled) if fold_of[i] != fold)
-        test = tuple(inst for i, inst in enumerate(corpus.labelled) if fold_of[i] == fold)
-        folds.append((replace(corpus, labelled=train), test))
-    return folds
+    fold_of = _deal(corpus, seed, lambda pos, m: pos % k)
+    return [_cut(corpus, fold_of, fold) for fold in range(k)]
 
 
 # ---------------------------------------------------------------------------
@@ -399,8 +389,8 @@ def synth_corpus(
 def class_summary(corpus: Corpus) -> dict:
     """Bookkeeping block: per-class counts and percentages over all modules."""
     n = len(corpus)
-    members = _class_members(corpus)
-    counts = {cls.value: len(members[cls]) for cls in SEVERITY_ORDER}
+    labels = Counter(i.label for i in corpus.labelled)
+    counts = {cls.value: labels[cls] for cls in SEVERITY_ORDER}
     pct = lambda c: round(100.0 * c / n, 3) if n else 0.0
     return {
         "modules": n,

@@ -188,7 +188,7 @@ def _evaluate(tree: DecisionTree, test: Sequence[LabelledInstance]) -> tuple[Out
 
 
 def _run_arms(
-    corpus: Corpus,
+    summary: dict,
     train: Corpus,
     test: Sequence[LabelledInstance],
     cfg: PipelineConfig,
@@ -199,7 +199,7 @@ def _run_arms(
     bst_flag, ast_flag = cfg.bst_oversample, cfg.oversample_first
     pools = {flag: adasyn_balance(raw, cfg.sampler, cfg.seed) if flag else raw
              for flag in {bst_flag, ast_flag}}
-    trees = {flag: fit_tree(pool, cfg.tree, corpus.schema) for flag, pool in pools.items()}
+    trees = {flag: fit_tree(pool, cfg.tree, train.schema) for flag, pool in pools.items()}
     st = self_train(trees[ast_flag], pools[ast_flag], list(train.unlabelled), cfg.selftrain, cfg.tree)
 
     bst_outcomes = _evaluate(trees[bst_flag], test)
@@ -219,7 +219,7 @@ def _run_arms(
     ]
     return ExperimentReport(
         project=project,
-        corpus_summary=class_summary(corpus),
+        corpus_summary=summary,
         training={
             "bst_train_size": len(pools[bst_flag]),
             "ast_train_size": len(st.labelled),
@@ -237,30 +237,38 @@ def _run_arms(
     )
 
 
+def _runnable_summary(corpus: Corpus) -> dict:
+    """class_summary of a corpus that has at least 2 labelled classes."""
+    summary = class_summary(corpus)
+    if sum(n > 0 for n in summary["class_counts"].values()) < 2:
+        raise SevpredictError("experiment needs at least 2 labelled classes")
+    return summary
+
+
+def fold_project(project: str, fold: int) -> str:
+    return f"{project}_fold{fold}"
+
+
 def run_experiment(corpus: Corpus, cfg: PipelineConfig, project: str = "corpus") -> ExperimentReport:
     """Single stratified holdout run of both arms on one corpus."""
-    if len({inst.label for inst in corpus.labelled}) < 2:
-        raise SevpredictError("experiment needs at least 2 labelled classes")
+    summary = _runnable_summary(corpus)
     train, test = stratified_split(corpus, cfg.test_fraction, cfg.seed)
     if not test:
         raise SevpredictError("test split is empty; raise test_fraction or enlarge the corpus")
-    return _run_arms(corpus, train, test, cfg, project)
+    return _run_arms(summary, train, test, cfg, project)
 
 
 def run_kfold(corpus: Corpus, cfg: PipelineConfig, project: str = "corpus") -> list[ExperimentReport]:
     """One experiment per stratified fold, with per-fold derived seeds."""
     if cfg.folds is None:
         raise SevpredictError("run_kfold needs cfg.folds")
-    if len({inst.label for inst in corpus.labelled}) < 2:
-        raise SevpredictError("experiment needs at least 2 labelled classes")
+    summary = _runnable_summary(corpus)
     splits = stratified_kfold(corpus, cfg.folds, cfg.seed)
     for i, (_, test) in enumerate(splits):
         if not test:
             raise SevpredictError(f"folds={cfg.folds} leaves fold {i} with an empty test set; lower folds")
-    reports = []
-    for i, (train, test) in enumerate(splits):
-        reports.append(_run_arms(corpus, train, test, replace(cfg, seed=cfg.seed + i), f"{project}_fold{i}"))
-    return reports
+    return [_run_arms(summary, train, test, replace(cfg, seed=cfg.seed + i), fold_project(project, i))
+            for i, (train, test) in enumerate(splits)]
 
 
 def _mean(values: Sequence):

@@ -1,12 +1,17 @@
 from __future__ import annotations
 
 import io
+import math
 from collections import Counter
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sevpredict import (
+    SEVERITY_ORDER,
     Corpus,
     RowError,
     SchemaError,
@@ -23,7 +28,7 @@ from sevpredict import (
 )
 from sevpredict.corpus import audit_csv
 
-from conftest import CL, CR, HS, MA, NT, make_labelled
+from conftest import CL, CR, HS, MA, NT, make_labelled, make_unlabelled
 
 HEADER = "module_id,loc,n_high_severity,n_critical,n_major,n_non_trivial,n_total_defects,wmc,rfc"
 
@@ -310,3 +315,99 @@ def test_write_corpus_csv_is_seed_stable(tmp_path):
     write_corpus_csv(synth_corpus({CL: 8, NT: 3}, 2, 2.0, n_unlabelled=2, seed=9), again)
     assert out.getvalue() == again.getvalue()
     assert out.getvalue().splitlines()[0].startswith("module_id,loc,n_high_severity")
+
+
+# ---------------------------------------------------------------------------
+# splits against their reference: the per-class shuffles as each split wrote
+# its own copy, before both became deals of one assignment
+
+
+def _reference_members(corpus: Corpus) -> dict:
+    members = {c: [] for c in SEVERITY_ORDER}
+    for i, inst in enumerate(corpus.labelled):
+        members[inst.label].append(i)
+    return members
+
+
+def _reference_split(corpus: Corpus, test_fraction: float, seed: int):
+    if not corpus.labelled:
+        raise SevpredictError("cannot split: labelled set is empty")
+    if not 0.0 < test_fraction < 1.0:
+        raise SevpredictError(f"test_fraction must be in (0, 1), got {test_fraction}")
+    rng = np.random.default_rng(seed)
+    members_by_class = _reference_members(corpus)
+    test_idx: set[int] = set()
+    for cls in SEVERITY_ORDER:
+        members = members_by_class[cls]
+        if not members:
+            continue
+        n_test = int(math.floor(test_fraction * len(members) + 1e-9))
+        perm = rng.permutation(len(members))
+        test_idx.update(members[j] for j in perm[:n_test].tolist())
+    train = tuple(inst for i, inst in enumerate(corpus.labelled) if i not in test_idx)
+    test = tuple(inst for i, inst in enumerate(corpus.labelled) if i in test_idx)
+    return replace(corpus, labelled=train), test
+
+
+def _reference_kfold(corpus: Corpus, k: int, seed: int):
+    if k < 2:
+        raise SevpredictError(f"k-fold requires k >= 2, got {k}")
+    if not corpus.labelled:
+        raise SevpredictError("cannot split: labelled set is empty")
+    rng = np.random.default_rng(seed)
+    fold_of = [0] * len(corpus.labelled)
+    members_by_class = _reference_members(corpus)
+    for cls in SEVERITY_ORDER:
+        members = members_by_class[cls]
+        if not members:
+            continue
+        perm = rng.permutation(len(members))
+        for pos, j in enumerate(perm.tolist()):
+            fold_of[members[j]] = pos % k
+    folds = []
+    for fold in range(k):
+        train = tuple(inst for i, inst in enumerate(corpus.labelled) if fold_of[i] != fold)
+        test = tuple(inst for i, inst in enumerate(corpus.labelled) if fold_of[i] == fold)
+        folds.append((replace(corpus, labelled=train), test))
+    return folds
+
+
+def _split_outcome(split, *args):
+    """The split's result, or the message of the SevpredictError raised instead."""
+    try:
+        return split(*args)
+    except SevpredictError as err:
+        return str(err)
+
+
+@st.composite
+def split_corpora(draw) -> Corpus:
+    """0-5 classes of 0-12 members each, interleaved in a drawn order, and 0-3 unlabelled modules."""
+    sizes = draw(st.lists(st.integers(0, 12), min_size=5, max_size=5))
+    labels = draw(st.permutations([cls for cls, m in zip(SEVERITY_ORDER, sizes) for _ in range(m)]))
+    labelled = tuple(make_labelled([float(i)], cls, module_id=f"m{i}") for i, cls in enumerate(labels))
+    unlabelled = tuple(make_unlabelled([-1.0], module_id=f"u{j}") for j in range(draw(st.integers(0, 3))))
+    return Corpus(("f0",), labelled, unlabelled)
+
+
+# fractions whose floor(f * m + 1e-9) sits exactly on an integer for some m,
+# such as 0.2 with m = 5 and 1/3 with m = 3, plus out-of-range ones
+EDGE_FRACTIONS = (0.2, 1 / 3, 0.25, 0.5, 2 / 3, 0.6, 0.7, 0.1, 0.0, 1.0, -0.5, 1.5)
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    split_corpora(),
+    st.one_of(st.sampled_from(EDGE_FRACTIONS), st.floats(0.0, 1.0)),
+    st.integers(0, 2**32 - 1),
+)
+def test_stratified_split_matches_the_reference(corpus, fraction, seed):
+    got = _split_outcome(stratified_split, corpus, fraction, seed)
+    assert got == _split_outcome(_reference_split, corpus, fraction, seed)
+
+
+@settings(max_examples=400, deadline=None)
+@given(split_corpora(), st.integers(0, 7), st.integers(0, 2**32 - 1))
+def test_stratified_kfold_matches_the_reference(corpus, k, seed):
+    got = _split_outcome(stratified_kfold, corpus, k, seed)
+    assert got == _split_outcome(_reference_kfold, corpus, k, seed)
