@@ -16,7 +16,7 @@ most MAX_TRAIN_ROWS rows.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Sequence
 
 import numpy as np
@@ -142,35 +142,49 @@ def best_split(instances: Sequence[LabelledInstance], feature_index: int):
     return threshold, decrease
 
 
-def _grow(XT: np.ndarray, y: np.ndarray, idx: np.ndarray, depth: int, config: TreeConfig) -> TreeNode:
-    labels = y[idx]
-    counts = np.bincount(labels, minlength=N_CLASSES)
-    n = len(idx)
-    if (
-        int((counts > 0).sum()) == 1
-        or n < config.min_samples_split
-        or (config.max_depth is not None and depth >= config.max_depth)
-    ):
-        return _make_leaf(counts)
+def _grow(XT: np.ndarray, y: np.ndarray, config: TreeConfig) -> TreeNode:
+    """Grow depth first, left subtree before right, from a work list, so any depth fits.
 
-    best = None  # (num, den, feature, threshold)
-    width = max(1, SCAN_CELLS // n)
-    for start in range(0, XT.shape[0], width):
-        scan = _scan_features(XT[start : start + width, idx], labels)
-        if scan is None:
+    A split waits on the list under its two subtrees, with None for children,
+    until both are finished on top of `done`.
+    """
+    done: list[TreeNode] = []
+    todo: list = [(np.arange(len(y)), 0)]  # (rows, depth) to grow, or a split to join
+    while todo:
+        item = todo.pop()
+        if isinstance(item, Split):
+            right, left = done.pop(), done.pop()
+            done.append(replace(item, left=left, right=right))
             continue
-        num, den, row, threshold = scan
-        if best is None or num * best[1] > best[0] * den:
-            best = (num, den, start + row, threshold)
-    sumsq = sum(int(c) ** 2 for c in counts)
-    if best is None or best[0] * n <= sumsq * best[1]:
-        return _make_leaf(counts)  # all features constant, or no candidate reduces impurity
-    _, _, feature, threshold = best
+        idx, depth = item
+        labels = y[idx]
+        counts = np.bincount(labels, minlength=N_CLASSES)
+        n = len(idx)
+        if (
+            int((counts > 0).sum()) == 1
+            or n < config.min_samples_split
+            or (config.max_depth is not None and depth >= config.max_depth)
+        ):
+            done.append(_make_leaf(counts))
+            continue
 
-    mask = XT[feature, idx] <= threshold
-    left = _grow(XT, y, idx[mask], depth + 1, config)
-    right = _grow(XT, y, idx[~mask], depth + 1, config)
-    return Split(feature, threshold, left, right)
+        best = None  # (num, den, feature, threshold)
+        width = max(1, SCAN_CELLS // n)
+        for start in range(0, XT.shape[0], width):
+            scan = _scan_features(XT[start : start + width, idx], labels)
+            if scan is None:
+                continue
+            num, den, row, threshold = scan
+            if best is None or num * best[1] > best[0] * den:
+                best = (num, den, start + row, threshold)
+        sumsq = sum(int(c) ** 2 for c in counts)
+        if best is None or best[0] * n <= sumsq * best[1]:
+            done.append(_make_leaf(counts))  # all features constant, or no candidate reduces impurity
+            continue
+        _, _, feature, threshold = best
+        mask = XT[feature, idx] <= threshold
+        todo += [Split(feature, threshold, None, None), (idx[~mask], depth + 1), (idx[mask], depth + 1)]
+    return done[0]
 
 
 def fit_tree(
@@ -197,7 +211,7 @@ def fit_tree(
         schema = tuple(f"f{j}" for j in range(p))
     elif len(schema) != p:
         raise SevpredictError(f"schema names {len(schema)} features but instances have {p}")
-    root = _grow(XT, y, np.arange(len(instances)), 0, config)
+    root = _grow(XT, y, config)
     return DecisionTree(root, tuple(schema))
 
 
@@ -236,19 +250,16 @@ def iter_leaves(tree: DecisionTree):
 def dump_tree(tree: DecisionTree) -> str:
     """Indented text rendering, for eyeballing small trees."""
     lines: list[str] = []
-
-    def walk(node: TreeNode, indent: int) -> None:
+    stack: list = [(tree.root, 0)]  # (node or "else", indent)
+    while stack:
+        node, indent = stack.pop()
         pad = "  " * indent
         if isinstance(node, Leaf):
-            freq = ", ".join(
-                f"{cls.value}={c}" for cls, c in zip(SEVERITY_ORDER, node.counts) if c
-            )
+            freq = ", ".join(f"{cls.value}={c}" for cls, c in zip(SEVERITY_ORDER, node.counts) if c)
             lines.append(f"{pad}leaf [{freq}] -> {node.majority.value}")
-            return
-        lines.append(f"{pad}{tree.schema[node.feature_index]} <= {node.threshold!r}")
-        walk(node.left, indent + 1)
-        lines.append(f"{pad}else")
-        walk(node.right, indent + 1)
-
-    walk(tree.root, 0)
+        elif isinstance(node, Split):
+            lines.append(f"{pad}{tree.schema[node.feature_index]} <= {node.threshold!r}")
+            stack += [(node.right, indent + 1), ("else", indent), (node.left, indent + 1)]
+        else:
+            lines.append(f"{pad}{node}")
     return "\n".join(lines)

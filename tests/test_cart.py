@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import sys
 from collections import Counter
 from fractions import Fraction
 
@@ -442,3 +443,39 @@ def test_dump_tree_readable():
 def test_dump_tree_single_leaf():
     tree = fit_tree(points([0, 1], [NT, NT]))
     assert dump_tree(tree).startswith("leaf")
+
+
+def test_dump_tree_renders_both_subtrees_in_order():
+    labels = [CL, MA, MA, MA, CL, CL, HS, HS, HS, CL, CL, CL]
+    tree = fit_tree(points(range(len(labels)), labels), schema=("wmc",))
+    assert dump_tree(tree) == "\n".join([
+        "wmc <= 3.5",
+        "  wmc <= 0.5",
+        "    leaf [clean=1] -> clean",
+        "  else",
+        "    leaf [major=3] -> major",
+        "else",
+        "  wmc <= 8.5",
+        "    wmc <= 5.5",
+        "      leaf [clean=2] -> clean",
+        "    else",
+        "      leaf [high_severity=3] -> high_severity",
+        "  else",
+        "    leaf [clean=3] -> clean",
+    ])
+
+
+def test_fit_tree_grows_deeper_than_the_recursion_limit():
+    # strictly alternating labels on a line: each split peels off one row.
+    # Deep trees are checked by walking them; dataclass == would recurse.
+    labels = [MA if i % 2 else CL for i in range(1500)]
+    tree = fit_tree(points(range(1500), labels))
+    depth, stack = 0, [(tree.root, 0)]
+    while stack:
+        node, level = stack.pop()
+        depth = max(depth, level)
+        if isinstance(node, Split):
+            stack += [(node.left, level + 1), (node.right, level + 1)]
+    assert depth == 1499 > sys.getrecursionlimit()
+    assert [leaf.majority for leaf in iter_leaves(tree)] == labels
+    assert dump_tree(tree).count("leaf") == 1500

@@ -585,3 +585,14 @@ def test_metrics_block_matches_run_report(capsys, tmp_path):
 def test_metrics_missing_file_is_io_error(capsys, tmp_path):
     code, _, _ = run(capsys, "metrics", str(tmp_path / "absent.csv"), "--out", str(tmp_path))
     assert code == 2
+
+
+def test_run_fits_trees_deeper_than_the_recursion_limit(capsys, tmp_path):
+    # one metric, labels alternating clean/major: the trees are over 2,000 levels deep
+    path = tmp_path / "alt.csv"
+    rows = [f"m{i},100,0,0,{i % 2},0,{i % 2},{i}\n" for i in range(2400)]
+    path.write_text(CORPUS_HEADER.replace(",m1", ",i") + "".join(rows))
+    code, out, err = run(capsys, "run", str(path), "--seed", "1", "--test-fraction", "0.01", "--out", str(tmp_path))
+    assert (code, err) == (0, "")
+    assert out.startswith("alt: BST acc=")
+    assert json.loads((tmp_path / "report_alt.json").read_text())["training"]["test_modules"] == 24
