@@ -8,6 +8,7 @@ more static code metric columns that become the feature vector.
 from __future__ import annotations
 
 import csv
+import itertools
 import math
 from collections import Counter
 from dataclasses import dataclass, replace
@@ -27,9 +28,6 @@ REQUIRED_COLUMNS: tuple[str, ...] = (
     "n_non_trivial",
     "n_total_defects",
 )
-
-# Column that carries each defective class's count.
-COUNT_COLUMNS: dict[SeverityClass, str] = dict(zip(DEFECTIVE_CLASSES, REQUIRED_COLUMNS[2:6]))
 
 PROVENANCE_ORIGINAL = "original"
 PROVENANCE_SYNTHETIC = "synthetic"
@@ -240,6 +238,14 @@ def load_corpus(path) -> Corpus:
     return read_csv_file(path, parse_corpus)
 
 
+def fill_module_ids(ids: Iterable[str | None]) -> list[str]:
+    """The IDs, each None numbered m00000, m00001, ... in turn, skipping IDs in use."""
+    ids = list(ids)
+    taken = set(ids)
+    fresh = (name for name in (f"m{i:05d}" for i in itertools.count()) if name not in taken)
+    return [next(fresh) if module_id is None else module_id for module_id in ids]
+
+
 def write_corpus_csv(corpus: Corpus, stream) -> None:
     """Serialize a corpus back to the input CSV format.
 
@@ -250,22 +256,14 @@ def write_corpus_csv(corpus: Corpus, stream) -> None:
     """
     writer = csv.writer(stream, lineterminator="\n")
     writer.writerow(REQUIRED_COLUMNS + corpus.schema)
-    auto = 0
-    for inst in corpus.labelled:
-        counts = [0, 0, 0, 0]
-        total = 0
-        if inst.label is not SeverityClass.CLEAN:
-            counts[SEVERITY_ORDER.index(inst.label)] = 1
-            total = 1
-        module_id = inst.module_id
-        if module_id is None:
-            module_id, auto = f"m{auto:05d}", auto + 1
-        writer.writerow([module_id, inst.loc, *counts, total, *[repr(v) for v in inst.features]])
-    for inst in corpus.unlabelled:
-        module_id = inst.module_id
-        if module_id is None:
-            module_id, auto = f"m{auto:05d}", auto + 1
-        writer.writerow([module_id, inst.loc, 0, 0, 0, 0, 1, *[repr(v) for v in inst.features]])
+    instances = corpus.labelled + corpus.unlabelled
+    for inst, module_id in zip(instances, fill_module_ids(i.module_id for i in instances)):
+        counts = [0, 0, 0, 0, 0]  # the four per-severity counts, then the total
+        if isinstance(inst, UnlabelledInstance):
+            counts[4] = 1
+        elif inst.label is not SeverityClass.CLEAN:
+            counts[SEVERITY_ORDER.index(inst.label)] = counts[4] = 1
+        writer.writerow([module_id, inst.loc, *counts, *map(repr, inst.features)])
 
 
 def save_corpus(corpus: Corpus, path) -> None:

@@ -14,7 +14,7 @@ import math
 from dataclasses import asdict, dataclass
 from typing import Iterable, Mapping
 
-from .corpus import _parse_loc, csv_records
+from .corpus import _parse_loc, csv_records, fill_module_ids
 from .errors import RowError, SchemaError, SevpredictError
 from .severity import (
     CLASS_INDEX,
@@ -253,9 +253,6 @@ def parse_predictions(source: Iterable[str]) -> tuple[Outcome, ...]:
 def write_predictions(outcomes: Iterable[Outcome], stream) -> None:
     writer = csv.writer(stream, lineterminator="\n")
     writer.writerow(PREDICTIONS_HEADER)
-    auto = 0
-    for o in outcomes:
-        module_id = o.module_id
-        if module_id is None:
-            module_id, auto = f"m{auto:05d}", auto + 1
+    outcomes = list(outcomes)
+    for o, module_id in zip(outcomes, fill_module_ids(o.module_id for o in outcomes)):
         writer.writerow([module_id, o.loc, o.actual.value, o.predicted.value])

@@ -317,6 +317,20 @@ def test_write_corpus_csv_is_seed_stable(tmp_path):
     assert out.getvalue().splitlines()[0].startswith("module_id,loc,n_high_severity")
 
 
+def test_write_corpus_csv_numbers_missing_ids_past_those_in_use():
+    corpus = Corpus(
+        ("f0",),
+        (make_labelled([1], CL, module_id="m00000"), make_labelled([2], MA), make_labelled([3], CL)),
+        (make_unlabelled([4], module_id="m00002"), make_unlabelled([5])),
+    )
+    out = io.StringIO()
+    write_corpus_csv(corpus, out)
+    again = parse_corpus(io.StringIO(out.getvalue()))
+    assert [i.module_id for i in again.labelled] == ["m00000", "m00001", "m00003"]
+    assert [i.module_id for i in again.unlabelled] == ["m00002", "m00004"]
+    assert [i.label for i in again.labelled] == [CL, MA, CL]
+
+
 # ---------------------------------------------------------------------------
 # splits against their reference: the per-class shuffles as each split wrote
 # its own copy, before both became deals of one assignment

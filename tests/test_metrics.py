@@ -400,6 +400,13 @@ def test_predictions_round_trip(tmp_path, reference_bst_path):
            [(o.module_id, o.loc, o.actual, o.predicted) for o in outcomes]
 
 
+def test_write_predictions_numbers_missing_ids_past_those_in_use():
+    outcomes = [Outcome(CL, CL, 10), Outcome(MA, CL, 20, "m00001"), Outcome(HS, HS, 30)]
+    out = io.StringIO()
+    write_predictions(outcomes, out)
+    assert [o.module_id for o in parse_predictions(io.StringIO(out.getvalue()))] == ["m00000", "m00001", "m00002"]
+
+
 def test_parse_predictions_schema_errors():
     with pytest.raises(SchemaError):
         parse_predictions(io.StringIO("module_id,loc,actual\nx,1,clean\n"))
