@@ -24,7 +24,7 @@ from .pipeline import (
     run_kfold,
     write_comparison_tables,
 )
-from .severity import SEVERITY_ORDER, SeverityClass
+from .severity import SEVERITY_ORDER
 
 SEED_ENV_VAR = "SEVPREDICT_SEED"
 
@@ -202,13 +202,8 @@ def cmd_metrics(args) -> int:
 
 def cmd_synth(args) -> int:
     seed = _resolve_seed(args.seed)
-    counts = {
-        SeverityClass.HIGH_SEVERITY: args.high_severity,
-        SeverityClass.CRITICAL: args.critical,
-        SeverityClass.MAJOR: args.major,
-        SeverityClass.NON_TRIVIAL: args.non_trivial,
-        SeverityClass.CLEAN: args.clean,
-    }
+    sizes = (args.high_severity, args.critical, args.major, args.non_trivial, args.clean)
+    counts = dict(zip(SEVERITY_ORDER, sizes))  # most severe first, as the flags are listed
     corpus = synth_corpus(counts, args.features, args.separation, args.unlabelled, seed)
     save_corpus(corpus, args.out)
     print(f"wrote {args.out}: {len(corpus.labelled)} labelled + {len(corpus.unlabelled)} unlabelled modules")

@@ -111,12 +111,8 @@ def self_train(
         for original_index, inst in remaining:
             label, confidence = predict_confidence(tree, inst.features)
             if confidence >= config.gamma:
-                accepted.append(
-                    (
-                        original_index,
-                        LabelledInstance(inst.features, inst.loc, label, PROVENANCE_PSEUDO, inst.module_id),
-                    )
-                )
+                pseudo = LabelledInstance(inst.features, inst.loc, label, PROVENANCE_PSEUDO, inst.module_id)
+                accepted.append((original_index, pseudo))
             else:
                 kept.append((original_index, inst))
         per_class = {name: 0 for name in CLASS_NAMES}
