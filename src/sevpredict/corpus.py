@@ -277,16 +277,16 @@ def save_corpus(corpus: Corpus, path) -> None:
 
 def _deal(corpus: Corpus, seed: int, fold_at) -> list[int]:
     """Each labelled instance's fold: every class, in severity order, is shuffled by one
-    seeded permutation, and its member at position pos of m goes to fold fold_at(pos, m)."""
+    seeded permutation, and its members at positions pos of m go to folds fold_at(pos, m)."""
     members_of: dict[SeverityClass, list[int]] = {c: [] for c in SEVERITY_ORDER}
     for i, inst in enumerate(corpus.labelled):
         members_of[inst.label].append(i)
     rng = np.random.default_rng(seed)
-    fold_of = [0] * len(corpus.labelled)
+    fold_of = np.zeros(len(corpus.labelled), dtype=np.int64)
     for members in filter(None, members_of.values()):
-        for pos, j in enumerate(rng.permutation(len(members)).tolist()):
-            fold_of[members[j]] = fold_at(pos, len(members))
-    return fold_of
+        m = len(members)
+        fold_of[np.asarray(members)[rng.permutation(m)]] = fold_at(np.arange(m), m)
+    return fold_of.tolist()
 
 
 def _cut(corpus: Corpus, fold_of: list[int], fold: int) -> tuple[Corpus, tuple[LabelledInstance, ...]]:
@@ -309,7 +309,7 @@ def stratified_split(
         raise SevpredictError("cannot split: labelled set is empty")
     if not 0.0 < test_fraction < 1.0:
         raise SevpredictError(f"test_fraction must be in (0, 1), got {test_fraction}")
-    fold_of = _deal(corpus, seed, lambda pos, m: int(pos >= math.floor(test_fraction * m + 1e-9)))
+    fold_of = _deal(corpus, seed, lambda pos, m: pos >= math.floor(test_fraction * m + 1e-9))
     return _cut(corpus, fold_of, 0)
 
 
