@@ -15,7 +15,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sevpredict import SevpredictError, parse_corpus, parse_predictions, synth_corpus, write_corpus_csv
-from sevpredict.corpus import REQUIRED_COLUMNS, audit_csv
+from sevpredict import Corpus, LabelledInstance, RowError, UnlabelledInstance, derive_label
+from sevpredict.corpus import (
+    PROVENANCE_ORIGINAL,
+    REQUIRED_COLUMNS,
+    _parse_feature,
+    _parse_int,
+    _parse_loc,
+    _read_header,
+    audit_csv,
+    csv_records,
+)
 from sevpredict.metrics import PREDICTIONS_HEADER
 from sevpredict.severity import CLASS_NAMES, SEVERITY_ORDER
 
@@ -70,3 +80,145 @@ def test_written_corpus_parses_back_bit_for_bit(counts, n_features, separation, 
     assert parsed.schema == corpus.schema
     assert fields(parsed.labelled) == fields(corpus.labelled)
     assert fields(parsed.unlabelled) == fields(corpus.unlabelled)
+
+
+# ---------------------------------------------------------------------------
+# the corpus readers against their reference: the row scan as it was before
+# parse_corpus and audit_csv shared one read loop, kept as the oracle for
+# every corpus and every diagnostic
+
+
+def _reference_scan_rows(source, feature_names):
+    records = csv_records(source)
+    schema = _read_header(records, feature_names)
+    width = len(REQUIRED_COLUMNS) + len(schema)
+    first_line: dict[str, int] = {}
+
+    def rows():
+        for line, fields in records:
+            if not fields:
+                continue
+            if len(fields) != width:
+                yield RowError(line, f"expected {width} fields, found {len(fields)}")
+                continue
+            try:
+                module_id = fields[0].strip()
+                if not module_id:
+                    raise RowError(line, "column 'module_id' must be non-empty")
+                loc = _parse_loc(fields[1], line)
+                counts = tuple(
+                    _parse_int(fields[2 + k], line, REQUIRED_COLUMNS[2 + k], minimum=0) for k in range(4)
+                )
+                total = _parse_int(fields[6], line, "n_total_defects", minimum=0)
+                feats = tuple(
+                    _parse_feature(fields[len(REQUIRED_COLUMNS) + j], line, schema[j])
+                    for j in range(len(schema))
+                )
+            except RowError as err:
+                yield err
+                continue
+            if module_id in first_line:
+                yield RowError(line, f"duplicate module_id {module_id!r} (first on row {first_line[module_id]})")
+                continue
+            first_line[module_id] = line
+            label = derive_label(counts, total)
+            if label is None:
+                yield UnlabelledInstance(feats, loc, module_id)
+            else:
+                yield LabelledInstance(feats, loc, label, PROVENANCE_ORIGINAL, module_id)
+
+    return schema, rows()
+
+
+def _reference_assemble(schema, instances) -> Corpus:
+    labelled = tuple(i for i in instances if isinstance(i, LabelledInstance))
+    unlabelled = tuple(i for i in instances if isinstance(i, UnlabelledInstance))
+    return Corpus(schema, labelled, unlabelled)
+
+
+def _reference_parse_corpus(source, feature_names=None) -> Corpus:
+    schema, rows = _reference_scan_rows(source, feature_names)
+    instances = []
+    for item in rows:
+        if isinstance(item, RowError):
+            raise item
+        instances.append(item)
+    return _reference_assemble(schema, instances)
+
+
+def _reference_audit_csv(source):
+    schema, rows = _reference_scan_rows(source, None)
+    instances, diagnostics = [], []
+    for item in rows:
+        if isinstance(item, RowError):
+            diagnostics.append(str(item))
+        else:
+            instances.append(item)
+    return _reference_assemble(schema, instances), diagnostics
+
+
+def _read_outcome(read, text: str, *args):
+    """The reader's result on text, or the type and message of the SevpredictError it raised."""
+    try:
+        return read(io.StringIO(text, newline=""), *args)
+    except SevpredictError as err:
+        return type(err), str(err)
+
+
+METRICS = ("wmc", "rfc")
+HUGE_FIELD = "9" * 140_000  # past csv.field_size_limit(): csv.Error, a RowError that ends the read
+GOOD_VALUES = {
+    "module_id": ["a", "b", " a ", "c"],  # " a " strips to a repeat of "a"
+    "loc": ["1", "10", " 250 ", str(2**53)],
+    # clean, unlabelled, labelled, and a stray count under a zero total (clean)
+    "counts": ["0,0,0,0,0", "0,0,0,0,3", "0,1,2,0,3", "1,0,0,0,0"],
+    "feature": ["0", "1.5", "-2e3", " 7 ", "1e-300"],
+}
+
+
+@st.composite
+def module_rows(draw, width: int):
+    """One data row: a valid module (module IDs repeat), a blank line, a wrong width,
+    fields from the fuzz pieces, or a field too large for csv."""
+    kind = draw(st.sampled_from(["valid"] * 6 + ["blank", "width", "fuzz", "bad_field", "huge"]))
+    if kind == "blank":
+        return ""
+    if kind == "huge":
+        return ",".join(["h", "10", "0", "0", "0", "0", "0"] + [HUGE_FIELD] * (width - 7))
+    if kind == "fuzz":
+        return ",".join(draw(st.lists(FIELDS, min_size=width, max_size=width)))
+    if kind == "width":
+        n = draw(st.integers(1, width + 2).filter(lambda n: n != width))
+        return ",".join(draw(st.lists(FIELDS, min_size=n, max_size=n)))
+    columns = ["module_id", "loc", "counts"] + ["feature"] * (width - 7)
+    fields = ",".join(draw(st.sampled_from(GOOD_VALUES[c])) for c in columns).split(",")
+    if kind == "bad_field":
+        fields[draw(st.integers(0, width - 1))] = draw(st.sampled_from(["", "x", "-1", "0", "nan", "inf", "1.5"]))
+    return ",".join(fields)
+
+
+@st.composite
+def corpus_texts(draw):
+    """(CSV text, feature_names): a valid header or none, then structured rows or free
+    text, read with no expected schema, the header's own, or a mismatched one."""
+    metrics = METRICS[: draw(st.integers(1, 2))]
+    width = len(REQUIRED_COLUMNS) + len(metrics)
+    header = draw(st.sampled_from([""] + [",".join(REQUIRED_COLUMNS + metrics) + "\n"] * 4))
+    rows = st.lists(module_rows(width), max_size=8).map(lambda rows: "".join(row + "\n" for row in rows))
+    body = draw(st.one_of(rows, rows, bodies(width)))
+    feature_names = draw(st.sampled_from([None, None, metrics, ("wmc", "cbo")]))
+    return header + body, feature_names
+
+
+@settings(max_examples=200, deadline=None)
+@given(corpus_texts())
+def test_readers_match_the_reference(case):
+    text, feature_names = case
+    parsed = _read_outcome(parse_corpus, text, feature_names)
+    assert parsed == _read_outcome(_reference_parse_corpus, text, feature_names)
+    audited = _read_outcome(audit_csv, text)
+    assert audited == _read_outcome(_reference_audit_csv, text)
+    if isinstance(audited[0], Corpus) and feature_names != ("wmc", "cbo"):
+        # strict parsing stops at exactly the first row the audit reports
+        corpus, diagnostics = audited
+        assert parsed == ((RowError, diagnostics[0]) if diagnostics else corpus)
