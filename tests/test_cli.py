@@ -2,11 +2,14 @@ from __future__ import annotations
 
 import csv
 import json
+import os
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from sevpredict import load_corpus, save_corpus, synth_corpus
-from sevpredict.cli import main
+from sevpredict import SevpredictError, load_corpus, save_corpus, synth_corpus
+from sevpredict.cli import _project_names, main
 
 from conftest import GOLDEN_CORPORA
 
@@ -365,6 +368,41 @@ def test_run_rejects_a_corpus_named_like_another_corpus_fold(capsys, tmp_path):
     assert f"{x} and {fold} would both write report_x_fold0.json" in err
     code, _, _ = run(capsys, "run", str(x), str(fold), "--seed", "5", "--out", str(tmp_path / "out"))
     assert code == 0
+
+
+def _reference_project_names(paths: list[str], folds: int | None) -> list[str]:
+    """cli._project_names as it listed every fold report of every corpus, kept as its reference."""
+    owner = {"report_average.json": "the average over all corpora"} if len(paths) > 1 else {}
+    projects = [os.path.splitext(os.path.basename(path))[0] for path in paths]
+    for path, project in zip(paths, projects):
+        for name in [project] + [f"{project}_fold{i}" for i in range(folds or 0)]:
+            report = f"report_{name}.json"
+            if report in owner:
+                raise SevpredictError(f"{owner[report]} and {path} would both write {report}")
+            owner[report] = path
+    return projects
+
+
+def _names_outcome(names, *args):
+    try:
+        return names(*args)
+    except SevpredictError as err:
+        return str(err)
+
+
+# project names that are, or look like, another project's fold reports
+CLASH_PATHS = [
+    "a/x.csv", "b/x.csv", "x_fold0.csv", "x_fold1.csv", "x_fold2", "x_fold10.csv", "x_fold01.csv",
+    "x_fold-1.csv", "x_fold\u0663.csv", "x_fold1_fold0.csv", "x_fold1_fold2.csv", "average.csv",
+    "average_fold0.csv", "_fold0.csv", "dir/", "y.csv", "y_fold3.tsv",
+]
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.lists(st.sampled_from(CLASH_PATHS), min_size=1, max_size=5), st.none() | st.integers(0, 12))
+def test_project_names_match_the_reference(paths, folds):
+    got = _names_outcome(_project_names, paths, folds)
+    assert got == _names_outcome(_reference_project_names, paths, folds)
 
 
 def test_run_seed_from_environment(capsys, tmp_path, monkeypatch):

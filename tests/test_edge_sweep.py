@@ -134,6 +134,12 @@ CASES = {
     "one_class_fails": ([grid(46, hs=0, cr=0, ma=0, nt=0)], ()),
     "empty_test_split_fails": ([grid(47, hs=1, cr=1, ma=1, nt=1, cl=4)], ("--test-fraction", "0.2")),
     "empty_fold_fails": ([grid(48, hs=1, cr=1, ma=1, nt=1, cl=3)], ("--folds", "5")),
+    # equal-quality thresholds on one feature, where taking the later one changes a test prediction
+    "tie_threshold_four_features": ([("grid", 218, 4, GRID)], ()),
+    "tie_threshold_bst_raw": ([("grid", 213, 4, GRID)], ("--bst-raw",)),
+    "tie_threshold_raw_pools": ([("grid", 223, 3, GRID)], ("--bst-raw", "--config", {"oversample_first": False})),
+    "tie_threshold_depth3": ([("grid", 209, 2, GRID)], ("--max-depth", "3")),
+    "tie_threshold_folds2": ([("grid", 230, 2, GRID)], ("--folds", "2")),
 }
 
 
