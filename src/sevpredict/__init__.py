@@ -13,7 +13,6 @@ from .cart import (
     Leaf,
     Split,
     TreeConfig,
-    best_split,
     dump_tree,
     fit_tree,
     predict_confidence,
@@ -97,7 +96,6 @@ __all__ = [
     "accuracy",
     "adasyn_balance",
     "average_reports",
-    "best_split",
     "build_confusion",
     "class_summary",
     "compare",

@@ -30,13 +30,6 @@ MAX_TRAIN_ROWS = 3_300_000  # MAX_TRAIN_ROWS^3 / 4 < 2^63
 SCAN_CELLS = 4096  # values per scanned block; nodes this large scan one feature at a time
 
 
-def _check_rows(n: int) -> None:
-    if n > MAX_TRAIN_ROWS:
-        raise SevpredictError(
-            f"training set has {n} rows; exact split search supports at most {MAX_TRAIN_ROWS}"
-        )
-
-
 @dataclass(frozen=True)
 class TreeConfig:
     min_samples_split: int = 2
@@ -120,28 +113,6 @@ def _scan_features(values: np.ndarray, labels: np.ndarray):
     return best_num, best_den, row, mid if low <= mid < high else low
 
 
-def best_split(instances: Sequence[LabelledInstance], feature_index: int):
-    """Impurity-minimizing threshold on one feature, with its Gini decrease.
-
-    Returns (threshold, impurity_decrease) or None when the feature is
-    constant over the instances. A zero decrease is still reported; the
-    caller decides whether it is worth splitting on.
-    """
-    if len(instances) < 2:
-        raise SevpredictError("best_split needs at least 2 instances")
-    _check_rows(len(instances))
-    values = np.asarray([inst.features[feature_index] for inst in instances], dtype=float)
-    labels = np.asarray([CLASS_INDEX[inst.label] for inst in instances])
-    scan = _scan_features(values[None, :], labels)
-    if scan is None:
-        return None
-    num, den, _, threshold = scan
-    n = len(instances)
-    sumsq = sum(int(c) ** 2 for c in np.bincount(labels, minlength=N_CLASSES))
-    decrease = num / (den * n) - sumsq / (n * n)
-    return threshold, decrease
-
-
 def _grow(XT: np.ndarray, y: np.ndarray, config: TreeConfig) -> TreeNode:
     """Grow depth first, left subtree before right, from a work list, so any depth fits.
 
@@ -201,7 +172,10 @@ def fit_tree(
     instances = list(train)
     if not instances:
         raise SevpredictError("cannot fit a tree on an empty training set")
-    _check_rows(len(instances))
+    if len(instances) > MAX_TRAIN_ROWS:
+        raise SevpredictError(
+            f"training set has {len(instances)} rows; exact split search supports at most {MAX_TRAIN_ROWS}"
+        )
     XT = np.asarray([inst.features for inst in instances], dtype=float).T.copy()  # feature-major
     if not np.all(np.isfinite(XT)):
         raise SevpredictError("features must be finite")

@@ -142,70 +142,59 @@ def _read_header(records, feature_names: Sequence[str] | None) -> tuple[str, ...
     return metrics
 
 
-def _scan_rows(source: Iterable[str], feature_names: Sequence[str] | None):
-    """Yield an instance, or a RowError, per data row; raises SchemaError early.
+def _read_rows(source: Iterable[str], feature_names: Sequence[str] | None, bad_row) -> Corpus:
+    """Read the header, then each record once; each bad row goes to bad_row(RowError).
 
-    A row repeating an earlier valid row's module_id is a RowError too.
+    A row repeating an earlier valid row's module_id is a bad row too. A
+    SchemaError, or a record csv cannot parse, ends the read.
     """
     records = csv_records(source)
     schema = _read_header(records, feature_names)
     width = len(REQUIRED_COLUMNS) + len(schema)
     first_line: dict[str, int] = {}  # module_id -> file line of its first valid row
-
-    def rows() -> Iterator[LabelledInstance | UnlabelledInstance | RowError]:
-        for line, fields in records:
-            if not fields:
-                continue
+    labelled, unlabelled = [], []
+    for line, fields in records:
+        if not fields:
+            continue
+        try:
             if len(fields) != width:
-                yield RowError(line, f"expected {width} fields, found {len(fields)}")
-                continue
-            try:
-                module_id = fields[0].strip()
-                if not module_id:
-                    raise RowError(line, "column 'module_id' must be non-empty")
-                loc = _parse_loc(fields[1], line)
-                counts = tuple(
-                    _parse_int(fields[2 + k], line, REQUIRED_COLUMNS[2 + k], minimum=0)
-                    for k in range(4)
-                )
-                total = _parse_int(fields[6], line, "n_total_defects", minimum=0)
-                feats = tuple(
-                    _parse_feature(fields[len(REQUIRED_COLUMNS) + j], line, schema[j])
-                    for j in range(len(schema))
-                )
-            except RowError as err:
-                yield err
-                continue
+                raise RowError(line, f"expected {width} fields, found {len(fields)}")
+            module_id = fields[0].strip()
+            if not module_id:
+                raise RowError(line, "column 'module_id' must be non-empty")
+            loc = _parse_loc(fields[1], line)
+            counts = tuple(
+                _parse_int(fields[2 + k], line, REQUIRED_COLUMNS[2 + k], minimum=0)
+                for k in range(4)
+            )
+            total = _parse_int(fields[6], line, "n_total_defects", minimum=0)
+            feats = tuple(
+                _parse_feature(fields[len(REQUIRED_COLUMNS) + j], line, schema[j])
+                for j in range(len(schema))
+            )
             if module_id in first_line:
-                yield RowError(
+                raise RowError(
                     line, f"duplicate module_id {module_id!r} (first on row {first_line[module_id]})"
                 )
-                continue
-            first_line[module_id] = line
-            label = derive_label(counts, total)
-            if label is None:
-                yield UnlabelledInstance(feats, loc, module_id)
-            else:
-                yield LabelledInstance(feats, loc, label, PROVENANCE_ORIGINAL, module_id)
+        except RowError as err:
+            bad_row(err)
+            continue
+        first_line[module_id] = line
+        label = derive_label(counts, total)
+        if label is None:
+            unlabelled.append(UnlabelledInstance(feats, loc, module_id))
+        else:
+            labelled.append(LabelledInstance(feats, loc, label, PROVENANCE_ORIGINAL, module_id))
+    return Corpus(schema, tuple(labelled), tuple(unlabelled))
 
-    return schema, rows()
 
-
-def _assemble(schema: tuple[str, ...], instances: Sequence) -> Corpus:
-    labelled = tuple(i for i in instances if isinstance(i, LabelledInstance))
-    unlabelled = tuple(i for i in instances if isinstance(i, UnlabelledInstance))
-    return Corpus(schema, labelled, unlabelled)
+def _raise(err: RowError):
+    raise err
 
 
 def parse_corpus(source: Iterable[str], feature_names: Sequence[str] | None = None) -> Corpus:
     """Parse the module CSV into a Corpus, raising on the first bad row."""
-    schema, rows = _scan_rows(source, feature_names)
-    instances = []
-    for item in rows:
-        if isinstance(item, RowError):
-            raise item
-        instances.append(item)
-    return _assemble(schema, instances)
+    return _read_rows(source, feature_names, _raise)
 
 
 def audit_csv(source: Iterable[str]) -> tuple[Corpus, list[str]]:
@@ -214,15 +203,9 @@ def audit_csv(source: Iterable[str]) -> tuple[Corpus, list[str]]:
     SchemaError still propagates, since without a valid header no row can be
     interpreted at all.
     """
-    schema, rows = _scan_rows(source, None)
-    instances = []
     diagnostics: list[str] = []
-    for item in rows:
-        if isinstance(item, RowError):
-            diagnostics.append(str(item))
-        else:
-            instances.append(item)
-    return _assemble(schema, instances), diagnostics
+    corpus = _read_rows(source, None, lambda err: diagnostics.append(str(err)))
+    return corpus, diagnostics
 
 
 def read_csv_file(path, parse):

@@ -15,7 +15,6 @@ from sevpredict import (
     SevpredictError,
     Split,
     TreeConfig,
-    best_split,
     dump_tree,
     fit_tree,
     predict_confidence,
@@ -25,6 +24,7 @@ from sevpredict import (
 )
 from sevpredict import cart
 from sevpredict.cart import N_CLASSES, iter_leaves
+from sevpredict.severity import CLASS_INDEX
 
 from conftest import CL, HS, MA, NT, make_labelled
 
@@ -37,8 +37,27 @@ def points(values, labels):
 # split selection
 
 
+def best_split(values, labels):
+    """(threshold, Q) of cart._scan_features on one feature column, None when it is constant.
+
+    Q = sum_j cL_j^2 / nL + sum_j cR_j^2 / nR, the split's quality, as an exact Fraction.
+    """
+    y = np.asarray([CLASS_INDEX[label] for label in labels])
+    scan = cart._scan_features(np.asarray(values, dtype=float)[None, :], y)
+    if scan is None:
+        return None
+    num, den, _, threshold = scan
+    return threshold, Fraction(num, den)
+
+
+def gini_decrease(quality, labels):
+    """Parent Gini minus the children's weighted Gini, for a split of quality Q."""
+    n = len(labels)
+    return quality / n - gini_sum_sq(labels) / n**2
+
+
 def test_best_split_constant_feature_yields_nothing():
-    assert best_split(points([3, 3, 3, 3], [CL, MA, CL, MA]), 0) is None
+    assert best_split([3, 3, 3, 3], [CL, MA, CL, MA]) is None
 
 
 @pytest.mark.parametrize("low, high", [
@@ -55,33 +74,28 @@ def test_split_threshold_separates_adjacent_and_huge_values(low, high):
 
 
 def test_best_split_two_point_separation():
-    threshold, decrease = best_split(points([1, 2], [CL, MA]), 0)
+    threshold, quality = best_split([1, 2], [CL, MA])
     assert threshold == 1.5
-    assert decrease == pytest.approx(0.5)
+    assert gini_decrease(quality, [CL, MA]) == Fraction(1, 2)
 
 
 def test_best_split_clear_gap():
-    threshold, _ = best_split(points([0, 1, 10, 11], [CL, CL, MA, MA]), 0)
+    threshold, _ = best_split([0, 1, 10, 11], [CL, CL, MA, MA])
     assert threshold == 5.5
 
 
 def test_best_split_tie_takes_lower_threshold():
     # {0,1,2,3} with A,B,B,A: thresholds 0.5 and 2.5 give identical quality
-    threshold, _ = best_split(points([0, 1, 2, 3], [CL, MA, MA, CL]), 0)
+    threshold, _ = best_split([0, 1, 2, 3], [CL, MA, MA, CL])
     assert threshold == 0.5
 
 
 def test_best_split_reports_zero_decrease():
-    # alternating labels at every point: the best split still has zero gain
-    result = best_split(points([0, 1], [CL, CL]), 0)
+    # one class on both sides: the best split still has zero gain
+    result = best_split([0, 1], [CL, CL])
     assert result is not None
-    threshold, decrease = result
-    assert decrease == pytest.approx(0.0)
-
-
-def test_best_split_needs_two_instances():
-    with pytest.raises(SevpredictError):
-        best_split(points([0], [CL]), 0)
+    _, quality = result
+    assert gini_decrease(quality, [CL, CL]) == 0
 
 
 def gini_sum_sq(labels):
@@ -122,16 +136,7 @@ def test_root_split_matches_fraction_brute_force():
         labs = [classes[int(c)] for c in rng.integers(0, n_classes, size=n)]
         instances = [make_labelled(list(row), lab) for row, lab in zip(X, labs)]
         for j in range(p):
-            got = best_split(instances, j)
-            want = brute_force_split(instances, j)
-            if want is None:
-                assert got is None, f"trial {trial} feature {j}"
-            else:
-                assert got is not None, f"trial {trial} feature {j}"
-                assert got[0] == want[0], f"trial {trial} feature {j}"
-                n_frac = Fraction(n)
-                expected_decrease = want[1] / n_frac - gini_sum_sq(labs) / n_frac**2
-                assert got[1] == pytest.approx(float(expected_decrease), abs=1e-12)
+            assert best_split(X[:, j], labs) == brute_force_split(instances, j), f"trial {trial} feature {j}"
 
 
 def _reference_scan(values: np.ndarray, labels: np.ndarray):
@@ -295,11 +300,8 @@ def test_scan_blocks_stay_within_scan_cells(monkeypatch):
 def test_training_set_above_the_row_limit_is_rejected(monkeypatch):
     monkeypatch.setattr(cart, "MAX_TRAIN_ROWS", 3)
     fit_tree(points([0, 1, 2], [CL, MA, CL]))
-    best_split(points([0, 1, 2], [CL, MA, CL]), 0)
-    too_many = points([0, 1, 2, 3], [CL, MA, CL, MA])
-    for call in (lambda: fit_tree(too_many), lambda: best_split(too_many, 0)):
-        with pytest.raises(SevpredictError, match="training set has 4 rows; .* at most 3$"):
-            call()
+    with pytest.raises(SevpredictError, match="training set has 4 rows; .* at most 3$"):
+        fit_tree(points([0, 1, 2, 3], [CL, MA, CL, MA]))
 
 
 # ---------------------------------------------------------------------------
@@ -479,3 +481,4 @@ def test_fit_tree_grows_deeper_than_the_recursion_limit():
     assert depth == 1499 > sys.getrecursionlimit()
     assert [leaf.majority for leaf in iter_leaves(tree)] == labels
     assert dump_tree(tree).count("leaf") == 1500
+
