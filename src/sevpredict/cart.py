@@ -49,7 +49,7 @@ class Leaf:
     majority: SeverityClass  # ties resolve toward the more severe class
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, repr=False)
 class Split:
     feature_index: int
     threshold: float  # value <= threshold routes left
@@ -60,10 +60,40 @@ class Split:
 TreeNode = Leaf | Split
 
 
-@dataclass(frozen=True)
+def _preorder(root: TreeNode):
+    """Every node, each before its left subtree and that before its right, from a stack."""
+    stack = [root]
+    while stack:
+        node = stack.pop()
+        yield node
+        if isinstance(node, Split):
+            stack += [node.right, node.left]
+
+
+@dataclass(frozen=True, eq=False, repr=False)
 class DecisionTree:
+    """A fitted tree. It compares, hashes and prints through one preorder walk,
+    so a tree of any depth does; a recursion over its nodes would not."""
+
     root: TreeNode
     schema: tuple[str, ...]
+
+    def _key(self) -> tuple:
+        """The schema, and (feature_index, threshold) per split and counts per leaf, in preorder."""
+        nodes = tuple(
+            n.counts if isinstance(n, Leaf) else (n.feature_index, n.threshold) for n in _preorder(self.root)
+        )
+        return self.schema, nodes
+
+    def __eq__(self, other):
+        return self._key() == other._key() if isinstance(other, DecisionTree) else NotImplemented
+
+    def __hash__(self):
+        return hash(self._key())
+
+    def __repr__(self):
+        _, nodes = self._key()
+        return f"DecisionTree(schema={self.schema!r}, nodes={len(nodes)})"
 
 
 def _make_leaf(counts: np.ndarray) -> Leaf:
@@ -211,14 +241,7 @@ def predict_confidence(tree: DecisionTree, features: Sequence[float]) -> tuple[S
 
 
 def iter_leaves(tree: DecisionTree):
-    stack: list[TreeNode] = [tree.root]
-    while stack:
-        node = stack.pop()
-        if isinstance(node, Leaf):
-            yield node
-        else:
-            stack.append(node.right)
-            stack.append(node.left)
+    return (node for node in _preorder(tree.root) if isinstance(node, Leaf))
 
 
 def dump_tree(tree: DecisionTree) -> str:

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import sys
 from collections import Counter
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -469,7 +470,7 @@ def test_dump_tree_renders_both_subtrees_in_order():
 
 def test_fit_tree_grows_deeper_than_the_recursion_limit():
     # strictly alternating labels on a line: each split peels off one row.
-    # Deep trees are checked by walking them; dataclass == would recurse.
+    # The depth is measured by walking the nodes from a stack.
     labels = [MA if i % 2 else CL for i in range(1500)]
     tree = fit_tree(points(range(1500), labels))
     depth, stack = 0, [(tree.root, 0)]
@@ -482,3 +483,16 @@ def test_fit_tree_grows_deeper_than_the_recursion_limit():
     assert [leaf.majority for leaf in iter_leaves(tree)] == labels
     assert dump_tree(tree).count("leaf") == 1500
 
+
+def test_deep_trees_compare_hash_and_print():
+    labels = [MA if i % 2 else CL for i in range(1500)]
+    values = list(range(1500))
+    tree, again = fit_tree(points(values, labels)), fit_tree(points(values, labels))
+    assert tree == again and hash(tree) == hash(again)
+    assert repr(tree) == "DecisionTree(schema=('f0',), nodes=2999)"
+    # moving the last value moves one threshold, deep in the tree, and nothing else
+    moved = fit_tree(points(values[:-1] + [1499.5], labels))
+    assert moved.root.threshold == tree.root.threshold
+    assert moved != tree
+    assert [leaf.counts for leaf in iter_leaves(moved)] == [leaf.counts for leaf in iter_leaves(tree)]
+    assert tree != replace(tree, schema=("g0",)) and tree != tree.root
