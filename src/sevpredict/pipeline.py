@@ -263,10 +263,10 @@ def run_kfold(corpus: Corpus, cfg: PipelineConfig, project: str = "corpus") -> l
     if cfg.folds is None:
         raise SevpredictError("run_kfold needs cfg.folds")
     summary = _runnable_summary(corpus)
+    largest = max(summary["class_counts"].values())  # the deal gives fold i a module iff a class has more than i
+    if cfg.folds > largest:
+        raise SevpredictError(f"folds={cfg.folds} leaves fold {largest} with an empty test set; lower folds")
     splits = stratified_kfold(corpus, cfg.folds, cfg.seed)
-    for i, (_, test) in enumerate(splits):
-        if not test:
-            raise SevpredictError(f"folds={cfg.folds} leaves fold {i} with an empty test set; lower folds")
     return [_run_arms(summary, train, test, replace(cfg, seed=cfg.seed + i), fold_project(project, i))
             for i, (train, test) in enumerate(splits)]
 

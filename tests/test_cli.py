@@ -5,7 +5,7 @@ import json
 import os
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from sevpredict import SevpredictError, load_corpus, save_corpus, synth_corpus
@@ -285,6 +285,14 @@ def test_run_with_too_many_folds_names_folds(capsys, tmp_path):
     assert err.count("\n") == 1 and "Traceback" not in err
 
 
+def test_run_with_more_folds_than_the_largest_class_fails_at_once(capsys, tmp_path, mini_fixture_path):
+    # largest class 5: fold 5 is the first empty one, however many folds are asked for
+    code, out, err = run(capsys, "run", str(mini_fixture_path), "--seed", "1", "--folds", "1000000000000",
+                         "--out", str(tmp_path / "out"))
+    assert code == 1 and out == ""
+    assert err == "error: folds=1000000000000 leaves fold 5 with an empty test set; lower folds\n"
+
+
 def test_run_multiple_corpora_adds_average(capsys, tmp_path):
     a = make_corpus_csv(capsys, tmp_path, "alpha", seed=3)
     b = make_corpus_csv(capsys, tmp_path, "beta", seed=4)
@@ -400,6 +408,7 @@ CLASH_PATHS = [
 
 @settings(max_examples=400, deadline=None)
 @given(st.lists(st.sampled_from(CLASH_PATHS), min_size=1, max_size=5), st.none() | st.integers(0, 12))
+@example(["x_fold10.csv", "x_fold2", "a/x.csv"], 11)  # folds 2 and 10 of x clash: fold 2 is named
 def test_project_names_match_the_reference(paths, folds):
     got = _names_outcome(_project_names, paths, folds)
     assert got == _names_outcome(_reference_project_names, paths, folds)
