@@ -72,8 +72,7 @@ def _preorder(root: TreeNode):
 
 @dataclass(frozen=True, eq=False, repr=False)
 class DecisionTree:
-    """A fitted tree. It compares, hashes and prints through one preorder walk,
-    so a tree of any depth does; a recursion over its nodes would not."""
+    """A fitted tree; ==, hash and repr walk it once in preorder, so they work at any depth."""
 
     root: TreeNode
     schema: tuple[str, ...]
@@ -92,8 +91,7 @@ class DecisionTree:
         return hash(self._key())
 
     def __repr__(self):
-        _, nodes = self._key()
-        return f"DecisionTree(schema={self.schema!r}, nodes={len(nodes)})"
+        return f"DecisionTree(schema={self.schema!r}, nodes={len(self._key()[1])})"
 
 
 def _make_leaf(counts: np.ndarray) -> Leaf:

@@ -118,20 +118,16 @@ def _one_line_summary(report) -> str:
 def _fold_number(name: str, project: str, folds: int) -> int | None:
     """i when name is the report name fold_project(project, i) of a fold i < folds."""
     digits = re.search("[0-9]*$", name).group()  # a fold's name ends in its number
-    if digits and len(digits) <= len(str(folds)) and fold_project(project, int(digits)) == name:
-        return int(digits) if int(digits) < folds else None
-    return None
+    i = int(digits) if digits and len(digits) <= len(str(folds)) else folds
+    return i if i < folds and fold_project(project, i) == name else None
 
 
 def _project_names(paths: list[str], folds: int | None) -> list[str]:
-    """Each corpus's project name; fails before any run if two reports would share a file.
-
-    A fold report can only share its file with another corpus's own report, so
-    of each corpus's folds only those named like another project are listed.
-    """
+    """Each corpus's project name; fails before any run if two reports would share a file."""
     owner = {"report_average.json": "the average over all corpora"} if len(paths) > 1 else {}
     projects = [os.path.splitext(os.path.basename(path))[0] for path in paths]
     for path, project in zip(paths, projects):
+        # a fold report can share its file only with another corpus's own report
         numbers = {_fold_number(name, project, folds or 0) for name in projects} - {None}
         for name in [project] + [fold_project(project, i) for i in sorted(numbers)]:
             report = f"report_{name}.json"

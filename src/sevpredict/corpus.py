@@ -163,15 +163,9 @@ def _read_rows(source: Iterable[str], feature_names: Sequence[str] | None, bad_r
             if not module_id:
                 raise RowError(line, "column 'module_id' must be non-empty")
             loc = _parse_loc(fields[1], line)
-            counts = tuple(
-                _parse_int(fields[2 + k], line, REQUIRED_COLUMNS[2 + k], minimum=0)
-                for k in range(4)
-            )
-            total = _parse_int(fields[6], line, "n_total_defects", minimum=0)
-            feats = tuple(
-                _parse_feature(fields[len(REQUIRED_COLUMNS) + j], line, schema[j])
-                for j in range(len(schema))
-            )
+            *counts, total = (_parse_int(fields[k], line, REQUIRED_COLUMNS[k], minimum=0) for k in range(2, 7))
+            metric_fields = zip(schema, fields[len(REQUIRED_COLUMNS):])
+            feats = tuple(_parse_feature(raw, line, name) for name, raw in metric_fields)
             if module_id in first_line:
                 raise RowError(
                     line, f"duplicate module_id {module_id!r} (first on row {first_line[module_id]})"
