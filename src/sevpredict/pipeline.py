@@ -263,7 +263,7 @@ def run_kfold(corpus: Corpus, cfg: PipelineConfig, project: str = "corpus") -> l
     if cfg.folds is None:
         raise SevpredictError("run_kfold needs cfg.folds")
     summary = _runnable_summary(corpus)
-    largest = max(summary["class_counts"].values())  # the deal gives fold i a module iff a class has more than i
+    largest = max(summary["class_counts"].values())  # the deal leaves fold i empty iff i >= largest
     if cfg.folds > largest:
         raise SevpredictError(f"folds={cfg.folds} leaves fold {largest} with an empty test set; lower folds")
     splits = stratified_kfold(corpus, cfg.folds, cfg.seed)
