@@ -62,57 +62,51 @@ def _first_k(dist: np.ndarray, k: int) -> np.ndarray:
     return near[np.argsort(dist[near], kind="stable")[:k]]
 
 
-def _squared_column(sT: np.ndarray, at: np.ndarray, j: int) -> np.ndarray:
-    """(b, n) squared differences in feature j between the block's seeds and every row."""
-    d = sT[j] - at[j]
-    return np.square(d, out=d)
-
-
-# Module level on purpose: a recursive closure would make a reference cycle
-# per block, freed only by the cyclic garbage collector, and raise peak memory.
-def _partials(sT: np.ndarray, at: np.ndarray, k: int, width: int) -> np.ndarray:
-    """Partial sums k to k + width - 1 of a block's rows of p >= 8 squares, added pairwise.
-
-    numpy's pairwise_sum puts value j of a row into partial sum j mod 8, for
-    j below p - p % 8, and combines the eight as
-    ((r0 + r1) + (r2 + r3)) + ((r4 + r5) + (r6 + r7)). Each partial is built
-    just before its combination, so at most five (b, n) buffers are live.
-    """
-    if width > 1:
-        r = _partials(sT, at, k, width // 2)
-        r += _partials(sT, at, k + width // 2, width // 2)
-        return r
-    p = len(sT)
-    r = _squared_column(sT, at, k)
-    for j in range(k + 8, p - p % 8, 8):
-        r += _squared_column(sT, at, j)
-    return r
+def _squares(out: np.ndarray, sT: np.ndarray, at: np.ndarray, c: int) -> None:
+    """Fill out, (w, b, n), with the block's squared differences in features c to c + w - 1."""
+    np.subtract(sT[c : c + len(out), None], at[c : c + len(out)], out=out)
+    np.square(out, out=out)
 
 
 def _distance_rows(scaled: np.ndarray, sT: np.ndarray, rows: np.ndarray):
     """Yield np.sqrt(((scaled - scaled[i]) ** 2).sum(axis=1)) for each i in rows, bit for bit.
 
-    sT is scaled.T made contiguous. Rows of 1 to 127 features come in
-    blocks of at most SCAN_CELLS distances, their squares added in the order
-    of numpy's pairwise_sum: left to right for p < 8, else the eight
-    partial sums first and then the last p mod 8 values in order. Longer
-    rows, and the all-zero rows of a pool without features, keep numpy's
-    own reduction.
+    sT is scaled.T made contiguous. Rows of 1 to 127 features come in blocks
+    of b seeds, their squares added in the order of numpy's pairwise_sum:
+    left to right for p < 8, else feature j into partial sum j mod 8, the
+    eight combined as ((r0 + r1) + (r2 + r3)) + ((r4 + r5) + (r6 + r7)),
+    then the last p mod 8 in order. The first 8 features are squared in one
+    (8, b, n) buffer, later ones 4 at a time in a second; b is the most seeds
+    whose buffers hold 8 * max(n, SCAN_CELLS) values, and at least 1.
+    Longer rows, and the all-zero rows of a pool without features, keep
+    numpy's own reduction. Each row yielded is a view the next block reuses.
     """
     n, p = scaled.shape
     if not 0 < p < 128:
         for i in rows:
             yield np.sqrt(((scaled - scaled[i]) ** 2).sum(axis=1))
         return
-    width = max(1, SCAN_CELLS // n)
+    q = p - p % 8  # the features that go into the partial sums
+    depth = min(p, 8) + (4 if q > 8 else 0)  # buffer rows per seed
+    width = max(1, min(len(rows), 8 * max(n, SCAN_CELLS) // (depth * n)))
+    buf, later = np.empty((min(p, 8), width, n)), np.empty((depth - min(p, 8), width, n))
     for start in range(0, len(rows), width):
         at = sT[:, rows[start : start + width], None]  # the block's seeds, (p, b, 1)
-        if p < 8:
-            total, rest = _squared_column(sT, at, 0), range(1, p)
-        else:
-            total, rest = _partials(sT, at, 0, 8), range(p - p % 8, p)
-        for j in rest:
-            total += _squared_column(sT, at, j)
+        r, tmp = buf[:, : at.shape[1]], later[:, : at.shape[1]]
+        _squares(r, sT, at, 0)
+        tail = r[1:]
+        if p >= 8:
+            for c in range(8, q, 4):
+                _squares(tmp, sT, at, c)
+                r[c % 8 : c % 8 + 4] += tmp
+            r[0::2] += r[1::2]
+            r[0::4] += r[2::4]
+            r[0] += r[4]
+            tail = r[1 : 1 + p - q]
+            _squares(tail, sT, at, q)
+        total = r[0]
+        for column in tail:
+            total += column
         yield from np.sqrt(total, out=total)
 
 
@@ -157,44 +151,48 @@ def adasyn_balance(
         if target <= 0:
             continue
         member = members[cls]
+        other = ~member
         in_class = np.flatnonzero(member)
         seeds = in_class.tolist()
         kn, kp = min(k, len(instances) - 1), min(k, m - 1)
 
         # One distance row per seed, its own entry set to inf: scaled
-        # features are finite, so the seed sorts after every other row. The
-        # first kn rows of its stable order set the seed's difficulty
-        # (out-of-class share), its first kp same-class rows are the
-        # interpolation partners; a one-member class has none.
-        difficulty = []
-        partners_of = []
+        # features are finite, so the seed sorts after every other row. Its
+        # first kn rows in stable order set its difficulty (out-of-class
+        # share); unless the kn-th distance is tied, they are the rows at or
+        # below it. Its first kp same-class rows are the interpolation
+        # partners; a one-member class has none.
+        difficulty, partners_of = [], []
         for i, dist in zip(seeds, _distance_rows(scaled, sT, in_class)):
             dist[i] = np.inf
-            difficulty.append(np.count_nonzero(~member[_first_k(dist, kn)]) / kn)
+            near = dist <= np.partition(dist, kn - 1)[kn - 1]
+            if np.count_nonzero(near) == kn:
+                difficulty.append(np.count_nonzero(near & other) / kn)
+            else:
+                difficulty.append(np.count_nonzero(other[_first_k(dist, kn)]) / kn)
             partners_of.append(in_class[_first_k(dist[in_class], kp)].tolist() if m > 1 else [])
-        total = sum(difficulty)
-        if total > 0:
-            shares = [d / total for d in difficulty]
-        else:
-            shares = [1.0 / m] * m  # interior class: spread evenly
+        total = sum(difficulty)  # 0 for an interior class: spread evenly
+        shares = [d / total for d in difficulty] if total > 0 else [1.0 / m] * m
+        counts = [int(round(share * target)) for share in shares]
 
-        for i, share, partners in zip(seeds, shares, partners_of):
-            g = int(round(share * target))
-            if g == 0:
-                continue
-            seed_inst = instances[i]
-            if m == 1:
-                # no same-class neighbor to interpolate toward; replicate
-                synthetics.extend(
-                    replace(seed_inst, provenance=PROVENANCE_SYNTHETIC, module_id=None)
-                    for _ in range(g)
-                )
-                continue
-            for _ in range(g):
-                z = partners[int(rng.integers(len(partners)))]
-                lam = float(rng.random())
-                feats = tuple(float(a + lam * (b - a)) for a, b in zip(X[i], X[z]))
-                synthetics.append(
-                    LabelledInstance(feats, seed_inst.loc, cls, PROVENANCE_SYNTHETIC, None)
-                )
+        if m == 1:  # no same-class neighbor to interpolate toward; replicate
+            seed_inst = instances[seeds[0]]
+            synthetics.extend(
+                replace(seed_inst, provenance=PROVENANCE_SYNTHETIC, module_id=None) for _ in range(counts[0])
+            )
+            continue
+        # a partner draw and then a lambda per synthetic row, seed by seed
+        z, lam = np.empty(sum(counts), np.intp), np.empty(sum(counts))
+        for row, partners in enumerate(ps for ps, g in zip(partners_of, counts) for _ in range(g)):
+            z[row] = partners[rng.integers(len(partners))]
+            lam[row] = rng.random()
+        origin = np.repeat(in_class, counts)
+        a = X[origin]
+        feats = a + lam[:, None] * (X[z] - a)  # float(a + lam * (b - a)) in each value
+        chunk = max(1, SCAN_CELLS // max(1, X.shape[1]))  # rows per list of lists
+        synthetics.extend(
+            LabelledInstance(tuple(row), instances[i].loc, cls, PROVENANCE_SYNTHETIC, None)
+            for start in range(0, len(origin), chunk)
+            for i, row in zip(origin[start : start + chunk].tolist(), feats[start : start + chunk].tolist())
+        )
     return instances + synthetics

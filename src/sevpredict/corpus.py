@@ -293,11 +293,14 @@ def stratified_split(
 def stratified_kfold(
     corpus: Corpus, k: int, seed: int
 ) -> list[tuple[Corpus, tuple[LabelledInstance, ...]]]:
-    """Seeded stratified k-fold: shuffled class members dealt round-robin."""
+    """Seeded stratified k-fold: shuffled class members dealt round-robin, k at most the largest class."""
     if k < 2:
         raise SevpredictError(f"k-fold requires k >= 2, got {k}")
     if not corpus.labelled:
         raise SevpredictError("cannot split: labelled set is empty")
+    largest = max(Counter(inst.label for inst in corpus.labelled).values())
+    if k > largest:  # the deal leaves fold i empty iff i >= largest
+        raise SevpredictError(f"folds={k} leaves fold {largest} with an empty test set; lower folds")
     fold_of = _deal(corpus, seed, lambda pos, m: pos % k)
     return [_cut(corpus, fold_of, fold) for fold in range(k)]
 

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import tracemalloc
 from collections import Counter
 from dataclasses import replace
 from typing import Sequence
@@ -214,11 +215,30 @@ def test_distance_rows_match_numpys_row_sum_bit_for_bit(p, data):
     # the kernel follows numpy's summation order; if a numpy release changes
     # that order, fall back to .sum(axis=1) rather than loosening this test
     X, rows = data.draw(distance_pools(p))
-    got = list(_distance_rows(X, np.ascontiguousarray(X.T), rows))
+    got = [dist.copy() for dist in _distance_rows(X, np.ascontiguousarray(X.T), rows)]  # rows are views
     assert len(got) == len(rows)
     for i, dist in zip(rows, got):
         want = np.sqrt(((X - X[i]) ** 2).sum(axis=1))
         assert np.array_equal(dist.view(np.int64), want.view(np.int64)), f"row {i}"
+
+
+@pytest.mark.parametrize("p", [*range(1, 41), 64, 100, 127])
+def test_distance_rows_stay_within_their_memory_budget(p):
+    # numpy reports its buffers to tracemalloc, so the peak counts every
+    # block buffer the kernel holds while its rows are drawn one by one
+    rng = np.random.default_rng(p)
+    for n in (7, 64, 700, 2049, 4096, 6400):
+        X = rng.random((n, p))
+        sT = np.ascontiguousarray(X.T)
+        rows = np.arange(min(n, 2 * max(1, SCAN_CELLS // n) + 1))  # two full blocks and a short one
+        tracemalloc.start()
+        try:
+            for _ in _distance_rows(X, sT, rows):
+                pass
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 16 * max(n, SCAN_CELLS) * 8, f"n={n}: peak {peak / (max(n, SCAN_CELLS) * 8):.1f} slabs"
 
 
 @st.composite
