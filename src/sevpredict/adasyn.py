@@ -133,7 +133,13 @@ def adasyn_balance(
     if sum(1 for n in sizes.values() if n > 0) < 2:
         raise SevpredictError("balancing requires at least 2 classes present")
 
+    # G = (n_majority - m) * beta for each class under the size ratio d_threshold (<= 1: never
+    # the majority), settled before any scaling; beta = 0 tops up nothing
     n_majority = max(sizes.values())
+    targets = {cls: (n_majority - m) * config.beta for cls, m in sizes.items()
+               if m > 0 and m / n_majority < config.d_threshold and config.beta > 0}
+    if not targets:
+        return instances
     mins, scales = _minmax_params(X)
     scaled = (X - mins) * scales
     sT = np.ascontiguousarray(scaled.T)
@@ -141,16 +147,8 @@ def adasyn_balance(
     rng = np.random.default_rng(seed)
 
     synthetics: list[LabelledInstance] = []
-    for cls in SEVERITY_ORDER:
-        m = sizes[cls]
-        if m == 0 or m == n_majority:
-            continue
-        if m / n_majority >= config.d_threshold:
-            continue
-        target = (n_majority - m) * config.beta
-        if target <= 0:
-            continue
-        member = members[cls]
+    for cls, target in targets.items():
+        m, member = sizes[cls], members[cls]
         other = ~member
         in_class = np.flatnonzero(member)
         seeds = in_class.tolist()

@@ -9,11 +9,10 @@ from __future__ import annotations
 import argparse
 import json
 import os
-import re
 import sys
 from dataclasses import replace
 
-from .corpus import audit_csv, class_summary, load_corpus, read_csv_file, save_corpus, synth_corpus
+from .corpus import Corpus, audit_csv, class_summary, load_corpus, read_csv_file, save_corpus, synth_corpus
 from .errors import SchemaError, SevpredictError
 from .metrics import REPORT_CSV_HEADER, full_report, parse_predictions
 from .pipeline import (
@@ -115,21 +114,14 @@ def _one_line_summary(report) -> str:
     )
 
 
-def _fold_number(name: str, project: str, folds: int) -> int | None:
-    """i when name is the report name fold_project(project, i) of a fold i < folds."""
-    digits = re.search("[0-9]*$", name).group()  # a fold's name ends in its number
-    i = int(digits) if digits and len(digits) <= len(str(folds)) else folds
-    return i if i < folds and fold_project(project, i) == name else None
-
-
-def _project_names(paths: list[str], folds: int | None) -> list[str]:
+def _project_names(paths: list[str], corpora: list[Corpus], folds: int | None) -> list[str]:
     """Each corpus's project name; fails before any run if two reports would share a file."""
     owner = {"report_average.json": "the average over all corpora"} if len(paths) > 1 else {}
     projects = [os.path.splitext(os.path.basename(path))[0] for path in paths]
-    for path, project in zip(paths, projects):
-        # a fold report can share its file only with another corpus's own report
-        numbers = {_fold_number(name, project, folds or 0) for name in projects} - {None}
-        for name in [project] + [fold_project(project, i) for i in sorted(numbers)]:
+    for path, project, corpus in zip(paths, projects, corpora):
+        # at most one fold per labelled module: run_kfold rejects more before any report is written
+        folds_run = min(folds or 0, len(corpus.labelled))
+        for name in [project] + [fold_project(project, i) for i in range(folds_run)]:
             report = f"report_{name}.json"
             if report in owner:
                 raise SevpredictError(f"{owner[report]} and {path} would both write {report}")
@@ -155,8 +147,8 @@ def cmd_run(args) -> int:
     settings = _resolve_settings(args)
     settings["seed"] = _resolve_seed(settings["seed"])
     base = PipelineConfig.from_settings(settings)
-    projects = _project_names(args.csv, base.folds)
     corpora = [load_corpus(path) for path in args.csv]
+    projects = _project_names(args.csv, corpora, base.folds)
     reports, to_write = [], []
     for index, (corpus, project) in enumerate(zip(corpora, projects)):
         cfg = replace(base, seed=base.seed + index)

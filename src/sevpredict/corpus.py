@@ -123,11 +123,16 @@ def csv_records(source: Iterable[str]) -> Iterator[tuple[int, list[str]]]:
         raise RowError(reader.line_num, str(err)) from None
 
 
-def _read_header(records, feature_names: Sequence[str] | None) -> tuple[str, ...]:
+def csv_header(records) -> list[str]:
+    """The first record's fields, stripped; the first field, if any, loses one leading byte-order mark."""
     _, header = next(records, (0, None))
     if header is None:
         raise SchemaError("empty input: missing header row")
-    header = [h.strip() for h in header]
+    return [h.strip() for h in [h.removeprefix("\ufeff") for h in header[:1]] + header[1:]]
+
+
+def _read_header(records, feature_names: Sequence[str] | None) -> tuple[str, ...]:
+    header = csv_header(records)
     for pos, name in enumerate(REQUIRED_COLUMNS):
         found = header[pos] if pos < len(header) else None
         if found != name:

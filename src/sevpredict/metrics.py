@@ -14,7 +14,7 @@ import math
 from dataclasses import asdict, dataclass
 from typing import Iterable, Mapping
 
-from .corpus import _parse_loc, csv_records, fill_module_ids
+from .corpus import _parse_loc, csv_header, csv_records, fill_module_ids
 from .errors import RowError, SchemaError, SevpredictError
 from .severity import (
     CLASS_INDEX,
@@ -228,10 +228,7 @@ PREDICTIONS_HEADER: tuple[str, ...] = ("module_id", "loc", "actual", "predicted"
 
 def parse_predictions(source: Iterable[str]) -> tuple[Outcome, ...]:
     records = csv_records(source)
-    _, header = next(records, (0, None))
-    if header is None:
-        raise SchemaError("empty input: missing header row")
-    if tuple(h.strip() for h in header) != PREDICTIONS_HEADER:
+    if tuple(csv_header(records)) != PREDICTIONS_HEADER:
         raise SchemaError(f"predictions header must be {','.join(PREDICTIONS_HEADER)}")
     outcomes: list[Outcome] = []
     for line, fields in records:

@@ -18,6 +18,7 @@ from sevpredict import (
     adasyn_balance,
     synth_corpus,
 )
+from sevpredict import adasyn
 from sevpredict.adasyn import _distance_rows, _first_k, _minmax_params
 from sevpredict.cart import SCAN_CELLS
 from sevpredict.corpus import PROVENANCE_SYNTHETIC
@@ -474,6 +475,19 @@ def test_balance_input_validation():
     two_classes = [make_labelled([0.0], CL), make_labelled([1.0], CL), make_labelled([2.0], MA)]
     with pytest.raises(SevpredictError, match="seed"):
         adasyn_balance(two_classes, SamplerConfig(), -1)
+
+
+@pytest.mark.parametrize("beta, d_threshold", [(0.0, 1.0), (1.0, 0.5), (1.0, 0.3)])
+def test_balance_settles_targets_before_scaling(monkeypatch, beta, d_threshold):
+    # CL 2, MA 1: beta 0 fills no deficit, and ratio 0.5 is not below d_threshold 0.5 or 0.3,
+    # so the pool comes back as it is, before its too wide second feature is scaled
+    def never(matrix):
+        raise AssertionError("scaled a pool that gets no synthetic rows")
+
+    monkeypatch.setattr(adasyn, "_minmax_params", never)
+    too_wide = [make_labelled([0.0, -1.7e308], CL), make_labelled([1.0, 1.0], CL),
+                make_labelled([2.0, 1.7e308], MA)]
+    assert adasyn_balance(too_wide, SamplerConfig(beta=beta, d_threshold=d_threshold), 0) == too_wide
 
 
 def test_sampler_config_validation():

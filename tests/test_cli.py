@@ -3,6 +3,7 @@ from __future__ import annotations
 import csv
 import json
 import os
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import example, given, settings
@@ -11,7 +12,7 @@ from hypothesis import strategies as st
 from sevpredict import SevpredictError, load_corpus, save_corpus, synth_corpus
 from sevpredict.cli import _project_names, main
 
-from conftest import GOLDEN_CORPORA
+from conftest import DATA_DIR, GOLDEN_CORPORA
 
 
 def run(capsys, *argv):
@@ -43,6 +44,29 @@ def test_validate_reports_bad_rows(capsys, tmp_path):
     assert code == 1
     assert "row 3" in err and "loc" in err
     assert "modules" in out  # summary still printed for the good rows
+
+
+@pytest.mark.parametrize(
+    "command, name, flags",
+    [
+        ("validate", "mini_fixture.csv", []),
+        ("run", "mini_fixture.csv", ["--seed", "1", "--table"]),
+        ("metrics", "reference_bst_predictions.csv", []),
+    ],
+)
+def test_a_leading_byte_order_mark_changes_no_output(capsys, tmp_path, command, name, flags):
+    # Excel's "CSV UTF-8" starts the file with the UTF-8 encoded U+FEFF
+    marked = tmp_path / "marked" / name
+    marked.parent.mkdir()
+    marked.write_bytes(b"\xef\xbb\xbf" + (DATA_DIR / name).read_bytes())
+    seen = []
+    for path, out_dir in ((DATA_DIR / name, tmp_path / "plain_out"), (marked, tmp_path / "marked_out")):
+        out_flags = [] if command == "validate" else ["--out", str(out_dir)]
+        code, out, err = run(capsys, command, str(path), *flags, *out_flags)
+        files = {f.name: f.read_bytes() for f in out_dir.iterdir()} if out_dir.exists() else {}
+        seen.append((code, out.replace(str(out_dir), "OUT"), err, files))
+    assert seen[0] == seen[1]
+    assert seen[0][0] == 0 and seen[0][2] == "" and (command == "validate" or seen[0][3])
 
 
 def test_validate_missing_column_names_it(capsys, tmp_path):
@@ -103,8 +127,8 @@ def test_malformed_command_line_exits_1_with_one_line(capsys, tmp_path, argv):
     assert not (tmp_path / "out.csv").exists()
 
 
-@pytest.mark.filterwarnings("error")
-def test_feature_wider_than_the_float_range_exits_1_with_one_line(capsys, tmp_path, mini_fixture_path):
+def write_wide_fixture(mini_fixture_path, tmp_path):
+    """The mini fixture with wmc at -1.7e308 and 1.7e308: its span overflows to inf."""
     lines = mini_fixture_path.read_text().splitlines()
     for row, value in ((1, "-1.7e308"), (2, "1.7e308")):  # column 7 is wmc
         cells = lines[row].split(",")
@@ -112,10 +136,32 @@ def test_feature_wider_than_the_float_range_exits_1_with_one_line(capsys, tmp_pa
         lines[row] = ",".join(cells)
     path = tmp_path / "wide.csv"
     path.write_text("\n".join(lines) + "\n")
+    return path
+
+
+@pytest.mark.filterwarnings("error")
+def test_feature_wider_than_the_float_range_exits_1_with_one_line(capsys, tmp_path, mini_fixture_path):
+    path = write_wide_fixture(mini_fixture_path, tmp_path)
     code, out, err = run(capsys, "run", str(path), "--seed", "1", "--out", str(tmp_path / "out"))
     assert code == 1
     assert out == "" and err == "error: feature 1 spans more than the float range and cannot be scaled\n"
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("extra", [["--beta", "0"], ["--config", "low_threshold.json"]])
+def test_feature_wider_than_the_float_range_runs_when_no_class_is_topped_up(
+    capsys, tmp_path, mini_fixture_path, extra
+):
+    # the training classes hold 2 to 4 modules (ratios 0.5 and 0.75): d_threshold 0.4 tops up none
+    path = write_wide_fixture(mini_fixture_path, tmp_path)
+    (tmp_path / "low_threshold.json").write_text('{"d_threshold": 0.4}')
+    extra = [str(tmp_path / arg) if arg.endswith(".json") else arg for arg in extra]
+    code, out, err = run(capsys, "run", str(path), "--seed", "1", "--out", str(tmp_path / "out"), *extra)
+    assert code == 0 and err == ""
+    doc = json.loads((tmp_path / "out" / "report_wide.json").read_text())
+    assert doc["training"]["bst_train_size"] == 15  # the raw training pool, nothing synthesised
+    assert out.startswith("wide: BST acc=")
 
 
 def test_help_exits_0(capsys):
@@ -407,11 +453,35 @@ CLASH_PATHS = [
 
 
 @settings(max_examples=400, deadline=None)
-@given(st.lists(st.sampled_from(CLASH_PATHS), min_size=1, max_size=5), st.none() | st.integers(0, 12))
-@example(["x_fold10.csv", "x_fold2", "a/x.csv"], 11)  # folds 2 and 10 of x clash: fold 2 is named
-def test_project_names_match_the_reference(paths, folds):
-    got = _names_outcome(_project_names, paths, folds)
-    assert got == _names_outcome(_reference_project_names, paths, folds)
+@given(
+    st.lists(st.tuples(st.sampled_from(CLASH_PATHS), st.integers(0, 14)), min_size=1, max_size=5),
+    st.none() | st.integers(0, 12),
+)
+@example([("x_fold10.csv", 12), ("x_fold2", 12), ("a/x.csv", 12)], 11)  # folds 2 and 10 of x clash: 2 is named
+@example([("x_fold10.csv", 12), ("x_fold2", 12), ("a/x.csv", 2)], 11)  # x deals folds 0 and 1 only
+def test_project_names_match_the_reference(corpora, folds):
+    """corpora: (path, labelled modules) pairs; a corpus lists no fold past its labelled count."""
+    paths = [path for path, _ in corpora]
+    stand_ins = [SimpleNamespace(labelled=range(n)) for _, n in corpora]
+    got = _names_outcome(_project_names, paths, stand_ins, folds)
+    want = _names_outcome(_reference_project_names, paths, folds)
+    if all(n >= (folds or 0) for _, n in corpora):
+        assert got == want
+    else:  # a subset of the reference's names, in its order: a clash found is one the reference finds
+        assert isinstance(got, list) or isinstance(want, str)
+
+
+def test_run_lists_no_fold_past_a_corpus_size(capsys, tmp_path):
+    # x has 4 labelled modules, so it lists folds 0 to 3 only and cannot clash with x_fold7;
+    # its run then rejects the fold count before anything is written
+    x = tmp_path / "x.csv"
+    run(capsys, "synth", "--out", str(x), "--seed", "1", "--clean", "2", "--major", "2")
+    fold = make_corpus_csv(capsys, tmp_path, "x_fold7", seed=4)
+    out_dir = tmp_path / "out"
+    code, out, err = run(capsys, "run", str(x), str(fold), "--seed", "5", "--folds", "8", "--out", str(out_dir))
+    assert code == 1
+    assert err == "error: folds=8 leaves fold 2 with an empty test set; lower folds\n"
+    assert out == "" and not out_dir.exists()
 
 
 def test_run_seed_from_environment(capsys, tmp_path, monkeypatch):

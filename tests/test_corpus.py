@@ -97,6 +97,31 @@ def test_parse_corpus_empty_input():
         parse_corpus(io.StringIO(""))
 
 
+def test_parse_corpus_drops_one_leading_byte_order_mark():
+    rows = ["a,10,1,0,0,0,1,1.0,2.0", "b,20,0,0,0,0,0,3.0,4.0"]
+    plain = csv_stream(*rows).getvalue()
+    assert parse_corpus(io.StringIO("\ufeff" + plain)) == parse_corpus(io.StringIO(plain))
+
+
+@pytest.mark.parametrize(
+    "text, error, message",
+    [
+        # a second mark, or one on a later column, is part of the name
+        ("\ufeff\ufeff" + HEADER, SchemaError,
+         "missing column 'module_id' (position 1 holds '\\ufeffmodule_id')"),
+        (HEADER.replace(",loc,", ",\ufeffloc,"), SchemaError,
+         "missing column 'loc' (position 2 holds '\\ufeffloc')"),
+        (HEADER + "\na,\ufeff10,0,0,0,0,0,1.0,2.0", RowError, "row 2: column 'loc' must be an integer"),
+        # a blank first line is a header without fields
+        ("\n" + HEADER, SchemaError, "missing column 'module_id' (position 1 holds None)"),
+    ],
+)
+def test_parse_corpus_keeps_other_byte_order_marks_and_blank_headers_as_errors(text, error, message):
+    with pytest.raises(error) as exc:
+        parse_corpus(io.StringIO(text + "\n"))
+    assert str(exc.value).startswith(message)
+
+
 @pytest.mark.parametrize(
     "row, fragment",
     [

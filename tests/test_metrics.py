@@ -407,6 +407,14 @@ def test_write_predictions_numbers_missing_ids_past_those_in_use():
     assert [o.module_id for o in parse_predictions(io.StringIO(out.getvalue()))] == ["m00000", "m00001", "m00002"]
 
 
+def test_parse_predictions_drops_one_leading_byte_order_mark():
+    text = "module_id,loc,actual,predicted\nx,10,clean,major\n"
+    assert parse_predictions(io.StringIO("\ufeff" + text)) == parse_predictions(io.StringIO(text))
+    for bad in ("\ufeff\ufeff" + text, text.replace(",loc", ",\ufeffloc"), "\n" + text):
+        with pytest.raises(SchemaError, match="^predictions header must be module_id,loc,actual,predicted$"):
+            parse_predictions(io.StringIO(bad))
+
+
 def test_parse_predictions_schema_errors():
     with pytest.raises(SchemaError):
         parse_predictions(io.StringIO("module_id,loc,actual\nx,1,clean\n"))
