@@ -7,6 +7,8 @@ self-trained tree with project-economics measures (risk factors, saved
 budget, remaining service time).
 """
 
+from types import ModuleType as _ModuleType
+
 from .adasyn import SamplerConfig, adasyn_balance
 from .cart import (
     DecisionTree,
@@ -68,59 +70,5 @@ from .severity import DEFAULT_WEIGHTS, DEFECTIVE_CLASSES, SEVERITY_ORDER, Severi
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "Corpus",
-    "ConfusionMatrix",
-    "DecisionTree",
-    "DEFAULT_WEIGHTS",
-    "DEFECTIVE_CLASSES",
-    "EconConfig",
-    "ExperimentReport",
-    "LabelledInstance",
-    "Leaf",
-    "MetricReport",
-    "Outcome",
-    "PipelineConfig",
-    "RowError",
-    "SamplerConfig",
-    "SchemaError",
-    "SelfTrainConfig",
-    "SelfTrainResult",
-    "SelfTrainTrace",
-    "SeverityClass",
-    "SevpredictError",
-    "SEVERITY_ORDER",
-    "Split",
-    "TreeConfig",
-    "UnlabelledInstance",
-    "accuracy",
-    "adasyn_balance",
-    "average_reports",
-    "build_confusion",
-    "class_summary",
-    "compare",
-    "derive_label",
-    "dump_tree",
-    "fit_tree",
-    "full_report",
-    "load_corpus",
-    "parse_corpus",
-    "parse_predictions",
-    "predict_confidence",
-    "predict_label",
-    "pseudo_label_risk",
-    "report_to_json",
-    "risk_factor",
-    "route_to_leaf",
-    "run_experiment",
-    "run_kfold",
-    "save_corpus",
-    "self_train",
-    "stratified_kfold",
-    "stratified_split",
-    "synth_corpus",
-    "system_risk_factor",
-    "write_comparison_tables",
-    "write_corpus_csv",
-    "write_predictions",
-]
+# every public name imported above; the submodules, bound here by those imports, are not exports
+__all__ = [name for name, value in globals().items() if name[0] != "_" and not isinstance(value, _ModuleType)]

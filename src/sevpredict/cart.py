@@ -16,6 +16,7 @@ most MAX_TRAIN_ROWS rows.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, replace
 from typing import Sequence
 
@@ -103,7 +104,11 @@ def _scan_features(values: np.ndarray, labels: np.ndarray):
     """Best midpoint split in a (b, n) block of feature rows: (num, den, row, threshold).
 
     Scores every boundary between consecutive distinct sorted values from
-    per-class prefix counts. Float only screens out clearly worse candidates;
+    per-class prefix counts. Each such count covers the rows valued at most
+    the lower of the two, whatever order the sort left equal values in, so
+    the sort need not be stable; and a run mixing -0.0 and +0.0 cannot move
+    the threshold, since either zero plus the nonzero value beside the run
+    gives the same sum. Float only screens out clearly worse candidates;
     among the rest, walked row-major, the first strictly-better one wins by
     exact integer comparison, so equal-quality splits resolve to the lowest
     row, then the lowest threshold. The threshold is the midpoint of the two
@@ -111,7 +116,7 @@ def _scan_features(values: np.ndarray, labels: np.ndarray):
     upper value (adjacent doubles) or overflows. None when every row is constant.
     """
     n = values.shape[1]
-    order = np.argsort(values, axis=1, kind="stable")
+    order = np.argsort(values, axis=1)
     sv = np.take_along_axis(values, order, axis=1)
     sl = labels[order]
     cut = sv[:, :-1] != sv[:, 1:]  # boundary pos splits [0, pos] | [pos + 1, n)
@@ -200,15 +205,16 @@ def fit_tree(
     instances = list(train)
     if not instances:
         raise SevpredictError("cannot fit a tree on an empty training set")
-    if len(instances) > MAX_TRAIN_ROWS:
+    n = len(instances)
+    if n > MAX_TRAIN_ROWS:
         raise SevpredictError(
-            f"training set has {len(instances)} rows; exact split search supports at most {MAX_TRAIN_ROWS}"
+            f"training set has {n} rows; exact split search supports at most {MAX_TRAIN_ROWS}"
         )
-    XT = np.asarray([inst.features for inst in instances], dtype=float).T.copy()  # feature-major
+    p = len(instances[0].features)
+    XT = feature_matrix([inst.features for inst in instances], p).T.copy()  # feature-major
     if not np.all(np.isfinite(XT)):
         raise SevpredictError("features must be finite")
-    y = np.asarray([CLASS_INDEX[inst.label] for inst in instances])
-    p = XT.shape[0]
+    y = np.fromiter(map(SEVERITY_ORDER.index, [inst.label for inst in instances]), np.int64, n)
     if schema is None:
         schema = tuple(f"f{j}" for j in range(p))
     elif len(schema) != p:
@@ -217,11 +223,45 @@ def fit_tree(
     return DecisionTree(root, tuple(schema))
 
 
+def _width_error(found: int, expected: int) -> SevpredictError:
+    return SevpredictError(f"feature vector has {found} values but the tree expects {expected}")
+
+
+def feature_matrix(rows: Sequence[Sequence[float]], width: int) -> np.ndarray:
+    """The rows as an (n, width) float array, read in one pass over their values.
+
+    The first row of another length raises the error route_to_leaf raises for it.
+    """
+    if set(map(len, rows)) - {width}:
+        raise _width_error(next(len(row) for row in rows if len(row) != width), width)
+    return np.fromiter(itertools.chain.from_iterable(rows), float, len(rows) * width).reshape(len(rows), width)
+
+
+def route_rows(tree: DecisionTree, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """predict_confidence for every row of X at once: (majority-class index, confidence).
+
+    Row indices are partitioned down the tree, one comparison per split node.
+    """
+    if X.shape[1] != len(tree.schema):
+        raise _width_error(X.shape[1], len(tree.schema))
+    label = np.empty(len(X), dtype=np.int64)
+    confidence = np.empty(len(X))
+    stack = [(tree.root, np.arange(len(X)))]
+    while stack:
+        node, idx = stack.pop()
+        if isinstance(node, Leaf):
+            k = CLASS_INDEX[node.majority]
+            label[idx] = k
+            confidence[idx] = node.counts[k] / node.nl
+        elif len(idx):
+            left = X[idx, node.feature_index] <= node.threshold
+            stack += [(node.right, idx[~left]), (node.left, idx[left])]
+    return label, confidence
+
+
 def route_to_leaf(tree: DecisionTree, features: Sequence[float]) -> Leaf:
     if len(features) != len(tree.schema):
-        raise SevpredictError(
-            f"feature vector has {len(features)} values but the tree expects {len(tree.schema)}"
-        )
+        raise _width_error(len(features), len(tree.schema))
     node = tree.root
     while isinstance(node, Split):
         node = node.left if features[node.feature_index] <= node.threshold else node.right

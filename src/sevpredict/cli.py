@@ -47,7 +47,7 @@ def _resolve_settings(args) -> dict:
     settings = dict(DEFAULTS)
     config_path = getattr(args, "config", None)
     if config_path:
-        with open(config_path) as fh:
+        with open(config_path, encoding="utf-8") as fh:
             try:
                 file_cfg = json.load(fh)
             except ValueError as err:  # also undecodable bytes
@@ -134,7 +134,7 @@ def _write_report(out_dir: str, report) -> None:
     path = os.path.join(out_dir, f"report_{report.project}.json")
     tmp = f"{path}.{os.getpid()}.tmp"
     try:
-        with open(tmp, "w") as fh:
+        with open(tmp, "w", encoding="utf-8") as fh:
             fh.write(report_to_json(report))
         os.replace(tmp, path)
     finally:
@@ -185,11 +185,11 @@ def cmd_metrics(args) -> int:
     report = full_report(outcomes, econ)
     os.makedirs(args.out, exist_ok=True)
     json_path = os.path.join(args.out, "metrics.json")
-    with open(json_path, "w") as fh:
+    with open(json_path, "w", encoding="utf-8") as fh:
         json.dump(report.to_json_dict(), fh, indent=2, sort_keys=True)
         fh.write("\n")
     csv_path = os.path.join(args.out, "metrics.csv")
-    with open(csv_path, "w", newline="") as fh:
+    with open(csv_path, "w", newline="", encoding="utf-8") as fh:
         fh.write(",".join(REPORT_CSV_HEADER) + "\n")
         fh.write(",".join(repr(v) for v in report.csv_values()) + "\n")
     print(

@@ -167,10 +167,17 @@ def _read_rows(source: Iterable[str], feature_names: Sequence[str] | None, bad_r
             module_id = fields[0].strip()
             if not module_id:
                 raise RowError(line, "column 'module_id' must be non-empty")
-            loc = _parse_loc(fields[1], line)
-            *counts, total = (_parse_int(fields[k], line, REQUIRED_COLUMNS[k], minimum=0) for k in range(2, 7))
-            metric_fields = zip(schema, fields[len(REQUIRED_COLUMNS):])
-            feats = tuple(_parse_feature(raw, line, name) for name, raw in metric_fields)
+            try:  # the whole row at once; int() and float() strip whitespace as the field parsers do
+                loc, *counts, total = map(int, fields[1:7])
+                feats = tuple(map(float, fields[7:]))
+                parsed = 0 < loc <= 2**53 and min(*counts, total) >= 0 and math.isfinite(sum(feats))
+            except ValueError:
+                parsed = False
+            if not parsed:  # field by field, so the row's first bad field is the one named
+                loc = _parse_loc(fields[1], line)
+                *counts, total = (_parse_int(fields[k], line, REQUIRED_COLUMNS[k], minimum=0) for k in range(2, 7))
+                metric_fields = zip(schema, fields[len(REQUIRED_COLUMNS):])
+                feats = tuple(_parse_feature(raw, line, name) for name, raw in metric_fields)
             if module_id in first_line:
                 raise RowError(
                     line, f"duplicate module_id {module_id!r} (first on row {first_line[module_id]})"
@@ -209,7 +216,7 @@ def audit_csv(source: Iterable[str]) -> tuple[Corpus, list[str]]:
 
 def read_csv_file(path, parse):
     """parse(open file) for the CSV at path; undecodable bytes raise a SevpredictError naming it."""
-    with open(path, newline="") as fh:
+    with open(path, newline="", encoding="utf-8") as fh:
         try:
             return parse(fh)
         except UnicodeDecodeError as err:  # its position counts from the decoder's chunk, not the file
@@ -249,7 +256,7 @@ def write_corpus_csv(corpus: Corpus, stream) -> None:
 
 
 def save_corpus(corpus: Corpus, path) -> None:
-    with open(path, "w", newline="") as fh:
+    with open(path, "w", newline="", encoding="utf-8") as fh:
         write_corpus_csv(corpus, fh)
 
 

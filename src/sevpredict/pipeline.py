@@ -369,7 +369,7 @@ def write_comparison_tables(reports: Sequence[ExperimentReport], average, out_di
         ("budget_edits.csv", budget_rows),
     ):
         path = os.path.join(out_dir, name)
-        with open(path, "w", newline="") as fh:
+        with open(path, "w", newline="", encoding="utf-8") as fh:
             writer = csv.writer(fh, lineterminator="\n")
             writer.writerows(rows)
         paths.append(path)

@@ -13,10 +13,12 @@ from __future__ import annotations
 from dataclasses import dataclass, fields
 from typing import Sequence
 
-from .cart import DecisionTree, TreeConfig, fit_tree, iter_leaves, predict_confidence
+import numpy as np
+
+from .cart import N_CLASSES, DecisionTree, TreeConfig, feature_matrix, fit_tree, iter_leaves, route_rows
 from .corpus import PROVENANCE_PSEUDO, LabelledInstance, UnlabelledInstance
 from .errors import SevpredictError
-from .severity import CLASS_NAMES
+from .severity import CLASS_NAMES, SEVERITY_ORDER
 
 STATUS_EXHAUSTED_U = "exhausted_U"
 STATUS_NO_PROGRESS = "no_progress"
@@ -95,49 +97,45 @@ def self_train(
     if not labelled:
         raise SevpredictError("self-training needs a non-empty labelled pool")
     pool = list(labelled)
-    remaining: list[tuple[int, UnlabelledInstance]] = list(enumerate(unlabelled))
+    unlabelled = tuple(unlabelled)
+    X = feature_matrix([inst.features for inst in unlabelled], len(tree.schema))
+    remaining = np.arange(len(unlabelled))  # original positions, ascending
 
     records: list[IterationRecord] = []
     status = STATUS_EXHAUSTED_U  # holds if the pool drains (or started empty)
     iteration = 0
-    while remaining:
+    while len(remaining):
         iteration += 1
         if iteration > config.max_iterations:
             status = STATUS_MAX_ITERATIONS
             break
         supervised = pseudo_label_risk(tree)
-        accepted: list[tuple[int, LabelledInstance]] = []
-        kept: list[tuple[int, UnlabelledInstance]] = []
-        for original_index, inst in remaining:
-            label, confidence = predict_confidence(tree, inst.features)
-            if confidence >= config.gamma:
-                pseudo = LabelledInstance(inst.features, inst.loc, label, PROVENANCE_PSEUDO, inst.module_id)
-                accepted.append((original_index, pseudo))
-            else:
-                kept.append((original_index, inst))
-        per_class = {name: 0 for name in CLASS_NAMES}
-        for _, inst in accepted:
-            per_class[inst.label.value] += 1
+        label, confidence = route_rows(tree, X[remaining])
+        hit = confidence >= config.gamma
+        accepted, accepted_label = remaining[hit].tolist(), label[hit]
+        per_class = np.bincount(accepted_label, minlength=N_CLASSES).tolist()
         records.append(
             IterationRecord(
                 iteration=iteration,
                 unlabelled_before=len(remaining),
                 accepted=len(accepted),
-                accepted_per_class=per_class,
-                accepted_indices=tuple(i for i, _ in accepted),
+                accepted_per_class=dict(zip(CLASS_NAMES, per_class)),
+                accepted_indices=tuple(accepted),
                 supervised_risk=supervised,
             )
         )
         if not accepted:
             status = STATUS_NO_PROGRESS
             break
-        pool.extend(inst for _, inst in accepted)
-        remaining = kept
+        for i, k in zip(accepted, accepted_label.tolist()):
+            u = unlabelled[i]
+            pool.append(LabelledInstance(u.features, u.loc, SEVERITY_ORDER[k], PROVENANCE_PSEUDO, u.module_id))
+        remaining = remaining[~hit]
         tree = fit_tree(pool, tree_config, tree.schema)
 
     return SelfTrainResult(
         tree=tree,
         labelled=tuple(pool),
-        residual_unlabelled=tuple(inst for _, inst in remaining),
+        residual_unlabelled=tuple(unlabelled[i] for i in remaining.tolist()),
         trace=SelfTrainTrace(tuple(records), status),
     )

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import math
 import sys
 from collections import Counter
 from dataclasses import replace
@@ -389,6 +390,58 @@ def test_leaf_counts_match_routed_instances():
     assert sum(leaf.nl for leaf in iter_leaves(tree)) == 40
 
 
+class _NumpyWithArgsort:
+    """numpy, except for argsort: swapped into cart to rerun _scan_features under another tie order."""
+
+    def __init__(self, argsort):
+        self.argsort = argsort
+
+    def __getattr__(self, name):
+        return getattr(np, name)
+
+
+def _stable_argsort(values, axis, **_):
+    return np.argsort(values, axis=axis, kind="stable")
+
+
+def _later_first_argsort(values, axis, **_):
+    """Ascending values; equal values, -0.0 and +0.0 among them, latest row position first."""
+    idx = np.arange(values.shape[1])
+    return np.stack([np.lexsort((-idx, row)) for row in values])
+
+
+@st.composite
+def tied_blocks(draw):
+    """A (b, n) block on a small integer grid, zeros signed at random, and 1 to 5 classes."""
+    n = draw(st.integers(2, 80))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    low = draw(st.integers(-3, 0))
+    block = rng.integers(low, draw(st.integers(low + 1, 4)), size=(draw(st.integers(1, 6)), n)).astype(float)
+    block[(block == 0) & (rng.random(block.shape) < 0.5)] = -0.0
+    return block, _labels(draw, rng, n)
+
+
+def _signed(scan):
+    return scan if scan is None else (*scan, math.copysign(1.0, scan[3]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(tied_blocks())
+@example((np.asarray([[0.0, -0.0, 1.0, -0.0, 0.0, 1.0]]), np.asarray([0, 1, 0, 1, 1, 0])))
+@example((np.asarray([[0.0, -0.0, -0.0, 0.0]]), np.asarray([0, 1, 1, 0])))  # constant: None
+@example((np.asarray([[-1.0, 1.0, 1.0, -0.0, -1.0]]), np.asarray([0, 1, 1, 0, 0])))  # threshold (-0.0 + 1) / 2
+@example((np.asarray([[-1.0, 1.0, 1.0, -1.0]]), np.asarray([0, 1, 1, 0])))  # threshold (-1 + 1) / 2 = +0.0
+def test_scan_features_does_not_depend_on_the_order_within_ties(case):
+    # the scan's own sort orders equal values as it likes; a stable sort, and
+    # one that puts later rows first, must give the same split bit for bit
+    block, labels = case
+    got = _signed(cart._scan_features(block, labels))
+    for argsort in (_stable_argsort, _later_first_argsort):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(cart, "np", _NumpyWithArgsort(argsort))
+            assert _signed(cart._scan_features(block, labels)) == got, argsort.__name__
+
+
 # ---------------------------------------------------------------------------
 # prediction
 
@@ -409,6 +462,46 @@ def test_route_checks_feature_arity():
     tree = fit_tree(points([0, 1], [CL, MA]))
     with pytest.raises(SevpredictError):
         route_to_leaf(tree, (0.0, 1.0))
+
+
+@st.composite
+def grid_trees(draw):
+    """A tree fitted on a small integer grid, and rows on the grid and halfway between: many sit on a threshold."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n, p, levels = draw(st.integers(1, 60)), draw(st.integers(1, 4)), draw(st.integers(1, 6))
+    labels = _labels(draw, rng, n)
+    pool = [make_labelled(row, SEVERITY_ORDER[k]) for row, k in zip(rng.integers(0, levels, size=(n, p)), labels)]
+    config = TreeConfig(min_samples_split=draw(st.integers(2, 5)), max_depth=draw(st.sampled_from([None, 1, 3])))
+    rows = rng.integers(-2, 2 * levels + 1, size=(draw(st.integers(0, 40)), p)) / 2
+    return fit_tree(pool, config), rows
+
+
+@settings(max_examples=200, deadline=None)
+@given(grid_trees())
+def test_route_rows_matches_predict_confidence_row_by_row(case):
+    tree, rows = case
+    label, confidence = cart.route_rows(tree, rows)
+    assert label.shape == confidence.shape == (len(rows),)
+    for row, k, conf in zip(rows, label.tolist(), confidence.tolist()):
+        assert (SEVERITY_ORDER[k], conf) == predict_confidence(tree, tuple(row))
+
+
+def test_route_rows_on_no_rows_and_on_the_wrong_width():
+    tree = fit_tree(points([0, 1, 2], [CL, MA, MA]))
+    label, confidence = cart.route_rows(tree, np.empty((0, 1)))
+    assert label.shape == confidence.shape == (0,)
+    with pytest.raises(SevpredictError) as per_row:
+        route_to_leaf(tree, (0.0, 1.0))
+    with pytest.raises(SevpredictError) as batched:
+        cart.route_rows(tree, np.zeros((3, 2)))
+    assert str(batched.value) == str(per_row.value)
+
+
+def test_fit_rejects_ragged_rows():
+    for widths in ((1, 2), (2, 1), (2, 2, 3), (3, 1, 3)):
+        pool = [make_labelled([0.5] * w, [CL, MA][i % 2]) for i, w in enumerate(widths)]
+        with pytest.raises(SevpredictError, match="feature vector has"):
+            fit_tree(pool)
 
 
 def test_fit_rejects_bad_input():

@@ -3,6 +3,8 @@ from __future__ import annotations
 import csv
 import json
 import os
+import subprocess
+import sys
 from types import SimpleNamespace
 
 import pytest
@@ -67,6 +69,33 @@ def test_a_leading_byte_order_mark_changes_no_output(capsys, tmp_path, command, 
         seen.append((code, out.replace(str(out_dir), "OUT"), err, files))
     assert seen[0] == seen[1]
     assert seen[0][0] == 0 and seen[0][2] == "" and (command == "validate" or seen[0][3])
+
+
+def run_in_c_locale(*argv):
+    """The CLI in a fresh interpreter whose locale encoding is ASCII: UTF-8 mode and locale coercion off."""
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONIOENCODING"}
+    env.update(LC_ALL="C", PYTHONUTF8="0", PYTHONCOERCECLOCALE="0")
+    env["PYTHONPATH"] = os.pathsep.join([str(DATA_DIR.parent / "src"), env.get("PYTHONPATH", "")])
+    code = "import sys; from sevpredict.cli import main; sys.exit(main(sys.argv[1:]))"
+    done = subprocess.run([sys.executable, "-c", code, *argv], env=env, capture_output=True, timeout=120)
+    return done.returncode, done.stdout.decode("ascii"), done.stderr.decode("ascii")
+
+
+def test_files_are_utf_8_whatever_the_locale(capsys, tmp_path):
+    # a BOM-marked corpus to validate, and module ids outside ASCII to run
+    marked = tmp_path / "marked.csv"
+    marked.write_bytes(b"\xef\xbb\xbf" + (DATA_DIR / "mini_fixture.csv").read_bytes())
+    assert run_in_c_locale("validate", str(marked)) == run(capsys, "validate", str(DATA_DIR / "mini_fixture.csv"))
+    named = tmp_path / "named.csv"
+    named.write_text((DATA_DIR / "mini_fixture.csv").read_text().replace("app.", "\u00e4pp."), encoding="utf-8")
+    outputs = []
+    for runner, out_dir in ((run_in_c_locale, tmp_path / "c_out"), (lambda *a: run(capsys, *a), tmp_path / "out")):
+        code, out, err = runner("run", str(named), "--seed", "1", "--table", "--out", str(out_dir))
+        assert (code, err) == (0, "")
+        outputs.append((out.replace(str(out_dir), "OUT"), {f.name: f.read_bytes() for f in out_dir.iterdir()}))
+    assert outputs[0] == outputs[1]
+    report = json.loads(outputs[0][1]["report_named.json"])
+    assert all(row["module_id"].startswith("\u00e4pp.") for row in report["test_outcomes"])
 
 
 def test_validate_missing_column_names_it(capsys, tmp_path):

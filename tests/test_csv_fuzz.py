@@ -222,3 +222,28 @@ def test_readers_match_the_reference(case):
         # strict parsing stops at exactly the first row the audit reports
         corpus, diagnostics = audited
         assert parsed == ((RowError, diagnostics[0]) if diagnostics else corpus)
+
+
+@pytest.mark.parametrize(
+    "row",
+    [
+        "a,10,0,0,0,0,0,1e308,1e308",  # finite features whose sum overflows
+        "a,10,0,0,0,0,0,1e999,1",  # a feature that overflows to inf
+        "a,10,0,0,0,0,0,inf,-inf",  # a sum that is nan
+        "a,1_0,0,0,0,1_1,1,1_5,-0.0",  # underscores, which int() and float() take
+        "a,\u0661\u0660,0,0,\u0663,0,3,\u0662,1",  # non-ASCII digits, likewise
+        "a,\u2003 10\u3000,0,0,0,0,0,\u00a01.5,2\t",  # non-ASCII whitespace
+        f"a,{2**53 + 1},0,0,0,0,0,1,2",
+        "a,0,0,0,0,0,0,1,2",
+        "a,10,0,0,-1,0,0,1,2",
+        "a,10,0,0,0,0,-1,1,2",
+        "a,10,0,0,0,0,0,1,2.5.1",
+        "a,10.0,0,0,0,0,0,1,2",
+    ],
+)
+def test_whole_row_parse_matches_the_field_parsers(row):
+    # parse_corpus reads a row with int() and float() at once and re-reads a
+    # row that fails field by field; both must agree with the field parsers
+    text = ",".join(REQUIRED_COLUMNS + METRICS) + "\n" + row + "\nb,5,0,0,0,0,0,3,4\n"
+    assert _read_outcome(parse_corpus, text) == _read_outcome(_reference_parse_corpus, text)
+    assert _read_outcome(audit_csv, text) == _read_outcome(_reference_audit_csv, text)

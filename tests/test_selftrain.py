@@ -13,6 +13,7 @@ from sevpredict import (
     predict_confidence,
     predict_label,
     pseudo_label_risk,
+    route_to_leaf,
     self_train,
 )
 from sevpredict.selftrain import (
@@ -256,6 +257,20 @@ def test_self_train_is_deterministic():
     b = self_train(fit_tree(pool), pool, unlabelled, config)
     assert a.labelled == b.labelled
     assert a.trace.to_dict() == b.trace.to_dict()
+
+
+@pytest.mark.parametrize("widths", [(3,), (2, 3), (2, 1, 3), (3, 1), (1, 1)])
+def test_an_unlabelled_row_of_the_wrong_width_fails_as_routing_it_would(widths):
+    # the loop used to route row by row, so the first such row raised
+    labelled, _ = separable_sets()
+    tree = fit_tree(labelled)
+    unlabelled = [make_unlabelled([1.0] * w) for w in widths]
+    first_bad = next(u for u in unlabelled if len(u.features) != len(tree.schema))
+    with pytest.raises(SevpredictError) as per_row:
+        route_to_leaf(tree, first_bad.features)
+    with pytest.raises(SevpredictError) as batched:
+        self_train(tree, labelled, unlabelled, SelfTrainConfig())
+    assert str(batched.value) == str(per_row.value)
 
 
 def test_config_validation():
