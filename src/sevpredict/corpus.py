@@ -7,6 +7,7 @@ more static code metric columns that become the feature vector.
 
 from __future__ import annotations
 
+import bisect
 import csv
 import itertools
 import math
@@ -348,32 +349,35 @@ def synth_corpus(
     if sum(counts.values()) == 0:
         raise SevpredictError("all class counts are zero")
 
+    # The bytes fix the draw order: centres, then per module its cluster if unlabelled, noise and LoC.
     rng = np.random.default_rng(seed)
-    centres = {cls: rng.normal(size=n_features) * separation for cls in SEVERITY_ORDER}
-
-    def draw(cls: SeverityClass) -> tuple[tuple[float, ...], int]:
-        feats = centres[cls] + rng.normal(size=n_features)
-        loc = int(rng.integers(20, 2001))
-        return tuple(float(v) for v in feats), loc
-
-    serial = 0
-    labelled = []
-    for cls in SEVERITY_ORDER:
-        for _ in range(counts[cls]):
-            feats, loc = draw(cls)
-            labelled.append(LabelledInstance(feats, loc, cls, PROVENANCE_ORIGINAL, f"synth_{serial:05d}"))
-            serial += 1
-    present = [cls for cls in SEVERITY_ORDER if counts[cls] > 0]
-    probs = np.array([counts[cls] for cls in present], dtype=float)
+    centres = rng.normal(size=(len(SEVERITY_ORDER), n_features))  # before scaling by separation
+    clusters = [k for k, cls in enumerate(SEVERITY_ORDER) for _ in range(counts[cls])]
+    n_labelled = len(clusters)
+    present = [k for k, cls in enumerate(SEVERITY_ORDER) if counts[cls] > 0]
+    probs = np.array([counts[SEVERITY_ORDER[k]] for k in present], dtype=float)
     probs /= probs.sum()
-    unlabelled = []
-    for _ in range(n_unlabelled):
-        cls = present[int(rng.choice(len(present), p=probs))]
-        feats, loc = draw(cls)
-        unlabelled.append(UnlabelledInstance(feats, loc, f"synth_{serial:05d}"))
-        serial += 1
+    cdf = probs.cumsum()
+    cdf = (cdf / cdf[-1]).tolist()  # as rng.choice(p=probs) builds it, so one random() picks alike
+    noise = np.empty((n_labelled + n_unlabelled, n_features))
+    locs = []
+    for i in range(len(noise)):
+        if i >= n_labelled:
+            clusters.append(present[bisect.bisect_right(cdf, rng.random())])
+        noise[i] = rng.normal(size=n_features)
+        locs.append(int(rng.integers(20, 2001)))
+    with np.errstate(over="ignore"):
+        features = centres[clusters] * separation + noise
+    if not np.isfinite(features).all():
+        raise SevpredictError(f"separation {separation} overflows the float range of the features")
+    rows = zip(map(tuple, features.tolist()), locs, clusters, (f"synth_{i:05d}" for i in itertools.count()))
+    labelled = tuple(
+        LabelledInstance(feats, loc, SEVERITY_ORDER[k], PROVENANCE_ORIGINAL, module_id)
+        for feats, loc, k, module_id in itertools.islice(rows, n_labelled)
+    )
+    unlabelled = tuple(UnlabelledInstance(feats, loc, module_id) for feats, loc, _, module_id in rows)
     schema = tuple(f"metric_{j + 1}" for j in range(n_features))
-    return Corpus(schema, tuple(labelled), tuple(unlabelled))
+    return Corpus(schema, labelled, unlabelled)
 
 
 def class_summary(corpus: Corpus) -> dict:

@@ -244,6 +244,16 @@ def test_synth_rejects_non_finite_separation(capsys, tmp_path, separation):
     assert not out_csv.exists()
 
 
+def test_synth_rejects_a_separation_that_overflows(capsys, tmp_path):
+    out_csv = tmp_path / "x.csv"
+    code, out, err = run(capsys, "synth", "--out", str(out_csv), "--seed", "1",
+                         "--clean", "5", "--major", "5", "--features", "5", "--separation", "1.7e308")
+    assert code == 1
+    assert out == ""
+    assert err == "error: separation 1.7e+308 overflows the float range of the features\n"
+    assert not out_csv.exists()
+
+
 # ---------------------------------------------------------------------------
 # run
 

@@ -7,15 +7,17 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from sevpredict import (
     SEVERITY_ORDER,
     Corpus,
+    LabelledInstance,
     RowError,
     SchemaError,
     SevpredictError,
+    UnlabelledInstance,
     class_summary,
     derive_label,
     load_corpus,
@@ -26,7 +28,7 @@ from sevpredict import (
     synth_corpus,
     write_corpus_csv,
 )
-from sevpredict.corpus import audit_csv
+from sevpredict.corpus import PROVENANCE_ORIGINAL, audit_csv
 
 from conftest import CL, CR, HS, MA, NT, make_labelled, make_unlabelled
 
@@ -337,6 +339,82 @@ def test_synth_corpus_rejects_degenerate_specs():
 def test_synth_corpus_rejects_non_finite_separation(separation):
     with pytest.raises(SevpredictError, match="separation must be a finite number >= 0"):
         synth_corpus({CL: 5, MA: 5}, 2, separation, seed=1)
+
+
+def test_synth_corpus_rejects_a_separation_that_overflows_the_features():
+    with pytest.raises(SevpredictError, match=r"^separation 1\.7e\+308 overflows the float range of the features$"):
+        synth_corpus({CL: 5, MA: 5}, 5, 1.7e308, seed=1)
+
+
+def test_synth_corpus_takes_a_separation_of_1e300():
+    corpus = synth_corpus({CL: 5, MA: 5}, 5, 1e300, n_unlabelled=3, seed=1)
+    feats = [f for inst in corpus.labelled + corpus.unlabelled for f in inst.features]
+    assert all(math.isfinite(f) for f in feats) and max(map(abs, feats)) > 1e299
+
+
+def _reference_synth(class_counts, n_features, separation, n_unlabelled=0, seed=0):
+    """synth_corpus as first written: per-row draws through rng.choice and one closure."""
+    if seed < 0:
+        raise SevpredictError(f"seed must be a non-negative integer, got {seed}")
+    if n_features < 1:
+        raise SevpredictError(f"n_features must be >= 1, got {n_features}")
+    if n_unlabelled < 0:
+        raise SevpredictError(f"n_unlabelled must be >= 0, got {n_unlabelled}")
+    if not (math.isfinite(separation) and separation >= 0):
+        raise SevpredictError(f"separation must be a finite number >= 0, got {separation}")
+    counts = {cls: int(class_counts.get(cls, 0)) for cls in SEVERITY_ORDER}
+    if any(n < 0 for n in counts.values()):
+        raise SevpredictError("class counts must be >= 0")
+    if sum(counts.values()) == 0:
+        raise SevpredictError("all class counts are zero")
+
+    rng = np.random.default_rng(seed)
+    centres = {cls: rng.normal(size=n_features) * separation for cls in SEVERITY_ORDER}
+
+    def draw(cls):
+        feats = centres[cls] + rng.normal(size=n_features)
+        loc = int(rng.integers(20, 2001))
+        return tuple(float(v) for v in feats), loc
+
+    serial = 0
+    labelled = []
+    for cls in SEVERITY_ORDER:
+        for _ in range(counts[cls]):
+            feats, loc = draw(cls)
+            labelled.append(LabelledInstance(feats, loc, cls, PROVENANCE_ORIGINAL, f"synth_{serial:05d}"))
+            serial += 1
+    present = [cls for cls in SEVERITY_ORDER if counts[cls] > 0]
+    probs = np.array([counts[cls] for cls in present], dtype=float)
+    probs /= probs.sum()
+    unlabelled = []
+    for _ in range(n_unlabelled):
+        cls = present[int(rng.choice(len(present), p=probs))]
+        feats, loc = draw(cls)
+        unlabelled.append(UnlabelledInstance(feats, loc, f"synth_{serial:05d}"))
+        serial += 1
+    schema = tuple(f"metric_{j + 1}" for j in range(n_features))
+    return Corpus(schema, tuple(labelled), tuple(unlabelled))
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    sizes=st.lists(st.integers(0, 40), min_size=5, max_size=5).filter(any),
+    n_features=st.integers(1, 12),
+    separation=st.sampled_from([0.0, 1.0, 3.0, 1e150]),
+    n_unlabelled=st.integers(0, 60),
+    seed=st.integers(0, 2**64 - 1),
+)
+@example(sizes=[0, 0, 0, 0, 7], n_features=3, separation=1.0, n_unlabelled=20, seed=0)  # p = [1.0]
+def test_synth_corpus_matches_the_reference(sizes, n_features, separation, n_unlabelled, seed):
+    counts = dict(zip(SEVERITY_ORDER, sizes))
+    got = synth_corpus(counts, n_features, separation, n_unlabelled, seed)
+    want = _reference_synth(counts, n_features, separation, n_unlabelled, seed)
+    assert got == want
+    texts = []
+    for corpus in (got, want):
+        texts.append(io.StringIO())
+        write_corpus_csv(corpus, texts[-1])
+    assert texts[0].getvalue() == texts[1].getvalue()
 
 
 def test_write_corpus_csv_is_seed_stable(tmp_path):

@@ -2,9 +2,11 @@
 
 Each case runs `sevpredict run` in process on one or two small synthetic
 corpora, or `sevpredict metrics` on a checked-in predictions file, and pins
-the sha1 of every file it writes. Acceptance criterion 7 checks that a
-rerun is byte-identical; this test checks that the bytes stay the same
-across changes to the code. A change that alters the output on purpose
+the sha1 of every file it writes. The corpora themselves are pinned too,
+since every golden case and benchmark workload builds its input with
+`synth_corpus`. Acceptance criterion 7 checks that a rerun is
+byte-identical; this test checks that the bytes stay the same across
+changes to the code. A change that alters the output on purpose
 updates the pinned values and says why in CHANGES.md. One more test checks
 that every way of building a run's config gives that run's bytes.
 """
@@ -19,7 +21,7 @@ import pytest
 
 from sevpredict import PipelineConfig, cli, load_corpus, report_to_json, run_experiment, save_corpus, synth_corpus
 
-from conftest import DATA_DIR, GOLDEN_CORPORA
+from conftest import CL, DATA_DIR, GOLDEN_CORPORA, HS, MA
 
 CASES = {
     "default": (
@@ -75,6 +77,22 @@ def test_run_writes_the_pinned_bytes(tmp_path, capsys, case):
         path.name: hashlib.sha1(path.read_bytes()).hexdigest() for path in sorted(out.iterdir())
     }
     assert written == pinned
+
+
+SYNTH_CASES = {
+    "alpha": (GOLDEN_CORPORA["alpha"], "88de26e4b0d7b20e2fbfa39861b63a3c77e7e688"),
+    "beta": (GOLDEN_CORPORA["beta"], "6b28e5f82cf1c9a2f8c82e245a8ca784d6c058bd"),
+    # two classes absent, so unlabelled modules draw from three clusters
+    "absent_classes": (({CL: 30, MA: 12, HS: 4}, 5, 2.0, 25, 11), "f8498d1e50ee3478382fb60ce9bf414ad6da2956"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(SYNTH_CASES))
+def test_synth_writes_the_pinned_corpus_bytes(tmp_path, case):
+    args, pinned = SYNTH_CASES[case]
+    path = tmp_path / "corpus.csv"
+    save_corpus(synth_corpus(*args), path)
+    assert hashlib.sha1(path.read_bytes()).hexdigest() == pinned
 
 
 def test_one_seed_gives_one_report(tmp_path, capsys):
