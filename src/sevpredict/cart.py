@@ -196,31 +196,39 @@ def fit_tree(
     config: TreeConfig = TreeConfig(),
     schema: Sequence[str] | None = None,
 ) -> DecisionTree:
-    """Grow a tree on the training instances.
+    """Grow a tree on the training instances: fit_arrays on their training_arrays."""
+    train = list(train)
+    return fit_arrays(*training_arrays(train, len(train[0].features) if train else 0), config, schema)
+
+
+def training_arrays(train: Sequence[LabelledInstance], width: int) -> tuple[np.ndarray, np.ndarray]:
+    """The instances as a feature-major (width, n) matrix and an int vector of class indices."""
+    XT = feature_matrix([inst.features for inst in train], width).T.copy()
+    return XT, np.fromiter([CLASS_INDEX[inst.label] for inst in train], np.int64, len(train))
+
+
+def fit_arrays(XT: np.ndarray, y: np.ndarray, config: TreeConfig = TreeConfig(),
+               schema: Sequence[str] | None = None) -> DecisionTree:
+    """Grow a tree on the columns of a feature-major matrix, labelled by class index.
 
     Recursion stops at pure nodes, nodes below min_samples_split, nodes
     where no candidate split strictly reduces Gini impurity, and at
     max_depth when one is set.
     """
-    instances = list(train)
-    if not instances:
+    p, n = XT.shape
+    if not n:
         raise SevpredictError("cannot fit a tree on an empty training set")
-    n = len(instances)
     if n > MAX_TRAIN_ROWS:
         raise SevpredictError(
             f"training set has {n} rows; exact split search supports at most {MAX_TRAIN_ROWS}"
         )
-    p = len(instances[0].features)
-    XT = feature_matrix([inst.features for inst in instances], p).T.copy()  # feature-major
     if not np.all(np.isfinite(XT)):
         raise SevpredictError("features must be finite")
-    y = np.fromiter(map(SEVERITY_ORDER.index, [inst.label for inst in instances]), np.int64, n)
     if schema is None:
         schema = tuple(f"f{j}" for j in range(p))
     elif len(schema) != p:
         raise SevpredictError(f"schema names {len(schema)} features but instances have {p}")
-    root = _grow(XT, y, config)
-    return DecisionTree(root, tuple(schema))
+    return DecisionTree(_grow(XT, y, config), tuple(schema))
 
 
 def _width_error(found: int, expected: int) -> SevpredictError:

@@ -200,7 +200,8 @@ def _run_arms(
     pools = {flag: adasyn_balance(raw, cfg.sampler, cfg.seed) if flag else raw
              for flag in {bst_flag, ast_flag}}
     trees = {flag: fit_tree(pool, cfg.tree, train.schema) for flag, pool in pools.items()}
-    st = self_train(trees[ast_flag], pools[ast_flag], list(train.unlabelled), cfg.selftrain, cfg.tree)
+    st = self_train(trees[ast_flag], pools[ast_flag], train.unlabelled, cfg.selftrain, cfg.tree)
+    accepted = sum(r.accepted for r in st.trace.iterations)
 
     bst_outcomes = _evaluate(trees[bst_flag], test)
     ast_outcomes = _evaluate(st.tree, test)
@@ -222,9 +223,9 @@ def _run_arms(
         corpus_summary=summary,
         training={
             "bst_train_size": len(pools[bst_flag]),
-            "ast_train_size": len(st.labelled),
-            "accepted_pseudo": sum(r.accepted for r in st.trace.iterations),
-            "residual_unlabelled": len(st.residual_unlabelled),
+            "ast_train_size": len(pools[ast_flag]) + accepted,
+            "accepted_pseudo": accepted,
+            "residual_unlabelled": len(train.unlabelled) - accepted,
             "test_modules": len(test),
             "test_total_loc": sum(i.loc for i in test),
         },

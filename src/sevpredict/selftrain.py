@@ -15,7 +15,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .cart import N_CLASSES, DecisionTree, TreeConfig, feature_matrix, fit_tree, iter_leaves, route_rows
+from .cart import (N_CLASSES, DecisionTree, TreeConfig, feature_matrix, fit_arrays, iter_leaves, route_rows,
+                   training_arrays)
 from .corpus import PROVENANCE_PSEUDO, LabelledInstance, UnlabelledInstance
 from .errors import SevpredictError
 from .severity import CLASS_NAMES, SEVERITY_ORDER
@@ -63,9 +64,25 @@ class SelfTrainTrace:
 @dataclass(frozen=True)
 class SelfTrainResult:
     tree: DecisionTree  # fit on the final augmented pool
-    labelled: tuple[LabelledInstance, ...]
-    residual_unlabelled: tuple[UnlabelledInstance, ...]
+    start: tuple[LabelledInstance, ...]  # the pool self-training started from
+    unlabelled: tuple[UnlabelledInstance, ...]
+    accepted_labels: tuple[int, ...]  # class indices, aligned with the iterations' accepted_indices
     trace: SelfTrainTrace
+
+    @property
+    def labelled(self) -> tuple[LabelledInstance, ...]:
+        """The start pool, then each iteration's accepted modules by ascending position, pseudo-labelled."""
+        accepted = (self.unlabelled[i] for r in self.trace.iterations for i in r.accepted_indices)
+        return self.start + tuple(
+            LabelledInstance(u.features, u.loc, SEVERITY_ORDER[k], PROVENANCE_PSEUDO, u.module_id)
+            for u, k in zip(accepted, self.accepted_labels)
+        )
+
+    @property
+    def residual_unlabelled(self) -> tuple[UnlabelledInstance, ...]:
+        """The modules no iteration accepted, in their original order."""
+        taken = {i for r in self.trace.iterations for i in r.accepted_indices}
+        return tuple(u for i, u in enumerate(self.unlabelled) if i not in taken)
 
 
 def pseudo_label_risk(tree: DecisionTree) -> float:
@@ -92,13 +109,15 @@ def self_train(
 
     `tree` is the tree fitted on `labelled` under `tree_config`; the loop
     continues from it and refits only after an iteration that extends the
-    pool. `labelled` itself is never extended.
+    pool. `labelled` itself is never extended; the grown pool is kept as
+    arrays, and the result builds its rows only when they are read.
     """
     if not labelled:
         raise SevpredictError("self-training needs a non-empty labelled pool")
-    pool = list(labelled)
+    start = tuple(labelled)
     unlabelled = tuple(unlabelled)
     X = feature_matrix([inst.features for inst in unlabelled], len(tree.schema))
+    XT = y = None  # the pool as arrays, converted at the first refit and grown column by column
     remaining = np.arange(len(unlabelled))  # original positions, ascending
 
     records: list[IterationRecord] = []
@@ -112,7 +131,7 @@ def self_train(
         supervised = pseudo_label_risk(tree)
         label, confidence = route_rows(tree, X[remaining])
         hit = confidence >= config.gamma
-        accepted, accepted_label = remaining[hit].tolist(), label[hit]
+        accepted, accepted_label = remaining[hit], label[hit]
         per_class = np.bincount(accepted_label, minlength=N_CLASSES).tolist()
         records.append(
             IterationRecord(
@@ -120,22 +139,24 @@ def self_train(
                 unlabelled_before=len(remaining),
                 accepted=len(accepted),
                 accepted_per_class=dict(zip(CLASS_NAMES, per_class)),
-                accepted_indices=tuple(accepted),
+                accepted_indices=tuple(accepted.tolist()),
                 supervised_risk=supervised,
             )
         )
-        if not accepted:
+        if not len(accepted):
             status = STATUS_NO_PROGRESS
             break
-        for i, k in zip(accepted, accepted_label.tolist()):
-            u = unlabelled[i]
-            pool.append(LabelledInstance(u.features, u.loc, SEVERITY_ORDER[k], PROVENANCE_PSEUDO, u.module_id))
+        if XT is None:
+            XT, y = training_arrays(start, len(tree.schema))
+        XT = np.concatenate((XT, X[accepted].T), axis=1)
+        y = np.concatenate((y, accepted_label))
         remaining = remaining[~hit]
-        tree = fit_tree(pool, tree_config, tree.schema)
+        tree = fit_arrays(XT, y, tree_config, tree.schema)
 
     return SelfTrainResult(
         tree=tree,
-        labelled=tuple(pool),
-        residual_unlabelled=tuple(unlabelled[i] for i in remaining.tolist()),
+        start=start,
+        unlabelled=unlabelled,
+        accepted_labels=() if y is None else tuple(y[len(start):].tolist()),
         trace=SelfTrainTrace(tuple(records), status),
     )

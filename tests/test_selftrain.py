@@ -16,6 +16,7 @@ from sevpredict import (
     route_to_leaf,
     self_train,
 )
+from sevpredict.cart import fit_arrays
 from sevpredict.selftrain import (
     STATUS_EXHAUSTED_U,
     STATUS_MAX_ITERATIONS,
@@ -124,12 +125,12 @@ def test_no_progress_keeps_the_only_tree(monkeypatch):
     fitted = []
 
     def counting_fit(*args, **kwargs):
-        fitted.append(fit_tree(*args, **kwargs))
+        fitted.append(fit_arrays(*args, **kwargs))
         return fitted[-1]
 
     labelled, unlabelled = conflicted_sets()
     tree = fit_tree(labelled)
-    monkeypatch.setattr(selftrain, "fit_tree", counting_fit)
+    monkeypatch.setattr(selftrain, "fit_arrays", counting_fit)
     result = self_train(tree, labelled, unlabelled, SelfTrainConfig(gamma=1.0))
     assert result.trace.status == STATUS_NO_PROGRESS
     assert fitted == []
@@ -271,6 +272,47 @@ def test_an_unlabelled_row_of_the_wrong_width_fails_as_routing_it_would(widths):
     with pytest.raises(SevpredictError) as batched:
         self_train(tree, labelled, unlabelled, SelfTrainConfig())
     assert str(batched.value) == str(per_row.value)
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+def test_an_accepted_non_finite_row_fails_the_refit(bad):
+    # a non-finite value routes right at every split, here into the pure major leaf
+    labelled, _ = separable_sets()
+    unlabelled = [make_unlabelled([bad, 5.0])]
+    with pytest.raises(SevpredictError, match="^features must be finite$"):
+        self_train(fit_tree(labelled), labelled, unlabelled, SelfTrainConfig(gamma=0.9))
+
+
+def test_a_non_finite_row_never_accepted_raises_nothing():
+    # the right leaf holds a clean and a major row, so nan and inf score 0.5
+    labelled = [
+        make_labelled([0.0], HS), make_labelled([0.5], HS),
+        make_labelled([9.0], CL), make_labelled([9.0], MA),
+    ]
+    unlabelled = [
+        make_unlabelled([float("nan")], module_id="nan"),
+        make_unlabelled([0.2], module_id="ok"),
+        make_unlabelled([float("inf")], module_id="inf"),
+    ]
+    result = self_train(fit_tree(labelled), labelled, unlabelled, SelfTrainConfig(gamma=0.9))
+    assert result.trace.status == STATUS_NO_PROGRESS
+    assert [rec.accepted_indices for rec in result.trace.iterations] == [(1,), ()]
+    assert [u.module_id for u in result.residual_unlabelled] == ["nan", "inf"]
+
+
+def test_a_refit_past_the_row_limit_fails_as_fit_tree_does(monkeypatch):
+    import sevpredict.cart as cart
+
+    labelled, unlabelled = separable_sets()
+    tree = fit_tree(labelled)
+    monkeypatch.setattr(cart, "MAX_TRAIN_ROWS", 5)
+    with pytest.raises(SevpredictError) as direct:
+        fit_tree(labelled + [make_labelled(u.features, CL) for u in unlabelled])
+    with pytest.raises(SevpredictError) as refit:
+        self_train(tree, labelled, unlabelled, SelfTrainConfig(gamma=0.0))
+    assert str(refit.value) == str(direct.value) == (
+        "training set has 6 rows; exact split search supports at most 5"
+    )
 
 
 def test_config_validation():
