@@ -19,10 +19,10 @@ from typing import Sequence
 
 import numpy as np
 
-from .cart import SCAN_CELLS
-from .corpus import PROVENANCE_SYNTHETIC, LabelledInstance
+from .cart import N_CLASSES, SCAN_CELLS, training_arrays
+from .corpus import LabelledInstance
 from .errors import SevpredictError
-from .severity import SEVERITY_ORDER, SeverityClass
+from .severity import SEVERITY_ORDER
 
 
 @dataclass(frozen=True)
@@ -116,27 +116,26 @@ def adasyn_balance(
     """Oversample every minority class toward the majority count.
 
     Returns the input instances verbatim (same order) followed by the
-    synthetic ones, each tagged with provenance 'synthetic' and carrying
-    its seed's label and loc. Deterministic for a fixed config and seed.
+    synthetic ones, so `out[len(labelled):]` is exactly the synthetic rows.
+    Each carries its seed's label and loc, and module_id None.
+    Deterministic for a fixed config and seed.
     """
     if seed < 0:
         raise SevpredictError(f"seed must be a non-negative integer, got {seed}")
     instances = list(labelled)
     if not instances:
         raise SevpredictError("cannot balance an empty labelled set")
-    X = np.asarray([inst.features for inst in instances], dtype=float)
+    X, y = training_arrays(instances, len(instances[0].features))
     if not np.all(np.isfinite(X)):
         raise SevpredictError("features must be finite")
-    labels = [inst.label for inst in instances]
-    members = {cls: np.fromiter((lbl is cls for lbl in labels), bool, len(labels)) for cls in SEVERITY_ORDER}
-    sizes = {cls: int(member.sum()) for cls, member in members.items()}
-    if sum(1 for n in sizes.values() if n > 0) < 2:
+    sizes = np.bincount(y, minlength=N_CLASSES).tolist()  # per class index
+    if sum(1 for n in sizes if n > 0) < 2:
         raise SevpredictError("balancing requires at least 2 classes present")
 
     # G = (n_majority - m) * beta for each class under the size ratio d_threshold (<= 1: never
     # the majority), settled before any scaling; beta = 0 tops up nothing
-    n_majority = max(sizes.values())
-    targets = {cls: (n_majority - m) * config.beta for cls, m in sizes.items()
+    n_majority = max(sizes)
+    targets = {k: (n_majority - m) * config.beta for k, m in enumerate(sizes)
                if m > 0 and m / n_majority < config.d_threshold and config.beta > 0}
     if not targets:
         return instances
@@ -147,10 +146,9 @@ def adasyn_balance(
     rng = np.random.default_rng(seed)
 
     synthetics: list[LabelledInstance] = []
-    for cls, target in targets.items():
-        m, member = sizes[cls], members[cls]
-        other = ~member
-        in_class = np.flatnonzero(member)
+    for c, target in targets.items():
+        m, other = sizes[c], y != c
+        in_class = np.flatnonzero(y == c)
         seeds = in_class.tolist()
         kn, kp = min(k, len(instances) - 1), min(k, m - 1)
 
@@ -175,9 +173,7 @@ def adasyn_balance(
 
         if m == 1:  # no same-class neighbor to interpolate toward; replicate
             seed_inst = instances[seeds[0]]
-            synthetics.extend(
-                replace(seed_inst, provenance=PROVENANCE_SYNTHETIC, module_id=None) for _ in range(counts[0])
-            )
+            synthetics.extend(replace(seed_inst, module_id=None) for _ in range(counts[0]))
             continue
         # a partner draw and then a lambda per synthetic row, seed by seed
         z, lam = np.empty(sum(counts), np.intp), np.empty(sum(counts))
@@ -189,7 +185,7 @@ def adasyn_balance(
         feats = a + lam[:, None] * (X[z] - a)  # float(a + lam * (b - a)) in each value
         chunk = max(1, SCAN_CELLS // max(1, X.shape[1]))  # rows per list of lists
         synthetics.extend(
-            LabelledInstance(tuple(row), instances[i].loc, cls, PROVENANCE_SYNTHETIC, None)
+            LabelledInstance(tuple(row), instances[i].loc, SEVERITY_ORDER[c])
             for start in range(0, len(origin), chunk)
             for i, row in zip(origin[start : start + chunk].tolist(), feats[start : start + chunk].tolist())
         )

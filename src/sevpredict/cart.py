@@ -198,13 +198,14 @@ def fit_tree(
 ) -> DecisionTree:
     """Grow a tree on the training instances: fit_arrays on their training_arrays."""
     train = list(train)
-    return fit_arrays(*training_arrays(train, len(train[0].features) if train else 0), config, schema)
+    X, y = training_arrays(train, len(train[0].features) if train else 0)
+    return fit_arrays(X.T.copy(), y, config, schema)
 
 
 def training_arrays(train: Sequence[LabelledInstance], width: int) -> tuple[np.ndarray, np.ndarray]:
-    """The instances as a feature-major (width, n) matrix and an int vector of class indices."""
-    XT = feature_matrix([inst.features for inst in train], width).T.copy()
-    return XT, np.fromiter([CLASS_INDEX[inst.label] for inst in train], np.int64, len(train))
+    """The instances as an (n, width) feature matrix and an int vector of class indices."""
+    X = feature_matrix([inst.features for inst in train], width)
+    return X, np.fromiter([CLASS_INDEX[inst.label] for inst in train], np.int64, len(train))
 
 
 def fit_arrays(XT: np.ndarray, y: np.ndarray, config: TreeConfig = TreeConfig(),

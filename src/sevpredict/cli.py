@@ -17,6 +17,7 @@ from .errors import SchemaError, SevpredictError
 from .metrics import REPORT_CSV_HEADER, full_report, parse_predictions
 from .pipeline import (
     PipelineConfig,
+    _is_finite_number,
     average_reports,
     fold_project,
     report_to_json,
@@ -35,11 +36,15 @@ DEFAULTS["weights"] = DEFAULTS.pop("ordinal_weights")
 DEFAULTS["seed"] = None
 
 
-def _parse_weights(text: str) -> list[float]:
+def _parse_weights(value) -> list:
+    """The `weights` setting, from a flag or config file: 5 finite numbers, listed or comma-separated."""
     try:
-        return [float(part) for part in text.split(",")]
+        weights = [float(part) for part in value.split(",")] if isinstance(value, str) else value
     except ValueError:
-        raise SevpredictError(f"--weights must be 5 comma-separated numbers, got {text!r}") from None
+        weights = None
+    if not (isinstance(weights, list) and len(weights) == 5 and all(map(_is_finite_number, weights))):
+        raise SevpredictError(f"setting 'weights' must be 5 finite numbers, listed or comma-separated, got {value!r}")
+    return weights
 
 
 def _resolve_settings(args) -> dict:
@@ -64,8 +69,7 @@ def _resolve_settings(args) -> dict:
             settings[key] = value
     if getattr(args, "bst_raw", False):
         settings["bst_oversample"] = False
-    weights = settings.pop("weights")
-    settings["ordinal_weights"] = _parse_weights(weights) if isinstance(weights, str) else weights
+    settings["ordinal_weights"] = _parse_weights(settings.pop("weights"))
     return settings
 
 

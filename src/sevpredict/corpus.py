@@ -30,17 +30,12 @@ REQUIRED_COLUMNS: tuple[str, ...] = (
     "n_total_defects",
 )
 
-PROVENANCE_ORIGINAL = "original"
-PROVENANCE_SYNTHETIC = "synthetic"
-PROVENANCE_PSEUDO = "pseudo"
-
 
 @dataclass(frozen=True)
 class LabelledInstance:
     features: tuple[float, ...]
     loc: int
     label: SeverityClass
-    provenance: str = PROVENANCE_ORIGINAL  # original | synthetic | pseudo
     module_id: str | None = None
 
 
@@ -191,7 +186,7 @@ def _read_rows(source: Iterable[str], feature_names: Sequence[str] | None, bad_r
         if label is None:
             unlabelled.append(UnlabelledInstance(feats, loc, module_id))
         else:
-            labelled.append(LabelledInstance(feats, loc, label, PROVENANCE_ORIGINAL, module_id))
+            labelled.append(LabelledInstance(feats, loc, label, module_id))
     return Corpus(schema, tuple(labelled), tuple(unlabelled))
 
 
@@ -372,7 +367,7 @@ def synth_corpus(
         raise SevpredictError(f"separation {separation} overflows the float range of the features")
     rows = zip(map(tuple, features.tolist()), locs, clusters, (f"synth_{i:05d}" for i in itertools.count()))
     labelled = tuple(
-        LabelledInstance(feats, loc, SEVERITY_ORDER[k], PROVENANCE_ORIGINAL, module_id)
+        LabelledInstance(feats, loc, SEVERITY_ORDER[k], module_id)
         for feats, loc, k, module_id in itertools.islice(rows, n_labelled)
     )
     unlabelled = tuple(UnlabelledInstance(feats, loc, module_id) for feats, loc, _, module_id in rows)

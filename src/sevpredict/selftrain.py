@@ -17,7 +17,7 @@ import numpy as np
 
 from .cart import (N_CLASSES, DecisionTree, TreeConfig, feature_matrix, fit_arrays, iter_leaves, route_rows,
                    training_arrays)
-from .corpus import PROVENANCE_PSEUDO, LabelledInstance, UnlabelledInstance
+from .corpus import LabelledInstance, UnlabelledInstance
 from .errors import SevpredictError
 from .severity import CLASS_NAMES, SEVERITY_ORDER
 
@@ -71,10 +71,10 @@ class SelfTrainResult:
 
     @property
     def labelled(self) -> tuple[LabelledInstance, ...]:
-        """The start pool, then each iteration's accepted modules by ascending position, pseudo-labelled."""
+        """`labelled[:len(start)]` is the start pool; the rest are the accepted modules in trace order."""
         accepted = (self.unlabelled[i] for r in self.trace.iterations for i in r.accepted_indices)
         return self.start + tuple(
-            LabelledInstance(u.features, u.loc, SEVERITY_ORDER[k], PROVENANCE_PSEUDO, u.module_id)
+            LabelledInstance(u.features, u.loc, SEVERITY_ORDER[k], u.module_id)
             for u, k in zip(accepted, self.accepted_labels)
         )
 
@@ -147,7 +147,8 @@ def self_train(
             status = STATUS_NO_PROGRESS
             break
         if XT is None:
-            XT, y = training_arrays(start, len(tree.schema))
+            X0, y = training_arrays(start, len(tree.schema))
+            XT = X0.T.copy()  # feature-major, as fit_arrays takes it
         XT = np.concatenate((XT, X[accepted].T), axis=1)
         y = np.concatenate((y, accepted_label))
         remaining = remaining[~hit]

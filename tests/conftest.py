@@ -22,8 +22,8 @@ GOLDEN_CORPORA = {
 }
 
 
-def make_labelled(features, label, *, loc=100, provenance="original", module_id=None):
-    return LabelledInstance(tuple(float(v) for v in features), loc, label, provenance, module_id)
+def make_labelled(features, label, *, loc=100, module_id=None):
+    return LabelledInstance(tuple(float(v) for v in features), loc, label, module_id)
 
 
 def make_unlabelled(features, *, loc=100, module_id=None):

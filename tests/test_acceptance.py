@@ -209,7 +209,7 @@ def test_criterion_5_oversampler_properties():
             member_feats = np.array([i.features for i in instances if i.label is cls])
             boxes[cls] = (member_feats.min(axis=0), member_feats.max(axis=0))
         for inst in balanced[len(instances):]:
-            assert inst.provenance == "synthetic"
+            assert inst.module_id is None
             lo, hi = boxes[inst.label]
             feats = np.array(inst.features)
             assert np.all(feats >= lo - 1e-12) and np.all(feats <= hi + 1e-12)
@@ -263,10 +263,9 @@ def test_criterion_6_self_training_behaviour():
             inst = unlabelled[idx]
             label, conf = predict_confidence(tree, inst.features)
             assert conf >= config.gamma
-            replay_pool.append(make_labelled(list(inst.features), label,
-                                             loc=inst.loc, provenance="pseudo"))
-    accepted = [i for i in result.labelled if i.provenance == "pseudo"]
-    replayed = [i for i in replay_pool if i.provenance == "pseudo"]
+            replay_pool.append(make_labelled(list(inst.features), label, loc=inst.loc))
+    accepted = result.labelled[len(labelled):]
+    replayed = replay_pool[len(labelled):]
     assert [(a.features, a.label) for a in accepted] == \
            [(r.features, r.label) for r in replayed]
     elapsed = time.perf_counter() - start

@@ -16,12 +16,12 @@ from sevpredict import (
     SamplerConfig,
     SevpredictError,
     adasyn_balance,
+    fit_tree,
     synth_corpus,
 )
 from sevpredict import adasyn
 from sevpredict.adasyn import _distance_rows, _first_k, _minmax_params
 from sevpredict.cart import SCAN_CELLS
-from sevpredict.corpus import PROVENANCE_SYNTHETIC
 
 from conftest import CL, CR, HS, MA, NT, make_labelled
 
@@ -98,7 +98,7 @@ def _reference_balance(
             if m == 1:
                 # no same-class neighbor to interpolate toward; replicate
                 synthetics.extend(
-                    replace(seed_inst, provenance=PROVENANCE_SYNTHETIC, module_id=None)
+                    replace(seed_inst, module_id=None)
                     for _ in range(g)
                 )
                 continue
@@ -108,7 +108,7 @@ def _reference_balance(
                 lam = float(rng.random())
                 feats = tuple(float(a + lam * (b - a)) for a, b in zip(X[i], X[z]))
                 synthetics.append(
-                    LabelledInstance(feats, seed_inst.loc, cls, PROVENANCE_SYNTHETIC, None)
+                    LabelledInstance(feats, seed_inst.loc, cls, None)
                 )
     return instances + synthetics
 
@@ -328,7 +328,7 @@ def test_allocation_matches_independent_oracle():
     instances = cluster((0.0, 0.0), 10, CL, rng) + cluster((0.6, 0.4), 2, MA, rng)
     config = SamplerConfig(k_neighbors=5, beta=1.0, d_threshold=1.0)
     balanced = adasyn_balance(instances, config, 7)
-    produced = Counter(i.label for i in balanced if i.provenance == "synthetic")
+    produced = Counter(i.label for i in balanced[len(instances):])
     expected = expected_allocation(instances, config)
     assert dict(produced) == expected
     assert 9 <= produced[MA] + 2 <= 11  # lands near majority size
@@ -347,7 +347,7 @@ def test_allocation_oracle_over_random_corpora():
             d_threshold=1.0,
         )
         balanced = adasyn_balance(instances, config, trial)
-        produced = Counter(i.label for i in balanced if i.provenance == "synthetic")
+        produced = Counter(i.label for i in balanced[len(instances):])
         assert dict(produced) == expected_allocation(instances, config)
 
 
@@ -382,7 +382,8 @@ def test_originals_preserved_as_prefix():
     instances = cluster((0.0, 0.0), 10, CL, rng, tag="c") + cluster((1.0, 1.0), 3, NT, rng, tag="n")
     out = adasyn_balance(instances, SamplerConfig(), 5)
     assert out[: len(instances)] == instances
-    assert all(i.provenance == "synthetic" for i in out[len(instances):])
+    assert len(out) > len(instances)
+    assert all(i.module_id is None for i in out[len(instances):])
 
 
 def test_synthetics_stay_inside_class_bounding_box():
@@ -391,7 +392,7 @@ def test_synthetics_stay_inside_class_bounding_box():
     out = adasyn_balance(instances, SamplerConfig(k_neighbors=3), 8)
     members = np.array([i.features for i in instances if i.label is CR])
     lo, hi = members.min(axis=0), members.max(axis=0)
-    synth = [i for i in out if i.provenance == "synthetic"]
+    synth = out[len(instances):]
     assert synth
     for inst in synth:
         assert inst.label is CR
@@ -418,7 +419,7 @@ def test_singleton_minority_is_replicated():
     instances = [make_labelled([float(i), 0.0], CL, module_id=f"c{i}") for i in range(8)]
     instances.append(seed_inst)
     out = adasyn_balance(instances, SamplerConfig(k_neighbors=3), 0)
-    copies = [i for i in out if i.provenance == "synthetic"]
+    copies = out[len(instances):]
     assert len(copies) == 7
     for copy in copies:
         assert copy.features == (9.0, 9.0)
@@ -436,7 +437,7 @@ def test_uniform_fallback_when_minority_is_isolated():
     majority = cluster((100.0, 100.0), 24, CL, rng, spread=0.1)
     instances = minority + majority
     out = adasyn_balance(instances, SamplerConfig(k_neighbors=5), 13)
-    produced = sum(1 for i in out if i.provenance == "synthetic")
+    produced = len(out) - len(instances)
     assert produced == 16
     assert produced == expected_allocation(instances, SamplerConfig(k_neighbors=5))[MA]
 
@@ -475,6 +476,16 @@ def test_balance_input_validation():
     two_classes = [make_labelled([0.0], CL), make_labelled([1.0], CL), make_labelled([2.0], MA)]
     with pytest.raises(SevpredictError, match="seed"):
         adasyn_balance(two_classes, SamplerConfig(), -1)
+
+
+def test_ragged_rows_fail_as_they_fail_fit_tree():
+    # rows become arrays through the conversion fit_tree uses, so a short row gets its message
+    ragged = [make_labelled([0.0, 1.0], CL), make_labelled([1.0, 1.0], CL), make_labelled([2.0], MA)]
+    with pytest.raises(SevpredictError) as fitting:
+        fit_tree(ragged)
+    with pytest.raises(SevpredictError, match="^feature vector has 1 values but the tree expects 2$") as balancing:
+        adasyn_balance(ragged, SamplerConfig(), 0)
+    assert str(balancing.value) == str(fitting.value)
 
 
 @pytest.mark.parametrize("beta, d_threshold", [(0.0, 1.0), (1.0, 0.5), (1.0, 0.3)])

@@ -609,6 +609,29 @@ def test_run_weights_flag_validated(capsys, tmp_path):
     assert code == 1
 
 
+@pytest.mark.parametrize(
+    "flags, content",
+    [
+        (["--weights", "1,2,3,4,nan"], None),
+        ([], '{"weights": 5}'),
+        ([], '{"weights": "a,b"}'),
+    ],
+    ids=["flag-nan", "config-number", "config-string"],
+)
+def test_bad_weights_are_named_weights(capsys, tmp_path, flags, content):
+    # the setting is `weights` on the command line and in the file; `ordinal_weights` is the report's name
+    corpus_csv = make_corpus_csv(capsys, tmp_path)
+    if content is not None:
+        config = tmp_path / "config.json"
+        config.write_text(content)
+        flags = flags + ["--config", str(config)]
+    code, _, err = run(capsys, "run", str(corpus_csv), "--seed", "1", *flags, "--out", str(tmp_path / "out"))
+    assert code == 1
+    assert err.startswith("error: setting 'weights' must be 5 finite numbers")
+    assert "ordinal_weights" not in err and "--weights" not in err
+    assert err.count("\n") == 1
+
+
 @pytest.mark.parametrize("command", ["run", "metrics"])
 @pytest.mark.parametrize(
     "content, named",

@@ -28,7 +28,7 @@ from sevpredict import (
     synth_corpus,
     write_corpus_csv,
 )
-from sevpredict.corpus import PROVENANCE_ORIGINAL, audit_csv
+from sevpredict.corpus import audit_csv
 
 from conftest import CL, CR, HS, MA, NT, make_labelled, make_unlabelled
 
@@ -78,7 +78,7 @@ def test_parse_corpus_routes_rows():
     assert [i.label for i in corpus.labelled] == [HS, CL]
     assert [i.module_id for i in corpus.unlabelled] == ["c"]
     assert corpus.labelled[0].features == (1.0, 2.0)
-    assert corpus.labelled[0].provenance == "original"
+    assert [i.module_id for i in corpus.labelled] == ["a", "b"]
     assert len(corpus) == 3 and corpus.total_loc == 60
 
 
@@ -381,7 +381,7 @@ def _reference_synth(class_counts, n_features, separation, n_unlabelled=0, seed=
     for cls in SEVERITY_ORDER:
         for _ in range(counts[cls]):
             feats, loc = draw(cls)
-            labelled.append(LabelledInstance(feats, loc, cls, PROVENANCE_ORIGINAL, f"synth_{serial:05d}"))
+            labelled.append(LabelledInstance(feats, loc, cls, f"synth_{serial:05d}"))
             serial += 1
     present = [cls for cls in SEVERITY_ORDER if counts[cls] > 0]
     probs = np.array([counts[cls] for cls in present], dtype=float)

@@ -17,7 +17,6 @@ from hypothesis import strategies as st
 from sevpredict import SevpredictError, parse_corpus, parse_predictions, synth_corpus, write_corpus_csv
 from sevpredict import Corpus, LabelledInstance, RowError, UnlabelledInstance, derive_label
 from sevpredict.corpus import (
-    PROVENANCE_ORIGINAL,
     REQUIRED_COLUMNS,
     _parse_feature,
     _parse_int,
@@ -125,7 +124,7 @@ def _reference_scan_rows(source, feature_names):
             if label is None:
                 yield UnlabelledInstance(feats, loc, module_id)
             else:
-                yield LabelledInstance(feats, loc, label, PROVENANCE_ORIGINAL, module_id)
+                yield LabelledInstance(feats, loc, label, module_id)
 
     return schema, rows()
 

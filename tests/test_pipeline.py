@@ -138,7 +138,7 @@ def test_oversample_first_balances_before_looping(monkeypatch):
     cfg = PipelineConfig(seed=3, bst_oversample=False, oversample_first=True)
     report = run_experiment(demo_corpus(unlabelled=0), cfg)
     (result,) = results
-    assert any(inst.provenance == "synthetic" for inst in result.labelled)
+    assert result.labelled[report.training["bst_train_size"]:len(result.start)]  # ADASYN's rows, after the raw pool
     assert report.training["ast_train_size"] > report.training["bst_train_size"]
 
 

@@ -31,7 +31,7 @@ from sevpredict import (
     run_experiment,
 )
 from sevpredict.cart import DecisionTree, Leaf, Split
-from sevpredict.corpus import PROVENANCE_PSEUDO, class_summary
+from sevpredict.corpus import class_summary
 from sevpredict.selftrain import (
     STATUS_EXHAUSTED_U,
     STATUS_MAX_ITERATIONS,
@@ -98,8 +98,7 @@ def _reference_self_train(pool, unlabelled, cfg: PipelineConfig, schema):
         for i, inst in remaining:
             leaf = _leaf(tree, inst.features)
             if max(leaf.counts) / leaf.nl >= cfg.selftrain.gamma:
-                accepted.append((i, LabelledInstance(inst.features, inst.loc, leaf.majority, PROVENANCE_PSEUDO,
-                                                     inst.module_id)))
+                accepted.append((i, LabelledInstance(inst.features, inst.loc, leaf.majority, inst.module_id)))
             else:
                 kept.append((i, inst))
         per_class = {name: sum(p.label.value == name for _, p in accepted) for name in CLASS_NAMES}

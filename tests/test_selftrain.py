@@ -185,8 +185,8 @@ def test_pool_shrinks_monotonically():
     assert sizes == sorted(sizes, reverse=True)
     accepted_total = sum(rec.accepted for rec in result.trace.iterations)
     assert accepted_total == 30 - len(result.residual_unlabelled)
-    pseudo = [i for i in result.labelled if i.provenance == "pseudo"]
-    assert len(pseudo) == accepted_total
+    assert result.labelled[: len(result.start)] == result.start
+    assert len(result.labelled) - len(result.start) == accepted_total
 
 
 # ---------------------------------------------------------------------------
@@ -218,16 +218,15 @@ def test_pseudo_labels_match_the_accepting_iteration_tree():
             label, conf = predict_confidence(tree, inst.features)
             assert conf >= config.gamma
             newly.append(make_labelled(list(inst.features), label,
-                                       loc=inst.loc, provenance="pseudo",
-                                       module_id=inst.module_id))
+                                       loc=inst.loc, module_id=inst.module_id))
         accepted_seen.extend(rec.accepted_indices)
         pool.extend(newly)
         remaining = [inst for i, inst in enumerate(unlabelled)
                      if i not in set(accepted_seen)]
     assert len(accepted_seen) == len(set(accepted_seen))
 
-    pseudo = [i for i in result.labelled if i.provenance == "pseudo"]
-    replayed = [i for i in pool if i.provenance == "pseudo"]
+    pseudo = result.labelled[len(result.start):]
+    replayed = pool[len(labelled):]
     assert [(p.features, p.label) for p in pseudo] == [(p.features, p.label) for p in replayed]
 
 

@@ -15,7 +15,6 @@ from hypothesis import strategies as st
 
 from sevpredict import SEVERITY_ORDER, LabelledInstance, SelfTrainConfig, TreeConfig, fit_tree, self_train
 from sevpredict.cart import N_CLASSES, feature_matrix, route_rows
-from sevpredict.corpus import PROVENANCE_PSEUDO
 from sevpredict.selftrain import (
     STATUS_EXHAUSTED_U,
     STATUS_MAX_ITERATIONS,
@@ -64,7 +63,7 @@ def _reference_self_train(tree, labelled, unlabelled, config, tree_config):
             break
         for i, k in zip(accepted, accepted_label.tolist()):
             u = unlabelled[i]
-            pool.append(LabelledInstance(u.features, u.loc, SEVERITY_ORDER[k], PROVENANCE_PSEUDO, u.module_id))
+            pool.append(LabelledInstance(u.features, u.loc, SEVERITY_ORDER[k], u.module_id))
         remaining = remaining[~hit]
         tree = fit_tree(pool, tree_config, tree.schema)
 
