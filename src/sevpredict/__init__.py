@@ -19,7 +19,6 @@ from .cart import (
     fit_tree,
     predict_confidence,
     predict_label,
-    route_to_leaf,
 )
 from .corpus import (
     Corpus,

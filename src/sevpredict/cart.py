@@ -232,27 +232,22 @@ def fit_arrays(XT: np.ndarray, y: np.ndarray, config: TreeConfig = TreeConfig(),
     return DecisionTree(_grow(XT, y, config), tuple(schema))
 
 
-def _width_error(found: int, expected: int) -> SevpredictError:
-    return SevpredictError(f"feature vector has {found} values but the tree expects {expected}")
-
-
 def feature_matrix(rows: Sequence[Sequence[float]], width: int) -> np.ndarray:
     """The rows as an (n, width) float array, read in one pass over their values.
 
-    The first row of another length raises the error route_to_leaf raises for it.
+    The one width check: the first row of another length raises.
     """
     if set(map(len, rows)) - {width}:
-        raise _width_error(next(len(row) for row in rows if len(row) != width), width)
+        found = next(len(row) for row in rows if len(row) != width)
+        raise SevpredictError(f"feature vector has {found} values, expected {width}")
     return np.fromiter(itertools.chain.from_iterable(rows), float, len(rows) * width).reshape(len(rows), width)
 
 
 def route_rows(tree: DecisionTree, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """predict_confidence for every row of X at once: (majority-class index, confidence).
+    """Each row's landing leaf as (majority-class index, confidence), for an X of the tree's width.
 
     Row indices are partitioned down the tree, one comparison per split node.
     """
-    if X.shape[1] != len(tree.schema):
-        raise _width_error(X.shape[1], len(tree.schema))
     label = np.empty(len(X), dtype=np.int64)
     confidence = np.empty(len(X))
     stack = [(tree.root, np.arange(len(X)))]
@@ -268,23 +263,18 @@ def route_rows(tree: DecisionTree, X: np.ndarray) -> tuple[np.ndarray, np.ndarra
     return label, confidence
 
 
-def route_to_leaf(tree: DecisionTree, features: Sequence[float]) -> Leaf:
-    if len(features) != len(tree.schema):
-        raise _width_error(len(features), len(tree.schema))
-    node = tree.root
-    while isinstance(node, Split):
-        node = node.left if features[node.feature_index] <= node.threshold else node.right
-    return node
+def predict_label(tree: DecisionTree, rows: Sequence[Sequence[float]]) -> tuple[SeverityClass, ...]:
+    """The majority class of each row's landing leaf."""
+    label, _ = route_rows(tree, feature_matrix(rows, len(tree.schema)))
+    return tuple(SEVERITY_ORDER[k] for k in label.tolist())
 
 
-def predict_label(tree: DecisionTree, features: Sequence[float]) -> SeverityClass:
-    return route_to_leaf(tree, features).majority
-
-
-def predict_confidence(tree: DecisionTree, features: Sequence[float]) -> tuple[SeverityClass, float]:
-    """Majority class of the landing leaf and its raw training frequency."""
-    leaf = route_to_leaf(tree, features)
-    return leaf.majority, leaf.counts[CLASS_INDEX[leaf.majority]] / leaf.nl
+def predict_confidence(
+    tree: DecisionTree, rows: Sequence[Sequence[float]]
+) -> tuple[tuple[SeverityClass, float], ...]:
+    """Per row: the majority class of its landing leaf and that class's raw training frequency."""
+    label, confidence = route_rows(tree, feature_matrix(rows, len(tree.schema)))
+    return tuple((SEVERITY_ORDER[k], c) for k, c in zip(label.tolist(), confidence.tolist()))
 
 
 def iter_leaves(tree: DecisionTree):

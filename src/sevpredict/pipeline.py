@@ -181,10 +181,8 @@ def compare(baseline: MetricReport, other: MetricReport) -> dict:
 
 
 def _evaluate(tree: DecisionTree, test: Sequence[LabelledInstance]) -> tuple[Outcome, ...]:
-    return tuple(
-        Outcome(inst.label, predict_label(tree, inst.features), inst.loc, inst.module_id)
-        for inst in test
-    )
+    predicted = predict_label(tree, [inst.features for inst in test])
+    return tuple(Outcome(inst.label, p, inst.loc, inst.module_id) for inst, p in zip(test, predicted))
 
 
 def _run_arms(

@@ -4,7 +4,8 @@ import pathlib
 
 import pytest
 
-from sevpredict import LabelledInstance, SeverityClass, UnlabelledInstance
+from sevpredict import LabelledInstance, SeverityClass, Split, UnlabelledInstance
+from sevpredict.severity import CLASS_INDEX
 
 DATA_DIR = pathlib.Path(__file__).resolve().parent.parent / "data"
 
@@ -28,6 +29,20 @@ def make_labelled(features, label, *, loc=100, module_id=None):
 
 def make_unlabelled(features, *, loc=100, module_id=None):
     return UnlabelledInstance(tuple(float(v) for v in features), loc, module_id)
+
+
+def leaf_of(tree, features):
+    """Reference walk, one row: the leaf it lands in, going left where value <= threshold."""
+    node = tree.root
+    while isinstance(node, Split):
+        node = node.left if features[node.feature_index] <= node.threshold else node.right
+    return node
+
+
+def leaf_confidence(tree, features):
+    """Reference: the majority class of the row's leaf and that class's raw training frequency."""
+    leaf = leaf_of(tree, features)
+    return leaf.majority, leaf.counts[CLASS_INDEX[leaf.majority]] / leaf.nl
 
 
 @pytest.fixture

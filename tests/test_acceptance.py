@@ -23,10 +23,8 @@ from sevpredict import (
     adasyn_balance,
     fit_tree,
     full_report,
-    predict_confidence,
     predict_label,
     risk_factor,
-    route_to_leaf,
     self_train,
     system_risk_factor,
 )
@@ -35,7 +33,7 @@ from sevpredict.cli import main
 from sevpredict.metrics import build_confusion
 from sevpredict.selftrain import STATUS_EXHAUSTED_U, STATUS_NO_PROGRESS
 
-from conftest import CL, CR, HS, MA, NT, make_labelled, make_unlabelled
+from conftest import CL, CR, HS, MA, NT, leaf_confidence, leaf_of, make_labelled, make_unlabelled
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 TESTS_DIR = Path(__file__).resolve().parent
@@ -164,7 +162,7 @@ def test_criterion_4_tree_matches_brute_force_oracle():
         # leaf counts must recount exactly under routing
         routed = Counter()
         for inst in instances:
-            routed[id(route_to_leaf(tree, inst.features))] += 1
+            routed[id(leaf_of(tree, inst.features))] += 1
         for leaf in iter_leaves(tree):
             assert sum(leaf.counts) == leaf.nl == routed[id(leaf)]
 
@@ -175,7 +173,7 @@ def test_criterion_4_tree_matches_brute_force_oracle():
         labs = [list(SEVERITY_ORDER)[int(c)] for c in rng.integers(0, 5, size=n)]
         instances = [make_labelled(list(row), lab) for row, lab in zip(X, labs)]
         tree = fit_tree(instances)
-        assert all(predict_label(tree, i.features) is i.label for i in instances)
+        assert predict_label(tree, [i.features for i in instances]) == tuple(labs)
     elapsed = time.perf_counter() - start
     assert elapsed < 30.0
     announce(4, "root splits equal the exact-rational brute force on 200 sets; full trees are exact on collision-free data")
@@ -261,7 +259,7 @@ def test_criterion_6_self_training_behaviour():
         tree = fit_tree(replay_pool)
         for idx in rec.accepted_indices:
             inst = unlabelled[idx]
-            label, conf = predict_confidence(tree, inst.features)
+            label, conf = leaf_confidence(tree, inst.features)
             assert conf >= config.gamma
             replay_pool.append(make_labelled(list(inst.features), label, loc=inst.loc))
     accepted = result.labelled[len(labelled):]

@@ -483,7 +483,7 @@ def test_ragged_rows_fail_as_they_fail_fit_tree():
     ragged = [make_labelled([0.0, 1.0], CL), make_labelled([1.0, 1.0], CL), make_labelled([2.0], MA)]
     with pytest.raises(SevpredictError) as fitting:
         fit_tree(ragged)
-    with pytest.raises(SevpredictError, match="^feature vector has 1 values but the tree expects 2$") as balancing:
+    with pytest.raises(SevpredictError, match="^feature vector has 1 values, expected 2$") as balancing:
         adasyn_balance(ragged, SamplerConfig(), 0)
     assert str(balancing.value) == str(fitting.value)
 

@@ -21,14 +21,13 @@ from sevpredict import (
     fit_tree,
     predict_confidence,
     predict_label,
-    route_to_leaf,
     synth_corpus,
 )
 from sevpredict import cart
 from sevpredict.cart import N_CLASSES, iter_leaves
 from sevpredict.severity import CLASS_INDEX
 
-from conftest import CL, HS, MA, NT, make_labelled
+from conftest import CL, HS, MA, NT, leaf_confidence, leaf_of, make_labelled
 
 
 def points(values, labels):
@@ -369,8 +368,7 @@ def test_training_accuracy_perfect_without_conflicting_duplicates():
         labs = [classes[int(c)] for c in rng.integers(0, 5, size=n)]
         instances = [make_labelled(list(row), lab) for row, lab in zip(X, labs)]
         tree = fit_tree(instances)
-        for inst in instances:
-            assert predict_label(tree, inst.features) is inst.label
+        assert predict_label(tree, [inst.features for inst in instances]) == tuple(labs)
 
 
 def test_leaf_counts_match_routed_instances():
@@ -382,7 +380,7 @@ def test_leaf_counts_match_routed_instances():
     tree = fit_tree(instances)
     routed = Counter()
     for inst in instances:
-        leaf = route_to_leaf(tree, inst.features)
+        leaf = leaf_of(tree, inst.features)
         routed[id(leaf)] += 1
     for leaf in iter_leaves(tree):
         assert sum(leaf.counts) == leaf.nl
@@ -450,18 +448,18 @@ def test_predict_confidence_from_impure_leaf():
     instances = [make_labelled([0.0], MA)] * 3 + [make_labelled([0.0], CL)]
     instances += [make_labelled([10.0], CL)] * 4
     tree = fit_tree(instances)
-    label, confidence = predict_confidence(tree, (0.0,))
+    (label, confidence), (label_10, confidence_10) = predict_confidence(tree, [(0.0,), (10.0,)])
     assert label is MA
     assert confidence == pytest.approx(0.75)
-    label, confidence = predict_confidence(tree, (10.0,))
-    assert label is CL
-    assert confidence == pytest.approx(1.0)
+    assert label_10 is CL
+    assert confidence_10 == pytest.approx(1.0)
 
 
 def test_route_checks_feature_arity():
     tree = fit_tree(points([0, 1], [CL, MA]))
-    with pytest.raises(SevpredictError):
-        route_to_leaf(tree, (0.0, 1.0))
+    for predict in (predict_label, predict_confidence):
+        with pytest.raises(SevpredictError, match="^feature vector has 2 values, expected 1$"):
+            predict(tree, [(0.0,), (0.0, 1.0)])
 
 
 @st.composite
@@ -482,19 +480,24 @@ def test_route_rows_matches_predict_confidence_row_by_row(case):
     tree, rows = case
     label, confidence = cart.route_rows(tree, rows)
     assert label.shape == confidence.shape == (len(rows),)
-    for row, k, conf in zip(rows, label.tolist(), confidence.tolist()):
-        assert (SEVERITY_ORDER[k], conf) == predict_confidence(tree, tuple(row))
+    want = [leaf_confidence(tree, tuple(row)) for row in rows]
+    assert [(SEVERITY_ORDER[k], conf) for k, conf in zip(label.tolist(), confidence.tolist())] == want
+    assert predict_confidence(tree, [tuple(row) for row in rows]) == tuple(want)
+    assert predict_label(tree, rows.tolist()) == tuple(k for k, _ in want)
 
 
 def test_route_rows_on_no_rows_and_on_the_wrong_width():
     tree = fit_tree(points([0, 1, 2], [CL, MA, MA]))
     label, confidence = cart.route_rows(tree, np.empty((0, 1)))
     assert label.shape == confidence.shape == (0,)
-    with pytest.raises(SevpredictError) as per_row:
-        route_to_leaf(tree, (0.0, 1.0))
-    with pytest.raises(SevpredictError) as batched:
-        cart.route_rows(tree, np.zeros((3, 2)))
-    assert str(batched.value) == str(per_row.value)
+    assert predict_label(tree, []) == predict_confidence(tree, []) == ()
+    with pytest.raises(SevpredictError) as labelling:
+        predict_label(tree, [(0.0, 1.0)] * 3)
+    with pytest.raises(SevpredictError) as scoring:
+        predict_confidence(tree, [(0.0, 1.0)] * 3)
+    with pytest.raises(SevpredictError) as converting:
+        cart.feature_matrix([(0.0, 1.0)] * 3, len(tree.schema))
+    assert str(labelling.value) == str(scoring.value) == str(converting.value)
 
 
 def test_fit_rejects_ragged_rows():

@@ -17,7 +17,7 @@ PUBLIC_NAMES = {
     "adasyn_balance", "average_reports", "build_confusion", "class_summary", "compare", "derive_label",
     "dump_tree", "fit_tree", "full_report", "load_corpus", "parse_corpus", "parse_predictions",
     "predict_confidence", "predict_label", "pseudo_label_risk", "report_to_json", "risk_factor",
-    "route_to_leaf", "run_experiment", "run_kfold", "save_corpus", "self_train", "stratified_kfold",
+    "run_experiment", "run_kfold", "save_corpus", "self_train", "stratified_kfold",
     "stratified_split", "synth_corpus", "system_risk_factor", "write_comparison_tables", "write_corpus_csv",
     "write_predictions",
 }

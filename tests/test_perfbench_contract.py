@@ -49,5 +49,7 @@ def test_traced_run_passes_the_benchmark_checks(tmp_path, corpus_csv, cli_args):
     with tracer.installed():
         bench_run.call_cli(cli, argv, out, tracer)
     bench_run.check_calls(tracer, workload, out)
+    # one batch per arm per scored report: per-row scoring would show here
+    assert sum(span.route_calls for span in tracer.spans) == 2 * workload.folds
     assert tracer.counts["cart.duplicate_fits"] == 0
     assert tracer.counts["adasyn.duplicate_calls"] == 0

@@ -13,7 +13,6 @@ from sevpredict import (
     predict_confidence,
     predict_label,
     pseudo_label_risk,
-    route_to_leaf,
     self_train,
 )
 from sevpredict.cart import fit_arrays
@@ -23,7 +22,7 @@ from sevpredict.selftrain import (
     STATUS_NO_PROGRESS,
 )
 
-from conftest import CL, CR, HS, MA, NT, make_labelled, make_unlabelled
+from conftest import CL, CR, HS, MA, NT, leaf_confidence, leaf_of, make_labelled, make_unlabelled
 
 
 def separable_sets():
@@ -54,7 +53,7 @@ def conflicted_sets():
 
 def _reference_risk(tree, labelled):
     """Reference: route every pool row and count the misclassified ones."""
-    wrong = sum(predict_label(tree, inst.features) is not inst.label for inst in labelled)
+    wrong = sum(leaf_of(tree, inst.features).majority is not inst.label for inst in labelled)
     return wrong / len(labelled)
 
 
@@ -215,7 +214,7 @@ def test_pseudo_labels_match_the_accepting_iteration_tree():
         newly = []
         for idx in rec.accepted_indices:
             inst = unlabelled[idx]
-            label, conf = predict_confidence(tree, inst.features)
+            label, conf = leaf_confidence(tree, inst.features)
             assert conf >= config.gamma
             newly.append(make_labelled(list(inst.features), label,
                                        loc=inst.loc, module_id=inst.module_id))
@@ -261,16 +260,19 @@ def test_self_train_is_deterministic():
 
 @pytest.mark.parametrize("widths", [(3,), (2, 3), (2, 1, 3), (3, 1), (1, 1)])
 def test_an_unlabelled_row_of_the_wrong_width_fails_as_routing_it_would(widths):
-    # the loop used to route row by row, so the first such row raised
+    # the first such row raises, with the message predicting the pool gives
     labelled, _ = separable_sets()
     tree = fit_tree(labelled)
     unlabelled = [make_unlabelled([1.0] * w) for w in widths]
     first_bad = next(u for u in unlabelled if len(u.features) != len(tree.schema))
-    with pytest.raises(SevpredictError) as per_row:
-        route_to_leaf(tree, first_bad.features)
-    with pytest.raises(SevpredictError) as batched:
+    rows = [u.features for u in unlabelled]
+    with pytest.raises(SevpredictError, match=f"^feature vector has {len(first_bad.features)} values, expected 2$"):
+        predict_label(tree, rows)
+    with pytest.raises(SevpredictError) as predicting:
+        predict_confidence(tree, rows)
+    with pytest.raises(SevpredictError) as training:
         self_train(tree, labelled, unlabelled, SelfTrainConfig())
-    assert str(batched.value) == str(per_row.value)
+    assert str(training.value) == str(predicting.value)
 
 
 @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
