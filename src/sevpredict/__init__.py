@@ -46,7 +46,6 @@ from .metrics import (
     parse_predictions,
     risk_factor,
     system_risk_factor,
-    write_predictions,
 )
 from .pipeline import (
     ExperimentReport,

@@ -235,9 +235,13 @@ def fit_arrays(XT: np.ndarray, y: np.ndarray, config: TreeConfig = TreeConfig(),
 def feature_matrix(rows: Sequence[Sequence[float]], width: int) -> np.ndarray:
     """The rows as an (n, width) float array, read in one pass over their values.
 
-    The one width check: the first row of another length raises.
+    The one width check: the first row of another length raises, and so does a flat row.
     """
-    if set(map(len, rows)) - {width}:
+    try:
+        widths = set(map(len, rows))
+    except TypeError:  # a value where a row should be
+        raise SevpredictError(f"expected a sequence of rows, each of {width} values") from None
+    if widths - {width}:
         found = next(len(row) for row in rows if len(row) != width)
         raise SevpredictError(f"feature vector has {found} values, expected {width}")
     return np.fromiter(itertools.chain.from_iterable(rows), float, len(rows) * width).reshape(len(rows), width)

@@ -127,7 +127,7 @@ def csv_header(records) -> list[str]:
     return [h.strip() for h in [h.removeprefix("\ufeff") for h in header[:1]] + header[1:]]
 
 
-def _read_header(records, feature_names: Sequence[str] | None) -> tuple[str, ...]:
+def _read_header(records) -> tuple[str, ...]:
     header = csv_header(records)
     for pos, name in enumerate(REQUIRED_COLUMNS):
         found = header[pos] if pos < len(header) else None
@@ -136,21 +136,17 @@ def _read_header(records, feature_names: Sequence[str] | None) -> tuple[str, ...
     metrics = tuple(header[len(REQUIRED_COLUMNS):])
     if not metrics:
         raise SchemaError("no metric columns found after 'n_total_defects'")
-    if feature_names is not None and tuple(feature_names) != metrics:
-        raise SchemaError(
-            f"metric columns {list(metrics)} do not match the expected schema {list(feature_names)}"
-        )
     return metrics
 
 
-def _read_rows(source: Iterable[str], feature_names: Sequence[str] | None, bad_row) -> Corpus:
+def _read_rows(source: Iterable[str], bad_row) -> Corpus:
     """Read the header, then each record once; each bad row goes to bad_row(RowError).
 
     A row repeating an earlier valid row's module_id is a bad row too. A
     SchemaError, or a record csv cannot parse, ends the read.
     """
     records = csv_records(source)
-    schema = _read_header(records, feature_names)
+    schema = _read_header(records)
     width = len(REQUIRED_COLUMNS) + len(schema)
     first_line: dict[str, int] = {}  # module_id -> file line of its first valid row
     labelled, unlabelled = [], []
@@ -194,9 +190,9 @@ def _raise(err: RowError):
     raise err
 
 
-def parse_corpus(source: Iterable[str], feature_names: Sequence[str] | None = None) -> Corpus:
+def parse_corpus(source: Iterable[str]) -> Corpus:
     """Parse the module CSV into a Corpus, raising on the first bad row."""
-    return _read_rows(source, feature_names, _raise)
+    return _read_rows(source, _raise)
 
 
 def audit_csv(source: Iterable[str]) -> tuple[Corpus, list[str]]:
@@ -206,7 +202,7 @@ def audit_csv(source: Iterable[str]) -> tuple[Corpus, list[str]]:
     interpreted at all.
     """
     diagnostics: list[str] = []
-    corpus = _read_rows(source, None, lambda err: diagnostics.append(str(err)))
+    corpus = _read_rows(source, lambda err: diagnostics.append(str(err)))
     return corpus, diagnostics
 
 
@@ -316,6 +312,8 @@ def stratified_kfold(
 # ---------------------------------------------------------------------------
 # Synthetic corpora
 
+MAX_SYNTH_CELLS = 10_000_000  # modules x features: 80 MB of float64 noise before any row is built
+
 
 def synth_corpus(
     class_counts: Mapping[SeverityClass, int],
@@ -343,6 +341,11 @@ def synth_corpus(
         raise SevpredictError("class counts must be >= 0")
     if sum(counts.values()) == 0:
         raise SevpredictError("all class counts are zero")
+    from .cart import MAX_TRAIN_ROWS  # here, not at the top: cart imports this module
+    n_modules = sum(counts.values()) + n_unlabelled
+    if n_modules > MAX_TRAIN_ROWS or n_modules * n_features > MAX_SYNTH_CELLS:
+        raise SevpredictError(f"{n_modules} modules x {n_features} features is too large: at most "
+                              f"{MAX_TRAIN_ROWS} modules and {MAX_SYNTH_CELLS} feature values")
 
     # The bytes fix the draw order: centres, then per module its cluster if unlabelled, noise and LoC.
     rng = np.random.default_rng(seed)

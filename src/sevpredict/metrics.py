@@ -9,12 +9,11 @@ LoC-weighted measures (saved budget, remaining edits, service times) read it.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import asdict, dataclass
 from typing import Iterable, Mapping
 
-from .corpus import _parse_loc, csv_header, csv_records, fill_module_ids
+from .corpus import _parse_loc, csv_header, csv_records
 from .errors import RowError, SchemaError, SevpredictError
 from .severity import (
     CLASS_INDEX,
@@ -245,11 +244,3 @@ def parse_predictions(source: Iterable[str]) -> tuple[Outcome, ...]:
             raise RowError(line, str(exc)) from None
         outcomes.append(Outcome(actual, predicted, loc, module_id))
     return tuple(outcomes)
-
-
-def write_predictions(outcomes: Iterable[Outcome], stream) -> None:
-    writer = csv.writer(stream, lineterminator="\n")
-    writer.writerow(PREDICTIONS_HEADER)
-    outcomes = list(outcomes)
-    for o, module_id in zip(outcomes, fill_module_ids(o.module_id for o in outcomes)):
-        writer.writerow([module_id, o.loc, o.actual.value, o.predicted.value])

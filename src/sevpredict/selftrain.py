@@ -19,7 +19,7 @@ from .cart import (N_CLASSES, DecisionTree, TreeConfig, feature_matrix, fit_arra
                    training_arrays)
 from .corpus import LabelledInstance, UnlabelledInstance
 from .errors import SevpredictError
-from .severity import CLASS_NAMES, SEVERITY_ORDER
+from .severity import CLASS_NAMES
 
 STATUS_EXHAUSTED_U = "exhausted_U"
 STATUS_NO_PROGRESS = "no_progress"
@@ -64,25 +64,8 @@ class SelfTrainTrace:
 @dataclass(frozen=True)
 class SelfTrainResult:
     tree: DecisionTree  # fit on the final augmented pool
-    start: tuple[LabelledInstance, ...]  # the pool self-training started from
-    unlabelled: tuple[UnlabelledInstance, ...]
     accepted_labels: tuple[int, ...]  # class indices, aligned with the iterations' accepted_indices
     trace: SelfTrainTrace
-
-    @property
-    def labelled(self) -> tuple[LabelledInstance, ...]:
-        """`labelled[:len(start)]` is the start pool; the rest are the accepted modules in trace order."""
-        accepted = (self.unlabelled[i] for r in self.trace.iterations for i in r.accepted_indices)
-        return self.start + tuple(
-            LabelledInstance(u.features, u.loc, SEVERITY_ORDER[k], u.module_id)
-            for u, k in zip(accepted, self.accepted_labels)
-        )
-
-    @property
-    def residual_unlabelled(self) -> tuple[UnlabelledInstance, ...]:
-        """The modules no iteration accepted, in their original order."""
-        taken = {i for r in self.trace.iterations for i in r.accepted_indices}
-        return tuple(u for i, u in enumerate(self.unlabelled) if i not in taken)
 
 
 def pseudo_label_risk(tree: DecisionTree) -> float:
@@ -109,13 +92,11 @@ def self_train(
 
     `tree` is the tree fitted on `labelled` under `tree_config`; the loop
     continues from it and refits only after an iteration that extends the
-    pool. `labelled` itself is never extended; the grown pool is kept as
-    arrays, and the result builds its rows only when they are read.
+    pool. Neither input is copied or extended: the grown pool is kept as
+    arrays, converted from `labelled` at the first refit.
     """
     if not labelled:
         raise SevpredictError("self-training needs a non-empty labelled pool")
-    start = tuple(labelled)
-    unlabelled = tuple(unlabelled)
     X = feature_matrix([inst.features for inst in unlabelled], len(tree.schema))
     XT = y = None  # the pool as arrays, converted at the first refit and grown column by column
     remaining = np.arange(len(unlabelled))  # original positions, ascending
@@ -147,7 +128,7 @@ def self_train(
             status = STATUS_NO_PROGRESS
             break
         if XT is None:
-            X0, y = training_arrays(start, len(tree.schema))
+            X0, y = training_arrays(labelled, len(tree.schema))
             XT = X0.T.copy()  # feature-major, as fit_arrays takes it
         XT = np.concatenate((XT, X[accepted].T), axis=1)
         y = np.concatenate((y, accepted_label))
@@ -156,8 +137,6 @@ def self_train(
 
     return SelfTrainResult(
         tree=tree,
-        start=start,
-        unlabelled=unlabelled,
-        accepted_labels=() if y is None else tuple(y[len(start):].tolist()),
+        accepted_labels=() if y is None else tuple(y[len(labelled):].tolist()),
         trace=SelfTrainTrace(tuple(records), status),
     )

@@ -4,7 +4,7 @@ import pathlib
 
 import pytest
 
-from sevpredict import LabelledInstance, SeverityClass, Split, UnlabelledInstance
+from sevpredict import SEVERITY_ORDER, LabelledInstance, SeverityClass, Split, UnlabelledInstance
 from sevpredict.severity import CLASS_INDEX
 
 DATA_DIR = pathlib.Path(__file__).resolve().parent.parent / "data"
@@ -43,6 +43,16 @@ def leaf_confidence(tree, features):
     """Reference: the majority class of the row's leaf and that class's raw training frequency."""
     leaf = leaf_of(tree, features)
     return leaf.majority, leaf.counts[CLASS_INDEX[leaf.majority]] / leaf.nl
+
+
+def grown_pool(labelled, unlabelled, result):
+    """The pool a self_train result ended on, as rows: `labelled`, then each accepted
+    module of `unlabelled` with its pseudo-label, in trace order."""
+    accepted = [unlabelled[i] for rec in result.trace.iterations for i in rec.accepted_indices]
+    return tuple(labelled) + tuple(
+        LabelledInstance(u.features, u.loc, SEVERITY_ORDER[k], u.module_id)
+        for u, k in zip(accepted, result.accepted_labels, strict=True)
+    )
 
 
 @pytest.fixture

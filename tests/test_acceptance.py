@@ -33,7 +33,7 @@ from sevpredict.cli import main
 from sevpredict.metrics import build_confusion
 from sevpredict.selftrain import STATUS_EXHAUSTED_U, STATUS_NO_PROGRESS
 
-from conftest import CL, CR, HS, MA, NT, leaf_confidence, leaf_of, make_labelled, make_unlabelled
+from conftest import CL, CR, HS, MA, NT, grown_pool, leaf_confidence, leaf_of, make_labelled, make_unlabelled
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 TESTS_DIR = Path(__file__).resolve().parent
@@ -238,7 +238,8 @@ def test_criterion_6_self_training_behaviour():
     stuck = self_train(fit_tree(conflicted), conflicted,
                        [make_unlabelled([0.0]), make_unlabelled([0.01])], SelfTrainConfig(gamma=1.0))
     assert stuck.trace.status == STATUS_NO_PROGRESS
-    assert len(stuck.residual_unlabelled) == 2
+    assert [rec.accepted_indices for rec in stuck.trace.iterations] == [()]
+    assert stuck.accepted_labels == ()
 
     # a mixed run: pool sizes never grow, and every accepted pseudo-label is
     # exactly what that round's tree predicted with clearing confidence
@@ -262,7 +263,7 @@ def test_criterion_6_self_training_behaviour():
             label, conf = leaf_confidence(tree, inst.features)
             assert conf >= config.gamma
             replay_pool.append(make_labelled(list(inst.features), label, loc=inst.loc))
-    accepted = result.labelled[len(labelled):]
+    accepted = grown_pool(labelled, unlabelled, result)[len(labelled):]
     replayed = replay_pool[len(labelled):]
     assert [(a.features, a.label) for a in accepted] == \
            [(r.features, r.label) for r in replayed]

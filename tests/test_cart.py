@@ -500,6 +500,15 @@ def test_route_rows_on_no_rows_and_on_the_wrong_width():
     assert str(labelling.value) == str(scoring.value) == str(converting.value)
 
 
+@pytest.mark.parametrize("flat", [(0.0, 1.0), np.array([0.0, 1.0])], ids=["tuple", "ndarray"])
+def test_a_flat_row_fails_naming_the_expected_shape(flat):
+    # one row passed where a sequence of rows belongs
+    tree = fit_tree([make_labelled([0.0, 1.0], CL), make_labelled([1.0, 0.0], MA)])
+    for predict in (predict_label, predict_confidence):
+        with pytest.raises(SevpredictError, match="^expected a sequence of rows, each of 2 values$"):
+            predict(tree, flat)
+
+
 def test_fit_rejects_ragged_rows():
     for widths in ((1, 2), (2, 1), (2, 2, 3), (3, 1, 3)):
         pool = [make_labelled([0.5] * w, [CL, MA][i % 2]) for i, w in enumerate(widths)]

@@ -254,6 +254,31 @@ def test_synth_rejects_a_separation_that_overflows(capsys, tmp_path):
     assert not out_csv.exists()
 
 
+@pytest.mark.parametrize("size", [("--unlabelled", str(2**63)), ("--features", str(2**63))])
+def test_synth_rejects_sizes_past_its_bound_in_one_line(capsys, tmp_path, size):
+    out_csv = tmp_path / "x.csv"
+    code, out, err = run(capsys, "synth", "--out", str(out_csv), "--seed", "1", "--clean", "3", *size)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: ") and "is too large: at most" in err
+    assert err.count("\n") == 1 and "Traceback" not in err
+    assert not out_csv.exists()
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="needs an enforced RLIMIT_AS")
+def test_synth_rejects_a_huge_class_count_before_building_anything(tmp_path):
+    # a class count that grew a per-module list would run into the 1 GiB address-space cap or the timeout
+    code = ("import resource, sys; from sevpredict.cli import main; "
+            "resource.setrlimit(resource.RLIMIT_AS, (2**30, 2**30)); sys.exit(main(sys.argv[1:]))")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(DATA_DIR.parent / "src"), os.environ.get("PYTHONPATH", "")]))
+    argv = ["synth", "--out", str(tmp_path / "x.csv"), "--seed", "1", "--high-severity", str(2**63),
+            "--unlabelled", "1", "--features", "2"]
+    done = subprocess.run([sys.executable, "-c", code, *argv], env=env, capture_output=True, timeout=60, text=True)
+    assert done.returncode == 1
+    assert done.stderr.startswith("error: ") and "is too large: at most" in done.stderr
+    assert done.stderr.count("\n") == 1
+
+
 # ---------------------------------------------------------------------------
 # run
 

@@ -335,6 +335,26 @@ def test_synth_corpus_rejects_degenerate_specs():
         synth_corpus({CL: 5}, 3, 1.0, seed=-1)
 
 
+@pytest.mark.parametrize("n_features, n_unlabelled", [(3, 2**63), (2**63, 0)])
+def test_synth_corpus_rejects_sizes_past_its_bound_before_drawing(n_features, n_unlabelled):
+    with pytest.raises(SevpredictError, match="too large: at most 3300000 modules and 10000000 feature values$"):
+        synth_corpus({CL: 3}, n_features, 1.0, n_unlabelled, seed=1)
+
+
+def test_synth_corpus_bound_counts_every_module_and_feature_value(monkeypatch):
+    import sevpredict.cart as cart
+    import sevpredict.corpus as corpus
+
+    monkeypatch.setattr(cart, "MAX_TRAIN_ROWS", 5)
+    monkeypatch.setattr(corpus, "MAX_SYNTH_CELLS", 10)
+    assert len(synth_corpus({CL: 3, MA: 2}, 2, 1.0, seed=1)) == 5
+    assert len(synth_corpus({CL: 3}, 2, 1.0, 2, seed=1)) == 5
+    with pytest.raises(SevpredictError, match="^6 modules x 1 features is too large: at most 5 modules and 10 "):
+        synth_corpus({CL: 3, MA: 2}, 1, 1.0, 1, seed=1)
+    with pytest.raises(SevpredictError, match="^4 modules x 3 features is too large"):
+        synth_corpus({CL: 3}, 3, 1.0, 1, seed=1)
+
+
 @pytest.mark.parametrize("separation", [float("nan"), float("inf"), float("-inf")])
 def test_synth_corpus_rejects_non_finite_separation(separation):
     with pytest.raises(SevpredictError, match="separation must be a finite number >= 0"):

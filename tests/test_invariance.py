@@ -3,19 +3,38 @@
 The order of a pool carries no information the tree may use. Permuting the
 training rows must give an equal tree; permuting the unlabelled pool must
 give the same self-training run, with each iteration's accepted positions
-moved by the permutation. Pools are small integer grids, so feature values
-tie often and every tie rule is exercised.
+moved by the permutation. Nor does the unit of a feature: scaling every
+feature by a power of two is exact in floating point, so it must move each
+threshold by exactly that factor and leave every report byte alone. Pools
+are small integer grids, so feature values tie often and every tie rule is
+exercised.
 """
 
 from __future__ import annotations
+
+from dataclasses import replace
 
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sevpredict import SEVERITY_ORDER, SelfTrainConfig, TreeConfig, fit_tree, self_train
+from sevpredict import (
+    SEVERITY_ORDER,
+    Corpus,
+    DecisionTree,
+    SelfTrainConfig,
+    Split,
+    TreeConfig,
+    fit_tree,
+    run_experiment,
+    self_train,
+)
 
 from conftest import make_labelled, make_unlabelled
+from test_run_differential import _outcome, runs
+
+# powers of two, far from overflow and from subnormals for features of at most a few units
+FACTORS = [2.0, 0.5, 2.0**30, 2.0**-30]
 
 
 def _grid(rng, rows, p, levels):
@@ -70,3 +89,32 @@ def test_self_train_does_not_depend_on_the_order_of_the_unlabelled_pool(pool, ga
         assert got.accepted_per_class == want.accepted_per_class
         assert got.supervised_risk == want.supervised_risk
         assert sorted(perm[j] for j in got.accepted_indices) == list(want.accepted_indices)
+
+
+def _scaled(instances, factor):
+    return tuple(replace(inst, features=tuple(v * factor for v in inst.features)) for inst in instances)
+
+
+def _scaled_node(node, factor):
+    if not isinstance(node, Split):
+        return node
+    left, right = _scaled_node(node.left, factor), _scaled_node(node.right, factor)
+    return Split(node.feature_index, node.threshold * factor, left, right)
+
+
+@settings(max_examples=300, deadline=None)
+@given(pools(), st.sampled_from(FACTORS), st.sampled_from([None, 1, 3]))
+def test_fit_tree_scales_its_thresholds_with_the_features(pool, factor, max_depth):
+    labelled, _, _ = pool
+    config = TreeConfig(max_depth=max_depth)
+    tree = fit_tree(labelled, config)
+    expected = DecisionTree(_scaled_node(tree.root, factor), tree.schema)
+    assert fit_tree(_scaled(labelled, factor), config) == expected
+
+
+@settings(max_examples=100, deadline=None)
+@given(runs(), st.sampled_from(FACTORS))
+def test_a_run_does_not_depend_on_the_unit_of_its_features(case, factor):
+    corpus, cfg = case
+    scaled = Corpus(corpus.schema, _scaled(corpus.labelled, factor), _scaled(corpus.unlabelled, factor))
+    assert _outcome(run_experiment, scaled, cfg) == _outcome(run_experiment, corpus, cfg)

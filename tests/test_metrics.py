@@ -20,7 +20,6 @@ from sevpredict import (
     parse_predictions,
     risk_factor,
     system_risk_factor,
-    write_predictions,
 )
 from sevpredict.errors import RowError, SchemaError
 from sevpredict.metrics import RATE_COLUMNS, REPORT_CSV_HEADER, RISK_COLUMNS
@@ -387,24 +386,6 @@ def test_outcome_set_rejects_empty():
         build_confusion([])
     with pytest.raises(SevpredictError, match="outcome set is empty"):
         full_report([])
-
-
-def test_predictions_round_trip(tmp_path, reference_bst_path):
-    outcomes = load_fixture(reference_bst_path)
-    path = tmp_path / "p.csv"
-    with open(path, "w", newline="") as fh:
-        write_predictions(outcomes, fh)
-    with open(path, newline="") as fh:
-        again = parse_predictions(fh)
-    assert [(o.module_id, o.loc, o.actual, o.predicted) for o in again] == \
-           [(o.module_id, o.loc, o.actual, o.predicted) for o in outcomes]
-
-
-def test_write_predictions_numbers_missing_ids_past_those_in_use():
-    outcomes = [Outcome(CL, CL, 10), Outcome(MA, CL, 20, "m00001"), Outcome(HS, HS, 30)]
-    out = io.StringIO()
-    write_predictions(outcomes, out)
-    assert [o.module_id for o in parse_predictions(io.StringIO(out.getvalue()))] == ["m00000", "m00001", "m00002"]
 
 
 def test_parse_predictions_drops_one_leading_byte_order_mark():

@@ -19,7 +19,6 @@ PUBLIC_NAMES = {
     "predict_confidence", "predict_label", "pseudo_label_risk", "report_to_json", "risk_factor",
     "run_experiment", "run_kfold", "save_corpus", "self_train", "stratified_kfold",
     "stratified_split", "synth_corpus", "system_risk_factor", "write_comparison_tables", "write_corpus_csv",
-    "write_predictions",
 }
 
 

@@ -128,17 +128,17 @@ def test_arms_share_one_pool_and_tree_per_flag(monkeypatch, bst_oversample, over
 def test_oversample_first_balances_before_looping(monkeypatch):
     import sevpredict.pipeline as pipeline
 
-    results = []
+    pools = []
 
-    def recording_self_train(*args, **kwargs):
-        results.append(self_train(*args, **kwargs))
-        return results[-1]
+    def recording_self_train(tree, labelled, *args, **kwargs):
+        pools.append(labelled)
+        return self_train(tree, labelled, *args, **kwargs)
 
     monkeypatch.setattr(pipeline, "self_train", recording_self_train)
     cfg = PipelineConfig(seed=3, bst_oversample=False, oversample_first=True)
     report = run_experiment(demo_corpus(unlabelled=0), cfg)
-    (result,) = results
-    assert result.labelled[report.training["bst_train_size"]:len(result.start)]  # ADASYN's rows, after the raw pool
+    (pool,) = pools
+    assert pool[report.training["bst_train_size"]:]  # ADASYN's rows, after the raw pool
     assert report.training["ast_train_size"] > report.training["bst_train_size"]
 
 

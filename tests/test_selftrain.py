@@ -21,8 +21,9 @@ from sevpredict.selftrain import (
     STATUS_MAX_ITERATIONS,
     STATUS_NO_PROGRESS,
 )
+from sevpredict.severity import CLASS_INDEX
 
-from conftest import CL, CR, HS, MA, NT, leaf_confidence, leaf_of, make_labelled, make_unlabelled
+from conftest import CL, CR, HS, MA, NT, grown_pool, leaf_confidence, leaf_of, make_labelled, make_unlabelled
 
 
 def separable_sets():
@@ -101,15 +102,15 @@ def test_gamma_zero_accepts_everything_in_one_pass():
     rec = result.trace.iterations[0]
     assert rec.unlabelled_before == 2
     assert rec.accepted == 2
-    assert result.residual_unlabelled == ()
-    assert len(result.labelled) == 6
+    assert rec.accepted_indices == (0, 1)
+    assert result.accepted_labels == (CLASS_INDEX[CL], CLASS_INDEX[MA])
 
 
 def test_gamma_one_with_conflicts_makes_no_progress():
     labelled, unlabelled = conflicted_sets()
     result = self_train(fit_tree(labelled), labelled, unlabelled, SelfTrainConfig(gamma=1.0))
     assert result.trace.status == STATUS_NO_PROGRESS
-    assert len(result.residual_unlabelled) == 2
+    assert result.accepted_labels == ()
     assert len(result.trace.iterations) == 1
     rec = result.trace.iterations[0]
     assert rec.accepted == 0 and rec.unlabelled_before == 2
@@ -141,7 +142,7 @@ def test_self_train_does_not_extend_the_callers_pool():
     labelled, unlabelled = separable_sets()
     before = list(labelled)
     result = self_train(fit_tree(labelled), labelled, unlabelled, SelfTrainConfig(gamma=0.0))
-    assert len(result.labelled) == len(before) + len(unlabelled)
+    assert len(result.accepted_labels) == len(unlabelled)
     assert labelled == before
 
 
@@ -150,7 +151,7 @@ def test_empty_pool_exhausts_immediately():
     result = self_train(fit_tree(labelled), labelled, [], SelfTrainConfig())
     assert result.trace.status == STATUS_EXHAUSTED_U
     assert result.trace.iterations == ()
-    assert result.labelled == tuple(labelled)
+    assert result.accepted_labels == ()
 
 
 def test_max_iterations_stops_mixed_pool():
@@ -167,7 +168,8 @@ def test_max_iterations_stops_mixed_pool():
     assert result.trace.status == STATUS_MAX_ITERATIONS
     assert len(result.trace.iterations) == 1
     assert result.trace.iterations[0].accepted == 1
-    assert len(result.residual_unlabelled) == 1
+    assert result.trace.iterations[0].accepted_indices == (0,)
+    assert result.accepted_labels == (CLASS_INDEX[HS],)
 
 
 def test_pool_shrinks_monotonically():
@@ -183,9 +185,8 @@ def test_pool_shrinks_monotonically():
     sizes = [rec.unlabelled_before for rec in result.trace.iterations]
     assert sizes == sorted(sizes, reverse=True)
     accepted_total = sum(rec.accepted for rec in result.trace.iterations)
-    assert accepted_total == 30 - len(result.residual_unlabelled)
-    assert result.labelled[: len(result.start)] == result.start
-    assert len(result.labelled) - len(result.start) == accepted_total
+    taken = {i for rec in result.trace.iterations for i in rec.accepted_indices}
+    assert len(taken) == accepted_total == len(result.accepted_labels)
 
 
 # ---------------------------------------------------------------------------
@@ -224,7 +225,7 @@ def test_pseudo_labels_match_the_accepting_iteration_tree():
                      if i not in set(accepted_seen)]
     assert len(accepted_seen) == len(set(accepted_seen))
 
-    pseudo = result.labelled[len(result.start):]
+    pseudo = grown_pool(labelled, unlabelled, result)[len(labelled):]
     replayed = pool[len(labelled):]
     assert [(p.features, p.label) for p in pseudo] == [(p.features, p.label) for p in replayed]
 
@@ -240,7 +241,7 @@ def test_accepted_per_class_tallies_accepted():
 def test_final_tree_is_fit_on_final_pool():
     labelled, unlabelled = separable_sets()
     result = self_train(fit_tree(labelled), labelled, unlabelled, SelfTrainConfig(gamma=0.0))
-    assert result.tree == fit_tree(result.labelled)
+    assert result.tree == fit_tree(grown_pool(labelled, unlabelled, result))
 
 
 def test_self_train_is_deterministic():
@@ -254,7 +255,8 @@ def test_self_train_is_deterministic():
     pool = adasyn_balance(labelled, SamplerConfig(), 2)
     a = self_train(fit_tree(pool), pool, unlabelled, config)
     b = self_train(fit_tree(pool), pool, unlabelled, config)
-    assert a.labelled == b.labelled
+    assert a.tree == b.tree
+    assert a.accepted_labels == b.accepted_labels
     assert a.trace.to_dict() == b.trace.to_dict()
 
 
@@ -298,7 +300,7 @@ def test_a_non_finite_row_never_accepted_raises_nothing():
     result = self_train(fit_tree(labelled), labelled, unlabelled, SelfTrainConfig(gamma=0.9))
     assert result.trace.status == STATUS_NO_PROGRESS
     assert [rec.accepted_indices for rec in result.trace.iterations] == [(1,), ()]
-    assert [u.module_id for u in result.residual_unlabelled] == ["nan", "inf"]
+    assert result.accepted_labels == (CLASS_INDEX[HS],)
 
 
 def test_a_refit_past_the_row_limit_fails_as_fit_tree_does(monkeypatch):

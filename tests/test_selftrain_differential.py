@@ -4,7 +4,7 @@ _reference_self_train is self_train as it ran when the training pool was a
 list of instances: each accepted module became a pseudo-labelled
 LabelledInstance appended to that list, and each refit passed the whole
 list to fit_tree. The array-pool loop must grow the same trees, write the
-same trace and hand back the same pool and residual modules.
+same trace and accept the same modules with the same pseudo-labels.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ from sevpredict.selftrain import (
 )
 from sevpredict.severity import CLASS_NAMES
 
-from conftest import make_labelled, make_unlabelled
+from conftest import grown_pool, make_labelled, make_unlabelled
 
 
 def _reference_self_train(tree, labelled, unlabelled, config, tree_config):
@@ -117,5 +117,6 @@ def test_self_train_matches_the_row_based_reference(case):
     assert result.tree == ref_tree
     assert result.trace == ref_trace
     assert result.trace.status == ref_trace.status
-    assert result.labelled == ref_labelled
-    assert result.residual_unlabelled == ref_residual
+    assert grown_pool(labelled, unlabelled, result) == ref_labelled
+    taken = {i for rec in result.trace.iterations for i in rec.accepted_indices}
+    assert tuple(u for i, u in enumerate(unlabelled) if i not in taken) == ref_residual
