@@ -23,7 +23,7 @@ from .cart import (
 from .corpus import (
     Corpus,
     LabelledInstance,
-    UnlabelledInstance,
+    UnlabelledPool,
     class_summary,
     derive_label,
     load_corpus,

@@ -11,6 +11,7 @@ import bisect
 import csv
 import itertools
 import math
+import warnings
 from collections import Counter
 from dataclasses import dataclass, replace
 from typing import Iterable, Iterator, Mapping, Sequence
@@ -18,7 +19,7 @@ from typing import Iterable, Iterator, Mapping, Sequence
 import numpy as np
 
 from .errors import RowError, SchemaError, SevpredictError
-from .severity import DEFECTIVE_CLASSES, SEVERITY_ORDER, SeverityClass
+from .severity import SEVERITY_ORDER, SeverityClass
 
 REQUIRED_COLUMNS: tuple[str, ...] = (
     "module_id",
@@ -39,11 +40,20 @@ class LabelledInstance:
     module_id: str | None = None
 
 
-@dataclass(frozen=True)
-class UnlabelledInstance:
-    features: tuple[float, ...]
-    loc: int
-    module_id: str | None = None
+@dataclass(frozen=True, eq=False)
+class UnlabelledPool:
+    """The unlabelled modules by position: an (n, p) float feature matrix, int64 LoC and IDs."""
+
+    features: np.ndarray
+    loc: np.ndarray
+    module_ids: tuple[str | None, ...]
+
+    def __len__(self) -> int:
+        return len(self.loc)
+
+    def __eq__(self, other) -> bool:
+        return (isinstance(other, UnlabelledPool) and self.module_ids == other.module_ids
+                and np.array_equal(self.loc, other.loc) and np.array_equal(self.features, other.features))
 
 
 @dataclass(frozen=True)
@@ -52,11 +62,11 @@ class Corpus:
 
     schema: tuple[str, ...]
     labelled: tuple[LabelledInstance, ...]
-    unlabelled: tuple[UnlabelledInstance, ...]
+    unlabelled: UnlabelledPool
 
     @property
-    def total_loc(self) -> int:
-        return sum(i.loc for i in self.labelled) + sum(i.loc for i in self.unlabelled)
+    def total_loc(self) -> int:  # exact: an int64 sum would wrap past 2**63
+        return sum(i.loc for i in self.labelled) + sum(self.unlabelled.loc.tolist())
 
     def __len__(self) -> int:
         return len(self.labelled) + len(self.unlabelled)
@@ -70,12 +80,14 @@ def derive_label(defect_counts: Sequence[int], total_defects: int) -> SeverityCl
     usable label. Otherwise the label is the most severe category with a
     nonzero count; `defect_counts` follows DEFECTIVE_CLASSES order.
     """
-    nonzero = [c for c, n in zip(DEFECTIVE_CLASSES, defect_counts) if n > 0]
-    if total_defects > 0 and not nonzero:
-        return None
-    if total_defects == 0:
-        return SeverityClass.CLEAN
-    return nonzero[0]
+    k = _class_index(np.array([[n > 0 for n in defect_counts] + [total_defects > 0]]))[0]
+    return None if k < 0 else SEVERITY_ORDER[k]
+
+
+def _class_index(nonzero: np.ndarray) -> np.ndarray:
+    """derive_label per row of an (n, 5) mask of nonzero counts, the total last: a class index, -1 if none."""
+    first = np.where(nonzero[:, :4].any(axis=1), nonzero[:, :4].argmax(axis=1), -1)
+    return np.where(nonzero[:, 4], first, SEVERITY_ORDER.index(SeverityClass.CLEAN))
 
 
 # ---------------------------------------------------------------------------
@@ -149,7 +161,7 @@ def _read_rows(source: Iterable[str], bad_row) -> Corpus:
     schema = _read_header(records)
     width = len(REQUIRED_COLUMNS) + len(schema)
     first_line: dict[str, int] = {}  # module_id -> file line of its first valid row
-    labelled, unlabelled = [], []
+    rows = []
     for line, fields in records:
         if not fields:
             continue
@@ -160,14 +172,14 @@ def _read_rows(source: Iterable[str], bad_row) -> Corpus:
             if not module_id:
                 raise RowError(line, "column 'module_id' must be non-empty")
             try:  # the whole row at once; int() and float() strip whitespace as the field parsers do
-                loc, *counts, total = map(int, fields[1:7])
+                loc, *counts = map(int, fields[1:7])
                 feats = tuple(map(float, fields[7:]))
-                parsed = 0 < loc <= 2**53 and min(*counts, total) >= 0 and math.isfinite(sum(feats))
+                parsed = 0 < loc <= 2**53 and min(counts) >= 0 and math.isfinite(sum(feats))
             except ValueError:
                 parsed = False
             if not parsed:  # field by field, so the row's first bad field is the one named
                 loc = _parse_loc(fields[1], line)
-                *counts, total = (_parse_int(fields[k], line, REQUIRED_COLUMNS[k], minimum=0) for k in range(2, 7))
+                counts = [_parse_int(fields[k], line, REQUIRED_COLUMNS[k], minimum=0) for k in range(2, 7)]
                 metric_fields = zip(schema, fields[len(REQUIRED_COLUMNS):])
                 feats = tuple(_parse_feature(raw, line, name) for name, raw in metric_fields)
             if module_id in first_line:
@@ -178,12 +190,50 @@ def _read_rows(source: Iterable[str], bad_row) -> Corpus:
             bad_row(err)
             continue
         first_line[module_id] = line
-        label = derive_label(counts, total)
-        if label is None:
-            unlabelled.append(UnlabelledInstance(feats, loc, module_id))
-        else:
-            labelled.append(LabelledInstance(feats, loc, label, module_id))
-    return Corpus(schema, tuple(labelled), tuple(unlabelled))
+        rows.append((loc, *(n > 0 for n in counts), *feats))
+    table = np.array(rows, float).reshape(-1, 6 + len(schema))  # a LoC of at most 2**53 is exact as a float
+    return _from_columns(schema, [(list(first_line), table[:, 0].astype(np.int64), table[:, 1:6] > 0, table[:, 6:])])
+
+
+def _from_columns(schema: tuple[str, ...], chunks) -> Corpus:
+    """The corpus of chunks of columns in file order: IDs, LoC, (n, 5) nonzero-count mask, (n, p) features."""
+    labelled, parts = [], [([], np.empty(0, np.int64), np.empty((0, len(schema))))]
+    for ids, loc, nonzero, X in chunks:
+        k = _class_index(nonzero)
+        keep = k >= 0
+        labelled += map(LabelledInstance, map(tuple, X[keep].tolist()), loc[keep].tolist(),
+                        [SEVERITY_ORDER[c] for c in k[keep].tolist()], itertools.compress(ids, keep.tolist()))
+        parts.append((list(itertools.compress(ids, (~keep).tolist())), loc[~keep], X[~keep]))
+    ids, loc, X = zip(*parts)
+    pool = UnlabelledPool(np.concatenate(X), np.concatenate(loc), tuple(itertools.chain.from_iterable(ids)))
+    return Corpus(schema, tuple(labelled), pool)
+
+
+CHUNK_LINES = 1024  # lines per np.loadtxt call: bounds the text held at once
+
+
+def _read_columns(fh) -> Corpus:
+    """The header as the row reader reads it, then the body by np.loadtxt in chunks of CHUNK_LINES
+    lines; raises wherever the row reader might read the text otherwise, or reject it."""
+    schema = _read_header(csv_records(fh))
+    dtype = np.dtype([("id", object)] + [(f"n{j}", np.int64) for j in range(6)]
+                     + [(f"x{j}", np.float64) for j in range(len(schema))])
+    seen: set[str] = set()
+    chunks = []
+    while lines := list(itertools.islice(fh, CHUNK_LINES)):
+        cols = np.loadtxt(lines, dtype, delimiter=",", comments=None, ndmin=1)
+        ids = [module_id.strip() for module_id in cols["id"].tolist()]
+        n, X = (np.column_stack([cols[name] for name in names]) for names in (dtype.names[1:7], dtype.names[7:]))
+        before, text = len(seen), "".join(lines)
+        seen.update(ids)
+        # csv reads quotes as quoting and (before Python 3.11) rejects NUL, where loadtxt reads
+        # both as text; and loadtxt takes a non-ASCII character in an integer for a digit
+        if not (text.isascii() and '"' not in text and "\0" not in text
+                and max(map(len, lines)) <= csv.field_size_limit() and all(ids) and len(seen) == before + len(ids)
+                and (n >= 0).all() and (n[:, 0] > 0).all() and (n[:, 0] <= 2**53).all() and np.isfinite(X).all()):
+            raise ValueError("left to the row reader")
+        chunks.append((ids, n[:, 0], n[:, 1:] > 0, X))
+    return _from_columns(schema, chunks)
 
 
 def _raise(err: RowError):
@@ -216,7 +266,13 @@ def read_csv_file(path, parse):
 
 
 def load_corpus(path) -> Corpus:
-    return read_csv_file(path, parse_corpus)
+    """The corpus in the CSV at path, by numpy's C reader, or by parse_corpus where they may differ."""
+    try:
+        with open(path, newline="", encoding="utf-8") as fh, warnings.catch_warnings():
+            warnings.simplefilter("error")  # numpy < 2 reads "10.0" as an int, with only a warning
+            return _read_columns(fh)
+    except Exception:  # read again by the row reader, whose messages name the fault
+        return read_csv_file(path, parse_corpus)
 
 
 def fill_module_ids(ids: Iterable[str | None]) -> list[str]:
@@ -237,14 +293,16 @@ def write_corpus_csv(corpus: Corpus, stream) -> None:
     """
     writer = csv.writer(stream, lineterminator="\n")
     writer.writerow(REQUIRED_COLUMNS + corpus.schema)
-    instances = corpus.labelled + corpus.unlabelled
-    for inst, module_id in zip(instances, fill_module_ids(i.module_id for i in instances)):
+    pool = corpus.unlabelled
+    rows = [(inst.module_id, inst.loc, inst.label, inst.features) for inst in corpus.labelled]
+    rows += zip(pool.module_ids, pool.loc.tolist(), itertools.repeat(None), pool.features.tolist())
+    for module_id, (_, loc, label, features) in zip(fill_module_ids(row[0] for row in rows), rows):
         counts = [0, 0, 0, 0, 0]  # the four per-severity counts, then the total
-        if isinstance(inst, UnlabelledInstance):
+        if label is None:
             counts[4] = 1
-        elif inst.label is not SeverityClass.CLEAN:
-            counts[SEVERITY_ORDER.index(inst.label)] = counts[4] = 1
-        writer.writerow([module_id, inst.loc, *counts, *map(repr, inst.features)])
+        elif label is not SeverityClass.CLEAN:
+            counts[SEVERITY_ORDER.index(label)] = counts[4] = 1
+        writer.writerow([module_id, loc, *counts, *map(repr, features)])
 
 
 def save_corpus(corpus: Corpus, path) -> None:
@@ -368,12 +426,10 @@ def synth_corpus(
         features = centres[clusters] * separation + noise
     if not np.isfinite(features).all():
         raise SevpredictError(f"separation {separation} overflows the float range of the features")
-    rows = zip(map(tuple, features.tolist()), locs, clusters, (f"synth_{i:05d}" for i in itertools.count()))
-    labelled = tuple(
-        LabelledInstance(feats, loc, SEVERITY_ORDER[k], module_id)
-        for feats, loc, k, module_id in itertools.islice(rows, n_labelled)
-    )
-    unlabelled = tuple(UnlabelledInstance(feats, loc, module_id) for feats, loc, _, module_id in rows)
+    ids = [f"synth_{i:05d}" for i in range(len(locs))]
+    labelled = tuple(map(LabelledInstance, map(tuple, features[:n_labelled].tolist()), locs,
+                         [SEVERITY_ORDER[k] for k in clusters[:n_labelled]], ids))
+    unlabelled = UnlabelledPool(features[n_labelled:], np.array(locs[n_labelled:], np.int64), tuple(ids[n_labelled:]))
     schema = tuple(f"metric_{j + 1}" for j in range(n_features))
     return Corpus(schema, labelled, unlabelled)
 

@@ -15,9 +15,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .cart import (N_CLASSES, DecisionTree, TreeConfig, feature_matrix, fit_arrays, iter_leaves, route_rows,
-                   training_arrays)
-from .corpus import LabelledInstance, UnlabelledInstance
+from .cart import N_CLASSES, DecisionTree, TreeConfig, fit_arrays, iter_leaves, route_rows, training_arrays
+from .corpus import LabelledInstance
 from .errors import SevpredictError
 from .severity import CLASS_NAMES
 
@@ -84,7 +83,7 @@ def pseudo_label_risk(tree: DecisionTree) -> float:
 def self_train(
     tree: DecisionTree,
     labelled: Sequence[LabelledInstance],
-    unlabelled: Sequence[UnlabelledInstance],
+    unlabelled: np.ndarray,
     config: SelfTrainConfig = SelfTrainConfig(),
     tree_config: TreeConfig = TreeConfig(),
 ) -> SelfTrainResult:
@@ -92,12 +91,17 @@ def self_train(
 
     `tree` is the tree fitted on `labelled` under `tree_config`; the loop
     continues from it and refits only after an iteration that extends the
-    pool. Neither input is copied or extended: the grown pool is kept as
+    pool. `unlabelled` is the (n, p) feature matrix of the unlabelled
+    modules. Neither input is copied or extended: the grown pool is kept as
     arrays, converted from `labelled` at the first refit.
     """
     if not labelled:
         raise SevpredictError("self-training needs a non-empty labelled pool")
-    X = feature_matrix([inst.features for inst in unlabelled], len(tree.schema))
+    X, width = np.asarray(unlabelled, dtype=float), len(tree.schema)
+    if X.ndim != 2:
+        raise SevpredictError(f"expected an (n, {width}) matrix of unlabelled features, got shape {X.shape}")
+    if X.shape[1] != width:  # as routing a row of the wrong width says
+        raise SevpredictError(f"feature vector has {X.shape[1]} values, expected {width}")
     XT = y = None  # the pool as arrays, converted at the first refit and grown column by column
     remaining = np.arange(len(unlabelled))  # original positions, ascending
 
@@ -128,7 +132,7 @@ def self_train(
             status = STATUS_NO_PROGRESS
             break
         if XT is None:
-            X0, y = training_arrays(labelled, len(tree.schema))
+            X0, y = training_arrays(labelled, width)
             XT = X0.T.copy()  # feature-major, as fit_arrays takes it
         XT = np.concatenate((XT, X[accepted].T), axis=1)
         y = np.concatenate((y, accepted_label))

@@ -33,7 +33,8 @@ from sevpredict.cli import main
 from sevpredict.metrics import build_confusion
 from sevpredict.selftrain import STATUS_EXHAUSTED_U, STATUS_NO_PROGRESS
 
-from conftest import CL, CR, HS, MA, NT, grown_pool, leaf_confidence, leaf_of, make_labelled, make_unlabelled
+from conftest import (CL, CR, HS, MA, NT, grown_pool, leaf_confidence, leaf_of, make_labelled, make_pool,
+                      unlabelled_rows)
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 TESTS_DIR = Path(__file__).resolve().parent
@@ -225,7 +226,7 @@ def test_criterion_6_self_training_behaviour():
         make_labelled([0.0, 0.0], CL), make_labelled([0.2, 0.1], CL),
         make_labelled([5.0, 5.0], MA), make_labelled([5.2, 5.1], MA),
     ]
-    pool = [make_unlabelled([0.1, 0.05]), make_unlabelled([5.1, 5.05])]
+    pool = np.array([[0.1, 0.05], [5.1, 5.05]])
     greedy = self_train(fit_tree(separable), separable, pool, SelfTrainConfig(gamma=0.0))
     assert greedy.trace.status == STATUS_EXHAUSTED_U
     assert len(greedy.trace.iterations) == 1
@@ -236,7 +237,7 @@ def test_criterion_6_self_training_behaviour():
         make_labelled([9.0], HS), make_labelled([9.5], HS),
     ]
     stuck = self_train(fit_tree(conflicted), conflicted,
-                       [make_unlabelled([0.0]), make_unlabelled([0.01])], SelfTrainConfig(gamma=1.0))
+                       np.array([[0.0], [0.01]]), SelfTrainConfig(gamma=1.0))
     assert stuck.trace.status == STATUS_NO_PROGRESS
     assert [rec.accepted_indices for rec in stuck.trace.iterations] == [()]
     assert stuck.accepted_labels == ()
@@ -248,9 +249,9 @@ def test_criterion_6_self_training_behaviour():
     for cls, centre in ((CL, 0.0), (MA, 4.0), (HS, 8.0)):
         for _ in range(6):
             labelled.append(make_labelled([float(centre + rng.normal(0, 0.5))], cls))
-    unlabelled = [make_unlabelled([float(rng.uniform(-1, 9))]) for _ in range(25)]
+    unlabelled = make_pool([[float(rng.uniform(-1, 9))] for _ in range(25)])
     config = SelfTrainConfig(gamma=0.7)
-    result = self_train(fit_tree(labelled), labelled, unlabelled, config)
+    result = self_train(fit_tree(labelled), labelled, unlabelled.features, config)
 
     sizes = [rec.unlabelled_before for rec in result.trace.iterations]
     assert sizes == sorted(sizes, reverse=True)
@@ -259,7 +260,7 @@ def test_criterion_6_self_training_behaviour():
     for rec in result.trace.iterations:
         tree = fit_tree(replay_pool)
         for idx in rec.accepted_indices:
-            inst = unlabelled[idx]
+            inst = unlabelled_rows(unlabelled)[idx]
             label, conf = leaf_confidence(tree, inst.features)
             assert conf >= config.gamma
             replay_pool.append(make_labelled(list(inst.features), label, loc=inst.loc))

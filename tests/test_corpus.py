@@ -1,7 +1,10 @@
 from __future__ import annotations
 
 import io
+import json
 import math
+import re
+import warnings
 from collections import Counter
 from dataclasses import replace
 
@@ -14,23 +17,26 @@ from sevpredict import (
     SEVERITY_ORDER,
     Corpus,
     LabelledInstance,
+    PipelineConfig,
     RowError,
     SchemaError,
     SevpredictError,
-    UnlabelledInstance,
     class_summary,
     derive_label,
     load_corpus,
     parse_corpus,
+    report_to_json,
+    run_experiment,
     save_corpus,
     stratified_kfold,
     stratified_split,
     synth_corpus,
     write_corpus_csv,
 )
-from sevpredict.corpus import audit_csv
+import sevpredict.corpus as corpus_module
+from sevpredict.corpus import audit_csv, read_csv_file
 
-from conftest import CL, CR, HS, MA, NT, make_labelled, make_unlabelled
+from conftest import CL, CR, HS, MA, NT, UnlabelledRow, make_labelled, make_pool, pool_of, unlabelled_rows
 
 HEADER = "module_id,loc,n_high_severity,n_critical,n_major,n_non_trivial,n_total_defects,wmc,rfc"
 
@@ -76,7 +82,7 @@ def test_parse_corpus_routes_rows():
     )
     assert corpus.schema == ("wmc", "rfc")
     assert [i.label for i in corpus.labelled] == [HS, CL]
-    assert [i.module_id for i in corpus.unlabelled] == ["c"]
+    assert corpus.unlabelled.module_ids == ("c",)
     assert corpus.labelled[0].features == (1.0, 2.0)
     assert [i.module_id for i in corpus.labelled] == ["a", "b"]
     assert len(corpus) == 3 and corpus.total_loc == 60
@@ -193,7 +199,115 @@ def test_corpus_round_trip(tmp_path):
     assert loaded.schema == original.schema
     assert [i.label for i in loaded.labelled] == [i.label for i in original.labelled]
     assert [i.features for i in loaded.labelled] == [i.features for i in original.labelled]
-    assert [i.loc for i in loaded.unlabelled] == [i.loc for i in original.unlabelled]
+    assert loaded.unlabelled.loc.tolist() == original.unlabelled.loc.tolist()
+
+
+# ---------------------------------------------------------------------------
+# load_corpus: numpy's C reader, with the row reader behind it
+
+
+def _outcome(read, path):
+    """read(path), or the type and message of the SevpredictError it raised."""
+    try:
+        return read(path)
+    except SevpredictError as err:
+        return type(err), str(err)
+
+
+def _row_reader(path):
+    return read_csv_file(path, parse_corpus)
+
+
+ROW = "a,10,0,0,0,0,0,1.5,2"
+# "\u30e41" is a katakana letter before a 1: numpy's integer parser reads it as 124681
+ODD_VALUES = ["1_000", "\u0665", "9223372036854775808", "0x1p3", "inf", "1e400", "1\x00", "", "\u30e41", "1\x1c"]
+EDGE_BODIES = {
+    **{f"loc {v!r}": f"a,{v},0,0,0,0,0,1.5,2\n" for v in ODD_VALUES},
+    **{f"count {v!r}": f"a,10,0,{v},0,0,1,1.5,2\n" for v in ODD_VALUES},
+    **{f"feature {v!r}": f"a,10,0,0,0,0,0,{v},2\n" for v in ODD_VALUES},
+    "spaced ids": " a ,10,0,0,0,0,0,1.5,2\n\tb\t,20,0,0,0,0,1,3,4\n",
+    "a quote inside an id": 'a"b,10,0,0,0,0,0,1.5,2\n',
+    "a quoted id": '"a",10,0,0,0,0,0,1.5,2\n',
+    "an id past csv's field size limit": "a" * 140_000 + ",10,0,0,0,0,0,1.5,2\n",
+    "a quoted id holding a comma": '"a,b",10,0,0,0,0,0,1.5,2\n',
+    "a quoted id over two lines": f'{ROW}\n"b\nc",10,0,0,0,0,0,1.5,2\nd,10,0,0,0,0,0,1.5,2\n',
+    "a quoted feature over two lines": 'a,10,0,0,0,0,0,1.5,"2\n"\nb,10,0,0,0,0,2,1.5,2\n',
+    "a quoted feature left open": 'a,10,0,0,0,0,0,1.5,"2\nb,20,0,0,0,0,1,3,4\n',
+    "a NUL inside an id": "a\x00b,10,0,0,0,0,0,1.5,2\n",
+    "blank lines": f"\n{ROW}\n\n\r\nb,20,0,0,0,0,1,3,4\n\n",
+    "a whitespace-only line": f"{ROW}\n  \nb,20,0,0,0,0,1,3,4\n",
+    "CRLF": f"{ROW}\r\nb,20,0,0,0,0,1,3,4\r\n",
+    "lone CR": f"{ROW}\rb,20,0,0,0,0,1,3,4\r",
+    "header only": "",
+    "no final newline": f"{ROW}\nb,20,0,0,0,0,1,3,4",
+    "a duplicate id three rows on": f"{ROW}\nb,1,0,0,0,0,0,1,2\nc,1,0,0,0,0,0,1,2\n{ROW}\n",
+    "a wrong width": "a,10,0,0,0,0,0,1.5\n",
+    "loc 0": "a,0,0,0,0,0,0,1.5,2\n",
+    "loc past 2**53": f"a,{2**53 + 1},0,0,0,0,0,1.5,2\n",
+    "an empty id": ",10,0,0,0,0,0,1.5,2\n",
+    "a negative count": "a,10,0,0,0,0,-1,1.5,2\n",
+    "a non-ASCII id": "\u00e9,10,0,0,0,0,0,1.5,2\n",
+}
+
+
+@pytest.mark.parametrize("chunk", [1, 2, 4096])
+@pytest.mark.parametrize("body", list(EDGE_BODIES.values()), ids=list(EDGE_BODIES))
+def test_load_corpus_agrees_with_the_row_reader(tmp_path, monkeypatch, body, chunk):
+    # chunks of one and two lines cut the multi-line records and put the duplicate in a later chunk
+    monkeypatch.setattr(corpus_module, "CHUNK_LINES", chunk)
+    path = tmp_path / "c.csv"
+    path.write_bytes((HEADER + "\n" + body).encode("utf-8"))
+    assert _outcome(load_corpus, path) == _outcome(_row_reader, path)
+
+
+def test_load_corpus_reads_plain_files_without_the_row_reader(tmp_path, monkeypatch):
+    path = tmp_path / "c.csv"
+    original = synth_corpus({CL: 12, MA: 5, HS: 2}, 3, 2.5, n_unlabelled=9, seed=5)
+    save_corpus(original, path)
+    expected = _row_reader(path)
+
+    def refuse(*args):
+        raise AssertionError("fell back to the row reader")
+
+    monkeypatch.setattr(corpus_module, "read_csv_file", refuse)
+    for chunk in (1, 4, 4096):
+        monkeypatch.setattr(corpus_module, "CHUNK_LINES", chunk)
+        assert load_corpus(path) == expected == original
+
+
+def test_load_corpus_names_a_float_loc_as_the_row_reader_does(tmp_path, monkeypatch):
+    # numpy before 2.0 read "10.0" into an integer column with a DeprecationWarning; the
+    # reader turns warnings into errors, so such a file takes the row path either way
+    path = tmp_path / "c.csv"
+    path.write_text(HEADER + "\na,10.0,0,0,0,0,0,1.5,2\n", encoding="utf-8")
+    message = "row 2: column 'loc' must be an integer (got '10.0')"
+    with pytest.raises(RowError, match=f"^{re.escape(message)}$"):
+        load_corpus(path)
+
+    loadtxt = np.loadtxt
+
+    def lenient_loadtxt(lines, *args, **kwargs):
+        warnings.warn("loadtxt(): Parsing an integer via a float is deprecated.", DeprecationWarning)
+        return loadtxt([line.replace("10.0", "10") for line in lines], *args, **kwargs)
+
+    monkeypatch.setattr(np, "loadtxt", lenient_loadtxt)
+    with warnings.catch_warnings(), pytest.raises(RowError, match=f"^{re.escape(message)}$"):
+        warnings.simplefilter("ignore")  # as outside pytest, where a DeprecationWarning is not an error
+        load_corpus(path)
+
+
+def test_total_loc_stays_exact_past_2_to_the_63(tmp_path):
+    # 1025 modules of 2**53 LoC: an int64 sum would wrap to a negative number
+    big = 1025 * 2**53
+    pool = make_pool([[float(j)] for j in range(1025)], locs=[2**53] * 1025,
+                     module_ids=[f"u{j}" for j in range(1025)])
+    labelled = tuple(make_labelled([float(j % 2)], (CL, MA)[j % 2], loc=1, module_id=f"m{j}") for j in range(20))
+    direct = Corpus(("f0",), labelled, pool)
+    save_corpus(direct, tmp_path / "c.csv")
+    for corpus in (Corpus(("f0",), (), pool), direct, load_corpus(tmp_path / "c.csv")):
+        assert class_summary(corpus)["total_loc"] == big + 1 * len(corpus.labelled)
+    report = json.loads(report_to_json(run_experiment(direct, PipelineConfig())))
+    assert report["corpus"]["total_loc"] == big + 20
 
 
 # ---------------------------------------------------------------------------
@@ -211,9 +325,8 @@ def grid_corpus(class_sizes: dict, n_unlabelled=0) -> Corpus:
         make_labelled([float(i + j), 0.0], CL, module_id=f"u{j}") for j in range(0)
     )
     del unlabelled
-    from conftest import make_unlabelled
-
-    unl = tuple(make_unlabelled([float(1000 + j), 0.0], module_id=f"u{j}") for j in range(n_unlabelled))
+    unl = make_pool([[float(1000 + j), 0.0] for j in range(n_unlabelled)], width=2,
+                    module_ids=[f"u{j}" for j in range(n_unlabelled)])
     return Corpus(("f0", "f1"), tuple(labelled), unl)
 
 
@@ -368,7 +481,7 @@ def test_synth_corpus_rejects_a_separation_that_overflows_the_features():
 
 def test_synth_corpus_takes_a_separation_of_1e300():
     corpus = synth_corpus({CL: 5, MA: 5}, 5, 1e300, n_unlabelled=3, seed=1)
-    feats = [f for inst in corpus.labelled + corpus.unlabelled for f in inst.features]
+    feats = [f for inst in corpus.labelled + unlabelled_rows(corpus.unlabelled) for f in inst.features]
     assert all(math.isfinite(f) for f in feats) and max(map(abs, feats)) > 1e299
 
 
@@ -410,10 +523,10 @@ def _reference_synth(class_counts, n_features, separation, n_unlabelled=0, seed=
     for _ in range(n_unlabelled):
         cls = present[int(rng.choice(len(present), p=probs))]
         feats, loc = draw(cls)
-        unlabelled.append(UnlabelledInstance(feats, loc, f"synth_{serial:05d}"))
+        unlabelled.append(UnlabelledRow(feats, loc, f"synth_{serial:05d}"))
         serial += 1
     schema = tuple(f"metric_{j + 1}" for j in range(n_features))
-    return Corpus(schema, tuple(labelled), tuple(unlabelled))
+    return Corpus(schema, tuple(labelled), pool_of(unlabelled, n_features))
 
 
 @settings(max_examples=300, deadline=None)
@@ -451,13 +564,13 @@ def test_write_corpus_csv_numbers_missing_ids_past_those_in_use():
     corpus = Corpus(
         ("f0",),
         (make_labelled([1], CL, module_id="m00000"), make_labelled([2], MA), make_labelled([3], CL)),
-        (make_unlabelled([4], module_id="m00002"), make_unlabelled([5])),
+        make_pool([[4], [5]], module_ids=["m00002", None]),
     )
     out = io.StringIO()
     write_corpus_csv(corpus, out)
     again = parse_corpus(io.StringIO(out.getvalue()))
     assert [i.module_id for i in again.labelled] == ["m00000", "m00001", "m00003"]
-    assert [i.module_id for i in again.unlabelled] == ["m00002", "m00004"]
+    assert again.unlabelled.module_ids == ("m00002", "m00004")
     assert [i.label for i in again.labelled] == [CL, MA, CL]
 
 
@@ -530,8 +643,8 @@ def split_corpora(draw) -> Corpus:
     sizes = draw(st.lists(st.integers(0, 12), min_size=5, max_size=5))
     labels = draw(st.permutations([cls for cls, m in zip(SEVERITY_ORDER, sizes) for _ in range(m)]))
     labelled = tuple(make_labelled([float(i)], cls, module_id=f"m{i}") for i, cls in enumerate(labels))
-    unlabelled = tuple(make_unlabelled([-1.0], module_id=f"u{j}") for j in range(draw(st.integers(0, 3))))
-    return Corpus(("f0",), labelled, unlabelled)
+    m = draw(st.integers(0, 3))
+    return Corpus(("f0",), labelled, make_pool([[-1.0]] * m, width=1, module_ids=[f"u{j}" for j in range(m)]))
 
 
 # fractions whose floor(f * m + 1e-9) sits exactly on an integer for some m,

@@ -9,26 +9,37 @@ after a valid header or none at all.
 from __future__ import annotations
 
 import io
+import pathlib
+import tempfile
+import warnings
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sevpredict import SevpredictError, parse_corpus, parse_predictions, synth_corpus, write_corpus_csv
-from sevpredict import Corpus, LabelledInstance, RowError, UnlabelledInstance, derive_label
+import sevpredict.corpus as corpus_module
+from sevpredict import SevpredictError, load_corpus, parse_corpus, parse_predictions, synth_corpus, write_corpus_csv
+from sevpredict import Corpus, LabelledInstance, RowError, derive_label
 from sevpredict.corpus import (
     REQUIRED_COLUMNS,
     _parse_feature,
     _parse_int,
     _parse_loc,
+    _read_columns,
     _read_header,
     audit_csv,
     csv_records,
+    read_csv_file,
 )
 from sevpredict.metrics import PREDICTIONS_HEADER
 from sevpredict.severity import CLASS_NAMES, SEVERITY_ORDER
 
-FIELD_PIECES = ['"', "\x00", " ", *"0123456789", "e", "-", ".", "inf", "nan", *CLASS_NAMES]
+from conftest import UnlabelledRow, pool_of, unlabelled_rows
+
+# "_", "+", "\t", "\x1c" and "\u0665" (an Arabic-Indic five) are read differently by numpy's C reader
+FIELD_PIECES = ['"', "\x00", " ", *"0123456789", "e", "-", ".", "inf", "nan", *CLASS_NAMES,
+                "_", "+", "\t", "\x1c", "\u0665"]
 PIECES = [",", "\r", "\n", "\r\n", *FIELD_PIECES]
 FIELDS = st.lists(st.sampled_from(FIELD_PIECES), max_size=3).map("".join)
 
@@ -78,7 +89,7 @@ def test_written_corpus_parses_back_bit_for_bit(counts, n_features, separation, 
 
     assert parsed.schema == corpus.schema
     assert fields(parsed.labelled) == fields(corpus.labelled)
-    assert fields(parsed.unlabelled) == fields(corpus.unlabelled)
+    assert fields(unlabelled_rows(parsed.unlabelled)) == fields(unlabelled_rows(corpus.unlabelled))
 
 
 # ---------------------------------------------------------------------------
@@ -122,7 +133,7 @@ def _reference_scan_rows(source):
             first_line[module_id] = line
             label = derive_label(counts, total)
             if label is None:
-                yield UnlabelledInstance(feats, loc, module_id)
+                yield UnlabelledRow(feats, loc, module_id)
             else:
                 yield LabelledInstance(feats, loc, label, module_id)
 
@@ -131,8 +142,8 @@ def _reference_scan_rows(source):
 
 def _reference_assemble(schema, instances) -> Corpus:
     labelled = tuple(i for i in instances if isinstance(i, LabelledInstance))
-    unlabelled = tuple(i for i in instances if isinstance(i, UnlabelledInstance))
-    return Corpus(schema, labelled, unlabelled)
+    unlabelled = [i for i in instances if isinstance(i, UnlabelledRow)]
+    return Corpus(schema, labelled, pool_of(unlabelled, len(schema)))
 
 
 def _reference_parse_corpus(source) -> Corpus:
@@ -243,3 +254,54 @@ def test_whole_row_parse_matches_the_field_parsers(row):
     text = ",".join(REQUIRED_COLUMNS + METRICS) + "\n" + row + "\nb,5,0,0,0,0,0,3,4\n"
     assert _read_outcome(parse_corpus, text) == _read_outcome(_reference_parse_corpus, text)
     assert _read_outcome(audit_csv, text) == _read_outcome(_reference_audit_csv, text)
+
+
+def _number_text(draw, value) -> str:
+    """value written as a CSV field may hold it: repr, %g, %e or an integer, padded or signed."""
+    form = draw(st.sampled_from(["{!r}", "{:g}", "{:.17e}", " {!r}", "{!r}\t", "+{!r}"]))
+    if isinstance(value, int):
+        form = draw(st.sampled_from(["{}", " {}", "{} ", "+{}", "0{}"]))
+    return form.format(value)
+
+
+@st.composite
+def readable_texts(draw):
+    """CSV text the C reader can read: unique IDs and numbers in the forms a file may hold,
+    CRLF or LF lines, blank lines, and at times one field from the fuzz pieces."""
+    metrics = METRICS[: draw(st.integers(1, 2))]
+    eol = draw(st.sampled_from(["\n", "\r\n", "\r"]))
+    lines = [",".join(REQUIRED_COLUMNS + metrics)]
+    for j in range(draw(st.integers(0, 8))):
+        fields = [draw(st.sampled_from([f"m{j}", f" m{j} "])),
+                  _number_text(draw, draw(st.integers(1, 2**53)))]
+        fields += [_number_text(draw, draw(st.integers(0, 3))) for _ in range(5)]
+        fields += [_number_text(draw, draw(st.floats(allow_nan=False, allow_infinity=False)))
+                   for _ in metrics]
+        if draw(st.integers(0, 9)) == 0:
+            fields[draw(st.integers(0, len(fields) - 1))] = draw(FIELDS)
+        lines += [""] * draw(st.integers(0, 1)) + [",".join(fields)]
+    return eol.join(lines) + draw(st.sampled_from([eol, ""]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(corpus_texts() | readable_texts(), st.sampled_from([1, 2, 3, 4096]))
+def test_load_corpus_matches_the_row_reader(text, chunk):
+    # load_corpus on a file gives the row reader's corpus or error; and wherever the
+    # C reader itself returns a corpus (chunks of 1-3 lines cut the body), it is that corpus
+    row_corpus = _read_outcome(parse_corpus, text)
+    with mock.patch.object(corpus_module, "CHUNK_LINES", chunk):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = pathlib.Path(tmp, "c.csv")
+            path.write_bytes(text.encode("utf-8"))
+            try:
+                loaded = load_corpus(path)
+            except SevpredictError as err:
+                loaded = type(err), str(err)
+            assert loaded == _read_outcome(lambda fh: read_csv_file(path, parse_corpus), text)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            try:
+                columns = _read_columns(io.StringIO(text, newline=""))
+            except Exception:  # load_corpus re-reads such a text with the row reader
+                return
+    assert columns == row_corpus

@@ -30,7 +30,7 @@ from sevpredict import (
     self_train,
 )
 
-from conftest import make_labelled, make_unlabelled
+from conftest import make_labelled, make_pool
 from test_run_differential import _outcome, runs
 
 # powers of two, far from overflow and from subnormals for features of at most a few units
@@ -50,7 +50,7 @@ def pools(draw):
     labels = rng.integers(0, n_classes, size=n)
     labelled = [make_labelled(row, SEVERITY_ORDER[k], module_id=f"m{j}")
                 for j, (row, k) in enumerate(zip(_grid(rng, n, p, levels), labels))]
-    unlabelled = [make_unlabelled(row, module_id=f"u{j}") for j, row in enumerate(_grid(rng, m, p, levels))]
+    unlabelled = make_pool(_grid(rng, m, p, levels), width=p, module_ids=[f"u{j}" for j in range(m)])
     return labelled, unlabelled, rng
 
 
@@ -76,8 +76,8 @@ def test_self_train_does_not_depend_on_the_order_of_the_unlabelled_pool(pool, ga
     tree_config = TreeConfig(max_depth=max_depth)
     tree = fit_tree(labelled, tree_config)
     perm = rng.permutation(len(unlabelled)).tolist()  # position j of the shuffled pool is perm[j] here
-    base = self_train(tree, labelled, unlabelled, config, tree_config)
-    moved = self_train(tree, labelled, [unlabelled[i] for i in perm], config, tree_config)
+    base = self_train(tree, labelled, unlabelled.features, config, tree_config)
+    moved = self_train(tree, labelled, unlabelled.features[perm], config, tree_config)
 
     assert moved.tree == base.tree
     assert moved.trace.status == base.trace.status
@@ -116,5 +116,6 @@ def test_fit_tree_scales_its_thresholds_with_the_features(pool, factor, max_dept
 @given(runs(), st.sampled_from(FACTORS))
 def test_a_run_does_not_depend_on_the_unit_of_its_features(case, factor):
     corpus, cfg = case
-    scaled = Corpus(corpus.schema, _scaled(corpus.labelled, factor), _scaled(corpus.unlabelled, factor))
+    scaled = Corpus(corpus.schema, _scaled(corpus.labelled, factor),
+                    replace(corpus.unlabelled, features=corpus.unlabelled.features * factor))
     assert _outcome(run_experiment, scaled, cfg) == _outcome(run_experiment, corpus, cfg)

@@ -41,7 +41,7 @@ from sevpredict.selftrain import (
 )
 from sevpredict.severity import CLASS_INDEX, CLASS_NAMES
 
-from conftest import make_labelled, make_unlabelled
+from conftest import make_labelled, make_pool, unlabelled_rows
 from test_adasyn import _reference_balance
 from test_cart import _reference_block_scan
 from test_corpus import _reference_split
@@ -140,7 +140,8 @@ def _reference_run(corpus: Corpus, cfg: PipelineConfig, project: str) -> Experim
     bst_pool = _reference_balance(raw, cfg.sampler, cfg.seed) if cfg.bst_oversample else raw
     ast_start = _reference_balance(raw, cfg.sampler, cfg.seed) if cfg.oversample_first else raw
     bst_outcomes, bst = _reference_scores(_reference_fit(bst_pool, cfg.tree, corpus.schema), test, cfg.econ)
-    tree, pool, residual, trace = _reference_self_train(ast_start, corpus.unlabelled, cfg, corpus.schema)
+    tree, pool, residual, trace = _reference_self_train(ast_start, unlabelled_rows(corpus.unlabelled), cfg,
+                                                        corpus.schema)
     ast_outcomes, ast = _reference_scores(tree, test, cfg.econ)
     return ExperimentReport(
         project=project,
@@ -179,8 +180,8 @@ def _case(sizes, p, levels, n_unlabelled, data_seed, **settings) -> tuple[Corpus
     locs = rng.integers(1, 400, size=n + n_unlabelled).tolist()
     labelled = [make_labelled(X[j], SEVERITY_ORDER[labels[j]], loc=locs[j], module_id=f"m{j}") for j in range(n)]
     U = rng.integers(0, levels + 1, size=(n_unlabelled, p))
-    unlabelled = [make_unlabelled(U[j], loc=locs[n + j], module_id=f"u{j}") for j in range(n_unlabelled)]
-    corpus = Corpus(tuple(f"f{j}" for j in range(p)), tuple(labelled), tuple(unlabelled))
+    unlabelled = make_pool(U, width=p, locs=locs[n:], module_ids=[f"u{j}" for j in range(n_unlabelled)])
+    corpus = Corpus(tuple(f"f{j}" for j in range(p)), tuple(labelled), unlabelled)
     return corpus, PipelineConfig.from_settings(settings)
 
 

@@ -23,7 +23,8 @@ from sevpredict.selftrain import (
 )
 from sevpredict.severity import CLASS_INDEX
 
-from conftest import CL, CR, HS, MA, NT, grown_pool, leaf_confidence, leaf_of, make_labelled, make_unlabelled
+from conftest import (CL, CR, HS, MA, NT, grown_pool, leaf_confidence, leaf_of, make_labelled, make_pool,
+                      unlabelled_rows)
 
 
 def separable_sets():
@@ -31,10 +32,7 @@ def separable_sets():
         make_labelled([0.0, 0.0], CL), make_labelled([0.2, 0.1], CL),
         make_labelled([5.0, 5.0], MA), make_labelled([5.2, 5.1], MA),
     ]
-    unlabelled = [
-        make_unlabelled([0.1, 0.05], module_id="u0"),
-        make_unlabelled([5.1, 5.05], module_id="u1"),
-    ]
+    unlabelled = make_pool([[0.1, 0.05], [5.1, 5.05]], module_ids=["u0", "u1"])
     return labelled, unlabelled
 
 
@@ -44,7 +42,7 @@ def conflicted_sets():
         make_labelled([0.0], CL), make_labelled([0.0], MA),
         make_labelled([9.0], HS), make_labelled([9.5], HS),
     ]
-    unlabelled = [make_unlabelled([0.0]), make_unlabelled([0.01])]
+    unlabelled = make_pool([[0.0], [0.01]])
     return labelled, unlabelled
 
 
@@ -96,7 +94,7 @@ def test_leaf_count_risk_matches_routing_the_pool(max_depth):
 
 def test_gamma_zero_accepts_everything_in_one_pass():
     labelled, unlabelled = separable_sets()
-    result = self_train(fit_tree(labelled), labelled, unlabelled, SelfTrainConfig(gamma=0.0))
+    result = self_train(fit_tree(labelled), labelled, unlabelled.features, SelfTrainConfig(gamma=0.0))
     assert result.trace.status == STATUS_EXHAUSTED_U
     assert len(result.trace.iterations) == 1
     rec = result.trace.iterations[0]
@@ -108,7 +106,7 @@ def test_gamma_zero_accepts_everything_in_one_pass():
 
 def test_gamma_one_with_conflicts_makes_no_progress():
     labelled, unlabelled = conflicted_sets()
-    result = self_train(fit_tree(labelled), labelled, unlabelled, SelfTrainConfig(gamma=1.0))
+    result = self_train(fit_tree(labelled), labelled, unlabelled.features, SelfTrainConfig(gamma=1.0))
     assert result.trace.status == STATUS_NO_PROGRESS
     assert result.accepted_labels == ()
     assert len(result.trace.iterations) == 1
@@ -131,7 +129,7 @@ def test_no_progress_keeps_the_only_tree(monkeypatch):
     labelled, unlabelled = conflicted_sets()
     tree = fit_tree(labelled)
     monkeypatch.setattr(selftrain, "fit_arrays", counting_fit)
-    result = self_train(tree, labelled, unlabelled, SelfTrainConfig(gamma=1.0))
+    result = self_train(tree, labelled, unlabelled.features, SelfTrainConfig(gamma=1.0))
     assert result.trace.status == STATUS_NO_PROGRESS
     assert fitted == []
     assert result.tree is tree
@@ -141,14 +139,14 @@ def test_self_train_does_not_extend_the_callers_pool():
     # the baseline arm holds the same list; extending it would change its size
     labelled, unlabelled = separable_sets()
     before = list(labelled)
-    result = self_train(fit_tree(labelled), labelled, unlabelled, SelfTrainConfig(gamma=0.0))
+    result = self_train(fit_tree(labelled), labelled, unlabelled.features, SelfTrainConfig(gamma=0.0))
     assert len(result.accepted_labels) == len(unlabelled)
     assert labelled == before
 
 
 def test_empty_pool_exhausts_immediately():
     labelled, _ = separable_sets()
-    result = self_train(fit_tree(labelled), labelled, [], SelfTrainConfig())
+    result = self_train(fit_tree(labelled), labelled, np.empty((0, 2)), SelfTrainConfig())
     assert result.trace.status == STATUS_EXHAUSTED_U
     assert result.trace.iterations == ()
     assert result.accepted_labels == ()
@@ -162,9 +160,9 @@ def test_max_iterations_stops_mixed_pool():
         make_labelled([0.0], CL), make_labelled([0.0], MA),
         make_labelled([9.0], HS), make_labelled([9.5], HS),
     ]
-    unlabelled = [make_unlabelled([9.2]), make_unlabelled([0.0])]
+    unlabelled = make_pool([[9.2], [0.0]])
     config = SelfTrainConfig(gamma=0.9, max_iterations=1)
-    result = self_train(fit_tree(labelled), labelled, unlabelled, config)
+    result = self_train(fit_tree(labelled), labelled, unlabelled.features, config)
     assert result.trace.status == STATUS_MAX_ITERATIONS
     assert len(result.trace.iterations) == 1
     assert result.trace.iterations[0].accepted == 1
@@ -179,9 +177,8 @@ def test_pool_shrinks_monotonically():
         for _ in range(6):
             labelled.append(make_labelled(
                 [float(rng.normal(centre, 0.5)), float(rng.normal(0, 0.5))], cls))
-    unlabelled = [make_unlabelled([float(rng.uniform(-2, 10)), float(rng.normal(0, 0.5))])
-                  for _ in range(30)]
-    result = self_train(fit_tree(labelled), labelled, unlabelled, SelfTrainConfig(gamma=0.8))
+    unlabelled = make_pool([[float(rng.uniform(-2, 10)), float(rng.normal(0, 0.5))] for _ in range(30)])
+    result = self_train(fit_tree(labelled), labelled, unlabelled.features, SelfTrainConfig(gamma=0.8))
     sizes = [rec.unlabelled_before for rec in result.trace.iterations]
     assert sizes == sorted(sizes, reverse=True)
     accepted_total = sum(rec.accepted for rec in result.trace.iterations)
@@ -199,29 +196,29 @@ def test_pseudo_labels_match_the_accepting_iteration_tree():
     for cls, centre in ((CL, 0.0), (MA, 4.0), (HS, 8.0)):
         for _ in range(5):
             labelled.append(make_labelled([float(centre + rng.normal(0, 0.4))], cls))
-    unlabelled = [make_unlabelled([float(rng.uniform(-1, 9))], module_id=f"u{i}")
-                  for i in range(20)]
+    unlabelled = make_pool([[float(rng.uniform(-1, 9))] for _ in range(20)], module_ids=[f"u{i}" for i in range(20)])
     config = SelfTrainConfig(gamma=0.7)
-    result = self_train(fit_tree(labelled), labelled, unlabelled, config)
+    result = self_train(fit_tree(labelled), labelled, unlabelled.features, config)
 
     # replay: rebuild each round's tree from the evolving pool and check the
     # accepted indices really cleared the bar with the recorded labels
     pool = list(labelled)
-    remaining = list(unlabelled)
+    rows = unlabelled_rows(unlabelled)
+    remaining = list(rows)
     accepted_seen = []
     for rec in result.trace.iterations:
         assert rec.unlabelled_before == len(remaining)
         tree = fit_tree(pool)
         newly = []
         for idx in rec.accepted_indices:
-            inst = unlabelled[idx]
+            inst = rows[idx]
             label, conf = leaf_confidence(tree, inst.features)
             assert conf >= config.gamma
             newly.append(make_labelled(list(inst.features), label,
                                        loc=inst.loc, module_id=inst.module_id))
         accepted_seen.extend(rec.accepted_indices)
         pool.extend(newly)
-        remaining = [inst for i, inst in enumerate(unlabelled)
+        remaining = [inst for i, inst in enumerate(rows)
                      if i not in set(accepted_seen)]
     assert len(accepted_seen) == len(set(accepted_seen))
 
@@ -232,7 +229,7 @@ def test_pseudo_labels_match_the_accepting_iteration_tree():
 
 def test_accepted_per_class_tallies_accepted():
     labelled, unlabelled = separable_sets()
-    result = self_train(fit_tree(labelled), labelled, unlabelled, SelfTrainConfig(gamma=0.5))
+    result = self_train(fit_tree(labelled), labelled, unlabelled.features, SelfTrainConfig(gamma=0.5))
     for rec in result.trace.iterations:
         assert sum(rec.accepted_per_class.values()) == rec.accepted
         assert set(rec.accepted_per_class) == {c.value for c in (HS, CR, MA, NT, CL)}
@@ -240,7 +237,7 @@ def test_accepted_per_class_tallies_accepted():
 
 def test_final_tree_is_fit_on_final_pool():
     labelled, unlabelled = separable_sets()
-    result = self_train(fit_tree(labelled), labelled, unlabelled, SelfTrainConfig(gamma=0.0))
+    result = self_train(fit_tree(labelled), labelled, unlabelled.features, SelfTrainConfig(gamma=0.0))
     assert result.tree == fit_tree(grown_pool(labelled, unlabelled, result))
 
 
@@ -250,40 +247,45 @@ def test_self_train_is_deterministic():
     for centre, cls in ((0.0, CL), (3.0, NT)):
         for _ in range(8):
             labelled.append(make_labelled([float(rng.normal(centre, 0.6))], cls))
-    unlabelled = [make_unlabelled([float(rng.uniform(-1, 4))]) for _ in range(12)]
+    unlabelled = make_pool([[float(rng.uniform(-1, 4))] for _ in range(12)])
     config = SelfTrainConfig(gamma=0.75)
     pool = adasyn_balance(labelled, SamplerConfig(), 2)
-    a = self_train(fit_tree(pool), pool, unlabelled, config)
-    b = self_train(fit_tree(pool), pool, unlabelled, config)
+    a = self_train(fit_tree(pool), pool, unlabelled.features, config)
+    b = self_train(fit_tree(pool), pool, unlabelled.features, config)
     assert a.tree == b.tree
     assert a.accepted_labels == b.accepted_labels
     assert a.trace.to_dict() == b.trace.to_dict()
 
 
-@pytest.mark.parametrize("widths", [(3,), (2, 3), (2, 1, 3), (3, 1), (1, 1)])
+@pytest.mark.parametrize("widths", [(3,), (3, 3), (1, 1, 1), (1,), ()])
 def test_an_unlabelled_row_of_the_wrong_width_fails_as_routing_it_would(widths):
-    # the first such row raises, with the message predicting the pool gives
+    # the pool is a matrix, so its rows share one width; it fails even with no rows at all
     labelled, _ = separable_sets()
     tree = fit_tree(labelled)
-    unlabelled = [make_unlabelled([1.0] * w) for w in widths]
-    first_bad = next(u for u in unlabelled if len(u.features) != len(tree.schema))
-    rows = [u.features for u in unlabelled]
-    with pytest.raises(SevpredictError, match=f"^feature vector has {len(first_bad.features)} values, expected 2$"):
-        predict_label(tree, rows)
-    with pytest.raises(SevpredictError) as predicting:
-        predict_confidence(tree, rows)
-    with pytest.raises(SevpredictError) as training:
+    width = widths[0] if widths else 1
+    unlabelled = np.ones((len(widths), width))
+    with pytest.raises(SevpredictError, match=f"^feature vector has {width} values, expected 2$") as training:
         self_train(tree, labelled, unlabelled, SelfTrainConfig())
-    assert str(training.value) == str(predicting.value)
+    for predict in (predict_label, predict_confidence) if widths else ():
+        with pytest.raises(SevpredictError) as predicting:
+            predict(tree, unlabelled.tolist())
+        assert str(training.value) == str(predicting.value)
+
+
+@pytest.mark.parametrize("unlabelled", [np.ones(2), np.ones((1, 1, 2)), 1.0])
+def test_unlabelled_features_that_are_not_a_matrix_fail_naming_the_shape(unlabelled):
+    labelled, _ = separable_sets()
+    with pytest.raises(SevpredictError, match=r"^expected an \(n, 2\) matrix of unlabelled features, got shape"):
+        self_train(fit_tree(labelled), labelled, unlabelled, SelfTrainConfig())
 
 
 @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
 def test_an_accepted_non_finite_row_fails_the_refit(bad):
     # a non-finite value routes right at every split, here into the pure major leaf
     labelled, _ = separable_sets()
-    unlabelled = [make_unlabelled([bad, 5.0])]
+    unlabelled = make_pool([[bad, 5.0]])
     with pytest.raises(SevpredictError, match="^features must be finite$"):
-        self_train(fit_tree(labelled), labelled, unlabelled, SelfTrainConfig(gamma=0.9))
+        self_train(fit_tree(labelled), labelled, unlabelled.features, SelfTrainConfig(gamma=0.9))
 
 
 def test_a_non_finite_row_never_accepted_raises_nothing():
@@ -292,12 +294,8 @@ def test_a_non_finite_row_never_accepted_raises_nothing():
         make_labelled([0.0], HS), make_labelled([0.5], HS),
         make_labelled([9.0], CL), make_labelled([9.0], MA),
     ]
-    unlabelled = [
-        make_unlabelled([float("nan")], module_id="nan"),
-        make_unlabelled([0.2], module_id="ok"),
-        make_unlabelled([float("inf")], module_id="inf"),
-    ]
-    result = self_train(fit_tree(labelled), labelled, unlabelled, SelfTrainConfig(gamma=0.9))
+    unlabelled = make_pool([[float("nan")], [0.2], [float("inf")]], module_ids=["nan", "ok", "inf"])
+    result = self_train(fit_tree(labelled), labelled, unlabelled.features, SelfTrainConfig(gamma=0.9))
     assert result.trace.status == STATUS_NO_PROGRESS
     assert [rec.accepted_indices for rec in result.trace.iterations] == [(1,), ()]
     assert result.accepted_labels == (CLASS_INDEX[HS],)
@@ -310,9 +308,9 @@ def test_a_refit_past_the_row_limit_fails_as_fit_tree_does(monkeypatch):
     tree = fit_tree(labelled)
     monkeypatch.setattr(cart, "MAX_TRAIN_ROWS", 5)
     with pytest.raises(SevpredictError) as direct:
-        fit_tree(labelled + [make_labelled(u.features, CL) for u in unlabelled])
+        fit_tree(labelled + [make_labelled(row, CL) for row in unlabelled.features])
     with pytest.raises(SevpredictError) as refit:
-        self_train(tree, labelled, unlabelled, SelfTrainConfig(gamma=0.0))
+        self_train(tree, labelled, unlabelled.features, SelfTrainConfig(gamma=0.0))
     assert str(refit.value) == str(direct.value) == (
         "training set has 6 rows; exact split search supports at most 5"
     )
@@ -329,7 +327,7 @@ def test_config_validation():
 
 def test_trace_dict_lists_each_iteration():
     labelled, unlabelled = separable_sets()
-    result = self_train(fit_tree(labelled), labelled, unlabelled, SelfTrainConfig(gamma=0.0))
+    result = self_train(fit_tree(labelled), labelled, unlabelled.features, SelfTrainConfig(gamma=0.0))
     as_dict = result.trace.to_dict()
     first = as_dict["iterations"][0]
     assert first["iteration"] == 1

@@ -25,7 +25,7 @@ from sevpredict.selftrain import (
 )
 from sevpredict.severity import CLASS_NAMES
 
-from conftest import grown_pool, make_labelled, make_unlabelled
+from conftest import grown_pool, make_labelled, make_pool, unlabelled_rows
 
 
 def _reference_self_train(tree, labelled, unlabelled, config, tree_config):
@@ -80,10 +80,8 @@ def _case(n, m, p, levels, n_classes, data_seed, gamma, max_iterations, min_samp
         make_labelled(row, SEVERITY_ORDER[k], loc=loc, module_id=f"m{j}")
         for j, (row, k, loc) in enumerate(zip(rng.integers(0, levels + 1, size=(n, p)), labels, locs))
     ]
-    unlabelled = [
-        make_unlabelled(row, loc=loc, module_id=f"u{j}")
-        for j, (row, loc) in enumerate(zip(rng.integers(0, levels + 1, size=(m, p)), locs[n:]))
-    ]
+    unlabelled = make_pool(rng.integers(0, levels + 1, size=(m, p)), width=p, locs=locs[n:],
+                           module_ids=[f"u{j}" for j in range(m)])
     config = SelfTrainConfig(gamma=gamma, max_iterations=max_iterations)
     tree_config = TreeConfig(min_samples_split=min_samples_split, max_depth=max_depth)
     return labelled, unlabelled, config, tree_config
@@ -110,13 +108,14 @@ def cases(draw):
 def test_self_train_matches_the_row_based_reference(case):
     labelled, unlabelled, config, tree_config = case
     tree = fit_tree(labelled, tree_config)
-    result = self_train(tree, labelled, unlabelled, config, tree_config)
+    result = self_train(tree, labelled, unlabelled.features, config, tree_config)
+    rows = unlabelled_rows(unlabelled)
     ref_tree, ref_labelled, ref_residual, ref_trace = _reference_self_train(
-        tree, labelled, unlabelled, config, tree_config
+        tree, labelled, rows, config, tree_config
     )
     assert result.tree == ref_tree
     assert result.trace == ref_trace
     assert result.trace.status == ref_trace.status
     assert grown_pool(labelled, unlabelled, result) == ref_labelled
     taken = {i for rec in result.trace.iterations for i in rec.accepted_indices}
-    assert tuple(u for i, u in enumerate(unlabelled) if i not in taken) == ref_residual
+    assert tuple(u for i, u in enumerate(rows) if i not in taken) == ref_residual
