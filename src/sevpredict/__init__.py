@@ -25,7 +25,6 @@ from .corpus import (
     LabelledInstance,
     UnlabelledPool,
     class_summary,
-    derive_label,
     load_corpus,
     parse_corpus,
     save_corpus,

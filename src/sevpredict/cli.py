@@ -190,8 +190,7 @@ def cmd_metrics(args) -> int:
     os.makedirs(args.out, exist_ok=True)
     json_path = os.path.join(args.out, "metrics.json")
     with open(json_path, "w", encoding="utf-8") as fh:
-        json.dump(report.to_json_dict(), fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        fh.write(report_to_json(report))
     csv_path = os.path.join(args.out, "metrics.csv")
     with open(csv_path, "w", newline="", encoding="utf-8") as fh:
         fh.write(",".join(REPORT_CSV_HEADER) + "\n")

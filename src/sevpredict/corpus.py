@@ -8,13 +8,14 @@ more static code metric columns that become the feature vector.
 from __future__ import annotations
 
 import bisect
+import codecs
 import csv
 import itertools
 import math
 import warnings
 from collections import Counter
 from dataclasses import dataclass, replace
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping
 
 import numpy as np
 
@@ -55,6 +56,9 @@ class UnlabelledPool:
         return (isinstance(other, UnlabelledPool) and self.module_ids == other.module_ids
                 and np.array_equal(self.loc, other.loc) and np.array_equal(self.features, other.features))
 
+    def __hash__(self) -> int:  # not over the features: -0.0 == 0.0, but their bytes differ
+        return hash((self.module_ids, tuple(self.loc.tolist())))
+
 
 @dataclass(frozen=True)
 class Corpus:
@@ -72,20 +76,14 @@ class Corpus:
         return len(self.labelled) + len(self.unlabelled)
 
 
-def derive_label(defect_counts: Sequence[int], total_defects: int) -> SeverityClass | None:
-    """Assign a severity label to a module, or None when it stays unlabelled.
-
-    A module with no defects at all is clean. A module whose defects are on
-    record only in the total, with every per-severity count zero, carries no
-    usable label. Otherwise the label is the most severe category with a
-    nonzero count; `defect_counts` follows DEFECTIVE_CLASSES order.
-    """
-    k = _class_index(np.array([[n > 0 for n in defect_counts] + [total_defects > 0]]))[0]
-    return None if k < 0 else SEVERITY_ORDER[k]
-
-
 def _class_index(nonzero: np.ndarray) -> np.ndarray:
-    """derive_label per row of an (n, 5) mask of nonzero counts, the total last: a class index, -1 if none."""
+    """Each module's class index, or -1 where it stays unlabelled, from an (n, 5) mask of its
+    nonzero counts: the four per-severity counts in DEFECTIVE_CLASSES order, then the total.
+
+    A module with no defects at all is clean. A module whose defects are on record only in the
+    total, with every per-severity count zero, carries no usable label. Otherwise the label is
+    the most severe category with a nonzero count.
+    """
     first = np.where(nonzero[:, :4].any(axis=1), nonzero[:, :4].argmax(axis=1), -1)
     return np.where(nonzero[:, 4], first, SEVERITY_ORDER.index(SeverityClass.CLEAN))
 
@@ -265,14 +263,29 @@ def read_csv_file(path, parse):
             raise SevpredictError(f"{path}: not valid {err.encoding} text ({err.reason})") from None
 
 
+SCAN_BYTES = 1 << 16  # bytes per read of the scan that picks a file's reader
+
+
+def _plain_bytes(path) -> bool:
+    """Whether the file at path, past one leading UTF-8 byte-order mark, is ASCII without a quote or NUL."""
+    with open(path, "rb") as fh:
+        if fh.read(len(codecs.BOM_UTF8)) != codecs.BOM_UTF8:
+            fh.seek(0)
+        return all(block.isascii() and b'"' not in block and b"\0" not in block
+                   for block in iter(lambda: fh.read(SCAN_BYTES), b""))
+
+
 def load_corpus(path) -> Corpus:
-    """The corpus in the CSV at path, by numpy's C reader, or by parse_corpus where they may differ."""
+    """The corpus in the CSV at path, by numpy's C reader, or by parse_corpus where they may differ:
+    on any quote, NUL or non-ASCII byte in the file, header included, and wherever the C reader raises or warns."""
     try:
-        with open(path, newline="", encoding="utf-8") as fh, warnings.catch_warnings():
-            warnings.simplefilter("error")  # numpy < 2 reads "10.0" as an int, with only a warning
-            return _read_columns(fh)
+        if _plain_bytes(path):
+            with open(path, newline="", encoding="utf-8") as fh, warnings.catch_warnings():
+                warnings.simplefilter("error")  # numpy < 2 reads "10.0" as an int, with only a warning
+                return _read_columns(fh)
     except Exception:  # read again by the row reader, whose messages name the fault
-        return read_csv_file(path, parse_corpus)
+        pass
+    return read_csv_file(path, parse_corpus)
 
 
 def fill_module_ids(ids: Iterable[str | None]) -> list[str]:

@@ -42,24 +42,6 @@ class ConfusionMatrix:
     counts: tuple[tuple[int, ...], ...]  # [actual][predicted], severity order
     loc: tuple[tuple[int, ...], ...]  # LoC of the modules in each cell
 
-    @property
-    def n_t(self) -> int:
-        return sum(sum(row) for row in self.counts)
-
-    @property
-    def total_loc(self) -> int:
-        return sum(sum(row) for row in self.loc)
-
-    def count(self, actual: SeverityClass, predicted: SeverityClass) -> int:
-        return self.counts[CLASS_INDEX[actual]][CLASS_INDEX[predicted]]
-
-    def actual_total(self, cls: SeverityClass) -> int:
-        return sum(self.counts[CLASS_INDEX[cls]])
-
-    def predicted_total(self, cls: SeverityClass) -> int:
-        j = CLASS_INDEX[cls]
-        return sum(row[j] for row in self.counts)
-
 
 def build_confusion(outcomes: Iterable[Outcome]) -> ConfusionMatrix:
     """Module count and LoC per (actual, predicted) cell; raises on no outcomes."""
@@ -69,21 +51,14 @@ def build_confusion(outcomes: Iterable[Outcome]) -> ConfusionMatrix:
         i, j = CLASS_INDEX[o.actual], CLASS_INDEX[o.predicted]
         counts[i][j] += 1
         loc[i][j] += o.loc
-    cm = ConfusionMatrix(tuple(map(tuple, counts)), tuple(map(tuple, loc)))
-    if cm.n_t == 0:
+    if not any(map(any, counts)):
         raise SevpredictError("outcome set is empty")
-    return cm
-
-
-def _clean_split(cm: ConfusionMatrix) -> tuple[int, int, int]:
-    """(true negatives, their LoC, LoC of clean modules predicted defective)."""
-    c = CLASS_INDEX[SeverityClass.CLEAN]
-    return cm.counts[c][c], cm.loc[c][c], sum(cm.loc[c]) - cm.loc[c][c]
+    return ConfusionMatrix(tuple(map(tuple, counts)), tuple(map(tuple, loc)))
 
 
 def accuracy(cm: ConfusionMatrix) -> float:
     # diagonal mass: the four per-class true positives plus clean true negatives
-    return sum(cm.counts[i][i] for i in range(len(SEVERITY_ORDER))) / cm.n_t
+    return sum(cm.counts[i][i] for i in range(len(SEVERITY_ORDER))) / sum(map(sum, cm.counts))
 
 
 def risk_factor(
@@ -98,14 +73,11 @@ def risk_factor(
     w = validate_weights(weights if weights is not None else DEFAULT_WEIGHTS)
     result: dict[SeverityClass, float] = {}
     for r, cls in enumerate(DEFECTIVE_CLASSES):
-        n_r = cm.actual_total(cls)
-        if n_r == 0:
-            result[cls] = 0.0
-            continue
         penalty = 0.0
         for s in range(r + 1, len(SEVERITY_ORDER)):
             penalty += cm.counts[r][s] * abs(w[SEVERITY_ORDER[s]] - w[cls])
-        result[cls] = penalty / n_r
+        n_r = sum(cm.counts[r])
+        result[cls] = penalty / n_r if n_r else 0.0
     return result
 
 
@@ -186,23 +158,29 @@ class MetricReport:
 def full_report(outcomes: Iterable[Outcome], config: EconConfig = EconConfig()) -> MetricReport:
     """Every measure of one non-empty set of outcomes, read off its confusion matrix."""
     cm = build_confusion(outcomes)
-    n, total_loc = cm.n_t, cm.total_loc
+    actual = [sum(row) for row in cm.counts]
+    predicted = [sum(column) for column in zip(*cm.counts)]
+    n, total_loc = sum(actual), sum(map(sum, cm.loc))
     per_class: dict[str, dict[str, float]] = {}
-    for cls in SEVERITY_ORDER:
-        tp, predicted, actual = cm.count(cls, cls), cm.predicted_total(cls), cm.actual_total(cls)
-        precision = tp / predicted if predicted else 0.0
-        recall = tp / actual if actual else 0.0
-        f1 = 2 * precision * recall / (precision + recall) if precision + recall else 0.0
-        per_class[cls.value] = {"precision": precision, "recall": recall, "f1": f1}
-    present = [cls for cls in SEVERITY_ORDER if cm.actual_total(cls) > 0]
+    f1: list[float] = []
+    for k, cls in enumerate(SEVERITY_ORDER):
+        tp = cm.counts[k][k]
+        precision = tp / predicted[k] if predicted[k] else 0.0
+        recall = tp / actual[k] if actual[k] else 0.0
+        f1.append(2 * precision * recall / (precision + recall) if precision + recall else 0.0)
+        per_class[cls.value] = {"precision": precision, "recall": recall, "f1": f1[k]}
+    present = [k for k, size in enumerate(actual) if size]
     rf = risk_factor(cm, config.weight_map())
-    tn, saved, lost = _clean_split(cm)
+    # the clean row: true negatives, and the LoC of clean modules skipped or flagged defective
+    c = CLASS_INDEX[SeverityClass.CLEAN]
+    tn, saved = cm.counts[c][c], cm.loc[c][c]
+    lost = sum(cm.loc[c]) - saved
     remaining = total_loc - saved
     return MetricReport(
         accuracy=accuracy(cm),
         per_class=per_class,
-        f_measure_macro=sum(per_class[c.value]["f1"] for c in present) / len(present),
-        f_measure_weighted=sum(per_class[c.value]["f1"] * cm.actual_total(c) for c in present) / n,
+        f_measure_macro=sum(f1[k] for k in present) / len(present),
+        f_measure_weighted=sum(f1[k] * actual[k] for k in present) / n,
         risk_factor={cls.value: rf[cls] for cls in DEFECTIVE_CLASSES},
         system_rf=system_risk_factor(rf),
         ptn=tn / n,

@@ -151,7 +151,7 @@ class ExperimentReport:
         }
 
 
-def report_to_json(report: ExperimentReport) -> str:
+def report_to_json(report: ExperimentReport | MetricReport) -> str:
     return json.dumps(report.to_json_dict(), indent=2, sort_keys=True) + "\n"
 
 

@@ -22,7 +22,6 @@ from sevpredict import (
     SchemaError,
     SevpredictError,
     class_summary,
-    derive_label,
     load_corpus,
     parse_corpus,
     report_to_json,
@@ -45,23 +44,19 @@ HEADER = "module_id,loc,n_high_severity,n_critical,n_major,n_non_trivial,n_total
 # labelling rule
 
 
-def test_derive_label_unlabelled_when_total_positive_but_categories_empty():
-    assert derive_label((0, 0, 0, 0), 3) is None
-
-
-def test_derive_label_clean_when_no_defects():
-    assert derive_label((0, 0, 0, 0), 0) is CL
-
-
-def test_derive_label_most_severe_nonzero_category():
-    assert derive_label((0, 1, 2, 0), 3) is CR
-    assert derive_label((1, 0, 0, 1), 2) is HS
-    assert derive_label((0, 0, 0, 4), 4) is NT
-
-
-def test_derive_label_total_zero_wins_over_stray_counts():
-    # the total is authoritative for the zero test
-    assert derive_label((1, 0, 0, 0), 0) is CL
+@pytest.mark.parametrize("counts, total, label", [
+    ((0, 0, 0, 0), 3, None),  # defects on record only in the total: unlabelled
+    ((0, 0, 0, 0), 0, CL),  # no defects at all
+    ((0, 1, 2, 0), 3, CR),  # otherwise the most severe nonzero category
+    ((1, 0, 0, 1), 2, HS),
+    ((0, 0, 0, 4), 4, NT),
+    ((1, 0, 0, 0), 0, CL),  # the total is authoritative for the zero test
+], ids=["total-only-unlabelled", "no-defects-clean", "most-severe-critical", "most-severe-high-severity",
+        "most-severe-non-trivial", "total-zero-wins"])
+def test_labelling_rule(counts, total, label):
+    corpus = parse_corpus(io.StringIO(f"{HEADER}\nm1,10,{','.join(map(str, counts))},{total},1.0,2.0\n"))
+    assert [inst.label for inst in corpus.labelled] == ([] if label is None else [label])
+    assert len(corpus.unlabelled) == (label is None)
 
 
 # ---------------------------------------------------------------------------
@@ -248,16 +243,49 @@ EDGE_BODIES = {
     "a negative count": "a,10,0,0,0,0,-1,1.5,2\n",
     "a non-ASCII id": "\u00e9,10,0,0,0,0,0,1.5,2\n",
 }
+EDGE_FILES = {
+    **{name: f"{HEADER}\n{body}" for name, body in EDGE_BODIES.items()},
+    # a scan that skipped the header would miss its lone CR, and read the next line's LoC as digits
+    "a header ending in a lone CR": f"{HEADER}\r{ROW}\r",
+    "a header ending in a lone CR, then loc '\u30e41'": f"{HEADER}\ra,\u30e41,0,0,0,0,0,1.5,2\n",
+}
 
 
 @pytest.mark.parametrize("chunk", [1, 2, 4096])
-@pytest.mark.parametrize("body", list(EDGE_BODIES.values()), ids=list(EDGE_BODIES))
-def test_load_corpus_agrees_with_the_row_reader(tmp_path, monkeypatch, body, chunk):
+@pytest.mark.parametrize("text", list(EDGE_FILES.values()), ids=list(EDGE_FILES))
+def test_load_corpus_agrees_with_the_row_reader(tmp_path, monkeypatch, text, chunk):
     # chunks of one and two lines cut the multi-line records and put the duplicate in a later chunk
     monkeypatch.setattr(corpus_module, "CHUNK_LINES", chunk)
     path = tmp_path / "c.csv"
-    path.write_bytes((HEADER + "\n" + body).encode("utf-8"))
+    path.write_bytes(text.encode("utf-8"))
     assert _outcome(load_corpus, path) == _outcome(_row_reader, path)
+
+
+@pytest.mark.parametrize("body", [
+    f"{ROW}\n\u00e9,10,0,0,0,0,0,1.5,2\n",
+    f'{ROW}\n"b",10,0,0,0,0,0,1.5,2\n',
+    f"{ROW}\nb\x00,10,0,0,0,0,0,1.5,2\n",
+], ids=["a non-ASCII id", "a quoted id", "a NUL"])
+def test_load_corpus_sends_quotes_nuls_and_non_ascii_straight_to_the_row_reader(tmp_path, monkeypatch, body):
+    path = tmp_path / "c.csv"
+    path.write_bytes(f"{HEADER}\n{body}".encode("utf-8"))
+    expected = _outcome(_row_reader, path)
+    calls, loadtxt = [], np.loadtxt
+    monkeypatch.setattr(np, "loadtxt", lambda *args, **kwargs: calls.append(1) or loadtxt(*args, **kwargs))
+    for block in (1, 7, 1 << 16):  # the byte is found wherever the scan's blocks cut the file
+        monkeypatch.setattr(corpus_module, "SCAN_BYTES", block)
+        assert _outcome(load_corpus, path) == expected
+    assert calls == []
+
+
+def test_equal_corpora_hash_equal(tmp_path):
+    original = synth_corpus({CL: 12, MA: 5, HS: 2}, 3, 2.5, n_unlabelled=4, seed=5)
+    path = tmp_path / "c.csv"
+    save_corpus(original, path)
+    loaded, parsed = load_corpus(path), parse_corpus(path.read_text(encoding="utf-8").splitlines(True))
+    assert loaded == parsed
+    assert hash(loaded) == hash(parsed)
+    assert {loaded, parsed} == {loaded}
 
 
 def test_load_corpus_reads_plain_files_without_the_row_reader(tmp_path, monkeypatch):
@@ -273,6 +301,9 @@ def test_load_corpus_reads_plain_files_without_the_row_reader(tmp_path, monkeypa
     for chunk in (1, 4, 4096):
         monkeypatch.setattr(corpus_module, "CHUNK_LINES", chunk)
         assert load_corpus(path) == expected == original
+    marked = tmp_path / "marked.csv"  # one leading byte-order mark keeps a file plain
+    marked.write_bytes(b"\xef\xbb\xbf" + path.read_bytes())
+    assert load_corpus(marked) == expected
 
 
 def test_load_corpus_names_a_float_loc_as_the_row_reader_does(tmp_path, monkeypatch):

@@ -20,7 +20,7 @@ from hypothesis import strategies as st
 
 import sevpredict.corpus as corpus_module
 from sevpredict import SevpredictError, load_corpus, parse_corpus, parse_predictions, synth_corpus, write_corpus_csv
-from sevpredict import Corpus, LabelledInstance, RowError, derive_label
+from sevpredict import Corpus, LabelledInstance, RowError
 from sevpredict.corpus import (
     REQUIRED_COLUMNS,
     _parse_feature,
@@ -33,7 +33,7 @@ from sevpredict.corpus import (
     read_csv_file,
 )
 from sevpredict.metrics import PREDICTIONS_HEADER
-from sevpredict.severity import CLASS_NAMES, SEVERITY_ORDER
+from sevpredict.severity import CLASS_NAMES, DEFECTIVE_CLASSES, SEVERITY_ORDER, SeverityClass
 
 from conftest import UnlabelledRow, pool_of, unlabelled_rows
 
@@ -98,6 +98,16 @@ def test_written_corpus_parses_back_bit_for_bit(counts, n_features, separation, 
 # every corpus and every diagnostic
 
 
+def _reference_label(defect_counts, total_defects):
+    """The labelling rule, frozen: None for a module that stays unlabelled."""
+    nonzero = [c for c, n in zip(DEFECTIVE_CLASSES, defect_counts) if n > 0]
+    if total_defects > 0 and not nonzero:
+        return None
+    if total_defects == 0:
+        return SeverityClass.CLEAN
+    return nonzero[0]
+
+
 def _reference_scan_rows(source):
     records = csv_records(source)
     schema = _read_header(records)
@@ -131,7 +141,7 @@ def _reference_scan_rows(source):
                 yield RowError(line, f"duplicate module_id {module_id!r} (first on row {first_line[module_id]})")
                 continue
             first_line[module_id] = line
-            label = derive_label(counts, total)
+            label = _reference_label(counts, total)
             if label is None:
                 yield UnlabelledRow(feats, loc, module_id)
             else:

@@ -57,13 +57,13 @@ def test_confusion_matrix_placement():
     cm = build_confusion([
         outcome(HS, MA), outcome(HS, MA), outcome(CL, CL), outcome(MA, HS),
     ])
-    assert cm.count(HS, MA) == 2
-    assert cm.count(MA, HS) == 1
-    assert cm.count(CL, CL) == 1
-    assert cm.count(HS, HS) == 0
-    assert cm.n_t == 4
-    assert cm.actual_total(HS) == 2
-    assert cm.predicted_total(MA) == 2
+    assert cm.counts[0][2] == 2
+    assert cm.counts[2][0] == 1
+    assert cm.counts[4][4] == 1
+    assert cm.counts[0][0] == 0
+    assert sum(map(sum, cm.counts)) == 4
+    assert sum(cm.counts[0]) == 2
+    assert sum(row[2] for row in cm.counts) == 2
 
 
 def test_confusion_matrix_sums_loc_per_cell():
@@ -73,7 +73,7 @@ def test_confusion_matrix_sums_loc_per_cell():
     ])
     assert cm.loc[0][2] == 42
     assert cm.loc[4][4] == 7 and cm.loc[4][3] == 5
-    assert sum(map(sum, cm.loc)) == cm.total_loc == 54
+    assert sum(map(sum, cm.loc)) == 54
     nonzero = lambda grid: [[v > 0 for v in row] for row in grid]
     assert nonzero(cm.loc) == nonzero(cm.counts)
 

@@ -14,7 +14,7 @@ PUBLIC_NAMES = {
     "ExperimentReport", "LabelledInstance", "Leaf", "MetricReport", "Outcome", "PipelineConfig", "RowError",
     "SEVERITY_ORDER", "SamplerConfig", "SchemaError", "SelfTrainConfig", "SelfTrainResult", "SelfTrainTrace",
     "SeverityClass", "SevpredictError", "Split", "TreeConfig", "UnlabelledPool", "accuracy",
-    "adasyn_balance", "average_reports", "build_confusion", "class_summary", "compare", "derive_label",
+    "adasyn_balance", "average_reports", "build_confusion", "class_summary", "compare",
     "dump_tree", "fit_tree", "full_report", "load_corpus", "parse_corpus", "parse_predictions",
     "predict_confidence", "predict_label", "pseudo_label_risk", "report_to_json", "risk_factor",
     "run_experiment", "run_kfold", "save_corpus", "self_train", "stratified_kfold",
