@@ -23,6 +23,7 @@ from .cart import (
 from .corpus import (
     Corpus,
     LabelledInstance,
+    LabelledPool,
     UnlabelledPool,
     class_summary,
     load_corpus,

@@ -14,15 +14,13 @@ the Euclidean distance; interpolation happens in the raw feature space.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-from typing import Sequence
+from dataclasses import dataclass
 
 import numpy as np
 
-from .cart import N_CLASSES, SCAN_CELLS, training_arrays
-from .corpus import LabelledInstance
+from .cart import N_CLASSES, SCAN_CELLS
+from .corpus import LabelledPool
 from .errors import SevpredictError
-from .severity import SEVERITY_ORDER
 
 
 @dataclass(frozen=True)
@@ -111,21 +109,20 @@ def _distance_rows(scaled: np.ndarray, sT: np.ndarray, rows: np.ndarray):
 
 
 def adasyn_balance(
-    labelled: Sequence[LabelledInstance], config: SamplerConfig, seed: int
-) -> list[LabelledInstance]:
+    labelled: LabelledPool, config: SamplerConfig, seed: int
+) -> LabelledPool:
     """Oversample every minority class toward the majority count.
 
-    Returns the input instances verbatim (same order) followed by the
-    synthetic ones, so `out[len(labelled):]` is exactly the synthetic rows.
-    Each carries its seed's label and loc, and module_id None.
+    Returns the input pool with the synthetic modules appended, so
+    `out[len(labelled):]` is exactly the synthetic ones. Each carries its
+    seed's class and LoC, and module ID None.
     Deterministic for a fixed config and seed.
     """
     if seed < 0:
         raise SevpredictError(f"seed must be a non-negative integer, got {seed}")
-    instances = list(labelled)
-    if not instances:
+    if not labelled:
         raise SevpredictError("cannot balance an empty labelled set")
-    X, y = training_arrays(instances, len(instances[0].features))
+    X, y = labelled.features, labelled.labels
     if not np.all(np.isfinite(X)):
         raise SevpredictError("features must be finite")
     sizes = np.bincount(y, minlength=N_CLASSES).tolist()  # per class index
@@ -138,19 +135,18 @@ def adasyn_balance(
     targets = {k: (n_majority - m) * config.beta for k, m in enumerate(sizes)
                if m > 0 and m / n_majority < config.d_threshold and config.beta > 0}
     if not targets:
-        return instances
+        return labelled
     mins, scales = _minmax_params(X)
     scaled = (X - mins) * scales
     sT = np.ascontiguousarray(scaled.T)
     k = config.k_neighbors
     rng = np.random.default_rng(seed)
 
-    synthetics: list[LabelledInstance] = []
+    made = []  # (features, seed positions) per class topped up
     for c, target in targets.items():
         m, other = sizes[c], y != c
         in_class = np.flatnonzero(y == c)
-        seeds = in_class.tolist()
-        kn, kp = min(k, len(instances) - 1), min(k, m - 1)
+        kn, kp = min(k, len(labelled) - 1), min(k, m - 1)
 
         # One distance row per seed, its own entry set to inf: scaled
         # features are finite, so the seed sorts after every other row. Its
@@ -159,7 +155,7 @@ def adasyn_balance(
         # below it. Its first kp same-class rows are the interpolation
         # partners; a one-member class has none.
         difficulty, partners_of = [], []
-        for i, dist in zip(seeds, _distance_rows(scaled, sT, in_class)):
+        for i, dist in zip(in_class.tolist(), _distance_rows(scaled, sT, in_class)):
             dist[i] = np.inf
             near = dist <= np.partition(dist, kn - 1)[kn - 1]
             if np.count_nonzero(near) == kn:
@@ -170,23 +166,20 @@ def adasyn_balance(
         total = sum(difficulty)  # 0 for an interior class: spread evenly
         shares = [d / total for d in difficulty] if total > 0 else [1.0 / m] * m
         counts = [int(round(share * target)) for share in shares]
+        origin = np.repeat(in_class, counts)
 
         if m == 1:  # no same-class neighbor to interpolate toward; replicate
-            seed_inst = instances[seeds[0]]
-            synthetics.extend(replace(seed_inst, module_id=None) for _ in range(counts[0]))
+            made.append((X[origin], origin))
             continue
         # a partner draw and then a lambda per synthetic row, seed by seed
-        z, lam = np.empty(sum(counts), np.intp), np.empty(sum(counts))
+        z, lam = np.empty(len(origin), np.intp), np.empty(len(origin))
         for row, partners in enumerate(ps for ps, g in zip(partners_of, counts) for _ in range(g)):
             z[row] = partners[rng.integers(len(partners))]
             lam[row] = rng.random()
-        origin = np.repeat(in_class, counts)
         a = X[origin]
-        feats = a + lam[:, None] * (X[z] - a)  # float(a + lam * (b - a)) in each value
-        chunk = max(1, SCAN_CELLS // max(1, X.shape[1]))  # rows per list of lists
-        synthetics.extend(
-            LabelledInstance(tuple(row), instances[i].loc, SEVERITY_ORDER[c])
-            for start in range(0, len(origin), chunk)
-            for i, row in zip(origin[start : start + chunk].tolist(), feats[start : start + chunk].tolist())
-        )
-    return instances + synthetics
+        made.append((a + lam[:, None] * (X[z] - a), origin))  # float(a + lam * (b - a)) in each value
+    feats, origins = zip(*made)
+    origin = np.concatenate(origins)  # each synthetic module's seed, whose class and LoC it takes
+    return LabelledPool(np.concatenate((X, *feats)), np.concatenate((y, y[origin])),
+                        np.concatenate((labelled.loc, labelled.loc[origin])),
+                        labelled.module_ids + (None,) * len(origin))

@@ -16,13 +16,12 @@ most MAX_TRAIN_ROWS rows.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, replace
 from typing import Sequence
 
 import numpy as np
 
-from .corpus import LabelledInstance
+from .corpus import LabelledPool, feature_matrix
 from .errors import SevpredictError
 from .severity import CLASS_INDEX, SEVERITY_ORDER, SeverityClass
 
@@ -115,25 +114,31 @@ def _scan_features(values: np.ndarray, labels: np.ndarray):
     values either side, or the lower one where the midpoint rounds up to the
     upper value (adjacent doubles) or overflows. None when every row is constant.
     """
-    n = values.shape[1]
+    b, n = values.shape
     order = np.argsort(values, axis=1)
     sv = np.take_along_axis(values, order, axis=1)
-    sl = labels[order]
+    sl = labels[order][:, :-1]
+    del order
     cut = sv[:, :-1] != sv[:, 1:]  # boundary pos splits [0, pos] | [pos + 1, n)
     if not cut.any():
         return None
     n_left = np.arange(1, n, dtype=np.int64)
     n_right = n - n_left
-    s_left = s_right = 0
+    # per-class prefix counts and their sums of squares, in place in four (b, n - 1) arrays
+    left, right = np.empty((b, n - 1), np.int64), np.empty((b, n - 1), np.int64)
+    s_left, s_right = np.zeros((b, n - 1), np.int64), np.zeros((b, n - 1), np.int64)
     totals = np.bincount(labels, minlength=N_CLASSES)
     for c in np.flatnonzero(totals):
-        left = np.cumsum(sl[:, :-1] == c, axis=1, dtype=np.int64)
-        right = totals[c] - left
-        s_left += left * left
-        s_right += right * right
-    num = s_left * n_right + s_right * n_left  # <= n^3 / 4, exact below MAX_TRAIN_ROWS
+        np.cumsum(sl == c, axis=1, dtype=np.int64, out=left)
+        np.subtract(totals[c], left, out=right)
+        s_left += np.square(left, out=left)
+        s_right += np.square(right, out=right)
+    s_left *= n_right
+    s_right *= n_left
+    num = np.add(s_left, s_right, out=s_left)  # <= n^3 / 4, exact below MAX_TRAIN_ROWS
     den = n_left * n_right
-    q = np.where(cut, num / den, -np.inf)
+    q = num / den
+    q[~cut] = -np.inf
     best = None
     # q carries ~1e-15 relative rounding error, so the exact best always passes
     for row, pos in zip(*np.nonzero(q >= q.max() * (1 - 1e-9))):
@@ -192,20 +197,12 @@ def _grow(XT: np.ndarray, y: np.ndarray, config: TreeConfig) -> TreeNode:
 
 
 def fit_tree(
-    train: Sequence[LabelledInstance],
+    train: LabelledPool,
     config: TreeConfig = TreeConfig(),
     schema: Sequence[str] | None = None,
 ) -> DecisionTree:
-    """Grow a tree on the training instances: fit_arrays on their training_arrays."""
-    train = list(train)
-    X, y = training_arrays(train, len(train[0].features) if train else 0)
-    return fit_arrays(X.T.copy(), y, config, schema)
-
-
-def training_arrays(train: Sequence[LabelledInstance], width: int) -> tuple[np.ndarray, np.ndarray]:
-    """The instances as an (n, width) feature matrix and an int vector of class indices."""
-    X = feature_matrix([inst.features for inst in train], width)
-    return X, np.fromiter([CLASS_INDEX[inst.label] for inst in train], np.int64, len(train))
+    """Grow a tree on the labelled pool: fit_arrays on its arrays."""
+    return fit_arrays(train.features.T.copy(), train.labels, config, schema)
 
 
 def fit_arrays(XT: np.ndarray, y: np.ndarray, config: TreeConfig = TreeConfig(),
@@ -232,21 +229,6 @@ def fit_arrays(XT: np.ndarray, y: np.ndarray, config: TreeConfig = TreeConfig(),
     return DecisionTree(_grow(XT, y, config), tuple(schema))
 
 
-def feature_matrix(rows: Sequence[Sequence[float]], width: int) -> np.ndarray:
-    """The rows as an (n, width) float array, read in one pass over their values.
-
-    The one width check: the first row of another length raises, and so does a flat row.
-    """
-    try:
-        widths = set(map(len, rows))
-    except TypeError:  # a value where a row should be
-        raise SevpredictError(f"expected a sequence of rows, each of {width} values") from None
-    if widths - {width}:
-        found = next(len(row) for row in rows if len(row) != width)
-        raise SevpredictError(f"feature vector has {found} values, expected {width}")
-    return np.fromiter(itertools.chain.from_iterable(rows), float, len(rows) * width).reshape(len(rows), width)
-
-
 def route_rows(tree: DecisionTree, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Each row's landing leaf as (majority-class index, confidence), for an X of the tree's width.
 
@@ -267,14 +249,16 @@ def route_rows(tree: DecisionTree, X: np.ndarray) -> tuple[np.ndarray, np.ndarra
     return label, confidence
 
 
-def predict_label(tree: DecisionTree, rows: Sequence[Sequence[float]]) -> tuple[SeverityClass, ...]:
-    """The majority class of each row's landing leaf."""
+def predict_label(
+    tree: DecisionTree, rows: Sequence[Sequence[float]] | np.ndarray
+) -> tuple[SeverityClass, ...]:
+    """The majority class of each row's landing leaf; an (n, p) feature matrix is read as it is."""
     label, _ = route_rows(tree, feature_matrix(rows, len(tree.schema)))
     return tuple(SEVERITY_ORDER[k] for k in label.tolist())
 
 
 def predict_confidence(
-    tree: DecisionTree, rows: Sequence[Sequence[float]]
+    tree: DecisionTree, rows: Sequence[Sequence[float]] | np.ndarray
 ) -> tuple[tuple[SeverityClass, float], ...]:
     """Per row: the majority class of its landing leaf and that class's raw training frequency."""
     label, confidence = route_rows(tree, feature_matrix(rows, len(tree.schema)))

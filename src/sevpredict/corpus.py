@@ -13,14 +13,13 @@ import csv
 import itertools
 import math
 import warnings
-from collections import Counter
 from dataclasses import dataclass, replace
-from typing import Iterable, Iterator, Mapping
+from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
 from .errors import RowError, SchemaError, SevpredictError
-from .severity import SEVERITY_ORDER, SeverityClass
+from .severity import CLASS_INDEX, SEVERITY_ORDER, SeverityClass
 
 REQUIRED_COLUMNS: tuple[str, ...] = (
     "module_id",
@@ -41,23 +40,63 @@ class LabelledInstance:
     module_id: str | None = None
 
 
+class _Pool:
+    """Modules by position, one entry per module in each field: equal when every field is, arrays by value."""
+
+    def __len__(self) -> int:
+        return len(self.loc)
+
+    def __eq__(self, other) -> bool:
+        return type(other) is type(self) and all(map(np.array_equal, vars(self).values(), vars(other).values()))
+
+    def __hash__(self) -> int:  # not over the features: -0.0 == 0.0, but their bytes differ
+        return hash((self.module_ids, tuple(self.loc.tolist())))
+
+
 @dataclass(frozen=True, eq=False)
-class UnlabelledPool:
+class UnlabelledPool(_Pool):
     """The unlabelled modules by position: an (n, p) float feature matrix, int64 LoC and IDs."""
 
     features: np.ndarray
     loc: np.ndarray
     module_ids: tuple[str | None, ...]
 
-    def __len__(self) -> int:
-        return len(self.loc)
 
-    def __eq__(self, other) -> bool:
-        return (isinstance(other, UnlabelledPool) and self.module_ids == other.module_ids
-                and np.array_equal(self.loc, other.loc) and np.array_equal(self.features, other.features))
+@dataclass(frozen=True, eq=False)
+class LabelledPool(_Pool):
+    """The labelled modules by position: an (n, p) float feature matrix, int64 class indices in
+    severity order, int64 LoC and IDs (None for a synthetic module). Iterated, it yields
+    LabelledInstance rows, each built when read; a slice, mask or index array gives a sub-pool.
+    """
 
-    def __hash__(self) -> int:  # not over the features: -0.0 == 0.0, but their bytes differ
-        return hash((self.module_ids, tuple(self.loc.tolist())))
+    features: np.ndarray
+    labels: np.ndarray
+    loc: np.ndarray
+    module_ids: tuple[str | None, ...]
+
+    @classmethod
+    def from_rows(cls, rows: Iterable[LabelledInstance], width: int | None = None) -> LabelledPool:
+        """The rows as a pool, each of width features (by default the first row's, and 0 for no rows);
+        a bad label or LoC raises, naming its position from 0."""
+        rows = tuple(rows)
+        for pos, inst in enumerate(rows):
+            if not isinstance(inst.label, SeverityClass):
+                raise SevpredictError(f"position {pos}: label {inst.label!r} is not a SeverityClass")
+            loc = inst.loc  # a bool is an int to isinstance, but not a line count
+            if isinstance(loc, bool) or not isinstance(loc, (int, np.integer)) or not -2**63 <= loc < 2**63:
+                raise SevpredictError(f"position {pos}: loc {loc!r} is not an int64 integer")
+        X = feature_matrix([inst.features for inst in rows], width if width is not None else
+                           len(rows[0].features) if rows else 0)
+        return cls(X, np.array([CLASS_INDEX[inst.label] for inst in rows], np.int64),
+                   np.array([inst.loc for inst in rows], np.int64), tuple(inst.module_id for inst in rows))
+
+    def __getitem__(self, key) -> LabelledPool:
+        ids = tuple(np.array(self.module_ids, dtype=object)[key].tolist())
+        return LabelledPool(self.features[key], self.labels[key], self.loc[key], ids)
+
+    def __iter__(self) -> Iterator[LabelledInstance]:
+        return map(LabelledInstance, map(tuple, self.features.tolist()), self.loc.tolist(),
+                   map(SEVERITY_ORDER.__getitem__, self.labels.tolist()), self.module_ids)
 
 
 @dataclass(frozen=True)
@@ -65,15 +104,32 @@ class Corpus:
     """Parsed dataset: feature schema plus labelled and unlabelled pools."""
 
     schema: tuple[str, ...]
-    labelled: tuple[LabelledInstance, ...]
+    labelled: LabelledPool
     unlabelled: UnlabelledPool
 
     @property
     def total_loc(self) -> int:  # exact: an int64 sum would wrap past 2**63
-        return sum(i.loc for i in self.labelled) + sum(self.unlabelled.loc.tolist())
+        return sum(self.labelled.loc.tolist()) + sum(self.unlabelled.loc.tolist())
 
     def __len__(self) -> int:
         return len(self.labelled) + len(self.unlabelled)
+
+
+def feature_matrix(rows: Sequence[Sequence[float]], width: int) -> np.ndarray:
+    """The rows as an (n, width) float array, read in one pass over their values; a matrix of that width as it is.
+
+    The one width check: the first row of another length raises, and so does a flat row.
+    """
+    if isinstance(rows, np.ndarray) and rows.ndim == 2 and rows.shape[1] == width:
+        return rows.astype(float, copy=False)
+    try:
+        widths = set(map(len, rows))
+    except TypeError:  # a value where a row should be
+        raise SevpredictError(f"expected a sequence of rows, each of {width} values") from None
+    if widths - {width}:
+        found = next(len(row) for row in rows if len(row) != width)
+        raise SevpredictError(f"feature vector has {found} values, expected {width}")
+    return np.fromiter(itertools.chain.from_iterable(rows), float, len(rows) * width).reshape(len(rows), width)
 
 
 def _class_index(nonzero: np.ndarray) -> np.ndarray:
@@ -190,21 +246,15 @@ def _read_rows(source: Iterable[str], bad_row) -> Corpus:
         first_line[module_id] = line
         rows.append((loc, *(n > 0 for n in counts), *feats))
     table = np.array(rows, float).reshape(-1, 6 + len(schema))  # a LoC of at most 2**53 is exact as a float
-    return _from_columns(schema, [(list(first_line), table[:, 0].astype(np.int64), table[:, 1:6] > 0, table[:, 6:])])
+    return _from_columns(schema, list(first_line), table[:, 0].astype(np.int64), _class_index(table[:, 1:6] > 0),
+                         table[:, 6:])
 
 
-def _from_columns(schema: tuple[str, ...], chunks) -> Corpus:
-    """The corpus of chunks of columns in file order: IDs, LoC, (n, 5) nonzero-count mask, (n, p) features."""
-    labelled, parts = [], [([], np.empty(0, np.int64), np.empty((0, len(schema))))]
-    for ids, loc, nonzero, X in chunks:
-        k = _class_index(nonzero)
-        keep = k >= 0
-        labelled += map(LabelledInstance, map(tuple, X[keep].tolist()), loc[keep].tolist(),
-                        [SEVERITY_ORDER[c] for c in k[keep].tolist()], itertools.compress(ids, keep.tolist()))
-        parts.append((list(itertools.compress(ids, (~keep).tolist())), loc[~keep], X[~keep]))
-    ids, loc, X = zip(*parts)
-    pool = UnlabelledPool(np.concatenate(X), np.concatenate(loc), tuple(itertools.chain.from_iterable(ids)))
-    return Corpus(schema, tuple(labelled), pool)
+def _from_columns(schema: tuple[str, ...], ids: list[str], loc: np.ndarray, k: np.ndarray, X: np.ndarray) -> Corpus:
+    """The corpus of columns in file order: IDs, LoC, class indices (-1 where unlabelled) and (n, p) features."""
+    labelled, (U, _, u_loc, u_ids) = [(X[keep], k[keep], loc[keep], tuple(itertools.compress(ids, keep.tolist())))
+                                      for keep in (k >= 0, k < 0)]
+    return Corpus(schema, LabelledPool(*labelled), UnlabelledPool(U, u_loc, u_ids))
 
 
 CHUNK_LINES = 1024  # lines per np.loadtxt call: bounds the text held at once
@@ -217,7 +267,7 @@ def _read_columns(fh) -> Corpus:
     dtype = np.dtype([("id", object)] + [(f"n{j}", np.int64) for j in range(6)]
                      + [(f"x{j}", np.float64) for j in range(len(schema))])
     seen: set[str] = set()
-    chunks = []
+    chunks = [([], np.empty(0, np.int64), np.empty(0, np.int64), np.empty((0, len(schema))))]  # for an empty body
     while lines := list(itertools.islice(fh, CHUNK_LINES)):
         cols = np.loadtxt(lines, dtype, delimiter=",", comments=None, ndmin=1)
         ids = [module_id.strip() for module_id in cols["id"].tolist()]
@@ -230,8 +280,9 @@ def _read_columns(fh) -> Corpus:
                 and max(map(len, lines)) <= csv.field_size_limit() and all(ids) and len(seen) == before + len(ids)
                 and (n >= 0).all() and (n[:, 0] > 0).all() and (n[:, 0] <= 2**53).all() and np.isfinite(X).all()):
             raise ValueError("left to the row reader")
-        chunks.append((ids, n[:, 0], n[:, 1:] > 0, X))
-    return _from_columns(schema, chunks)
+        chunks.append((ids, n[:, 0], _class_index(n[:, 1:] > 0), X))
+    ids, *columns = zip(*chunks)
+    return _from_columns(schema, list(itertools.chain.from_iterable(ids)), *map(np.concatenate, columns))
 
 
 def _raise(err: RowError):
@@ -306,16 +357,13 @@ def write_corpus_csv(corpus: Corpus, stream) -> None:
     """
     writer = csv.writer(stream, lineterminator="\n")
     writer.writerow(REQUIRED_COLUMNS + corpus.schema)
-    pool = corpus.unlabelled
-    rows = [(inst.module_id, inst.loc, inst.label, inst.features) for inst in corpus.labelled]
-    rows += zip(pool.module_ids, pool.loc.tolist(), itertools.repeat(None), pool.features.tolist())
-    for module_id, (_, loc, label, features) in zip(fill_module_ids(row[0] for row in rows), rows):
-        counts = [0, 0, 0, 0, 0]  # the four per-severity counts, then the total
-        if label is None:
-            counts[4] = 1
-        elif label is not SeverityClass.CLEAN:
-            counts[SEVERITY_ORDER.index(label)] = counts[4] = 1
-        writer.writerow([module_id, loc, *counts, *map(repr, features)])
+    labelled, pool, clean = corpus.labelled, corpus.unlabelled, CLASS_INDEX[SeverityClass.CLEAN]
+    rows = zip(fill_module_ids(labelled.module_ids + pool.module_ids), labelled.loc.tolist() + pool.loc.tolist(),
+               labelled.labels.tolist() + [None] * len(pool), labelled.features.tolist() + pool.features.tolist())
+    # the four per-severity counts, then the total, by class index; None for an unlabelled module
+    counts_of = {k: [int(j == k) for j in range(4)] + [int(k != clean)] for k in [*range(len(SEVERITY_ORDER)), None]}
+    for module_id, loc, k, features in rows:
+        writer.writerow([module_id, loc, *counts_of[k], *map(repr, features)])
 
 
 def save_corpus(corpus: Corpus, path) -> None:
@@ -327,30 +375,27 @@ def save_corpus(corpus: Corpus, path) -> None:
 # Splits
 
 
-def _deal(corpus: Corpus, seed: int, fold_at) -> list[int]:
-    """Each labelled instance's fold: every class, in severity order, is shuffled by one
+def _deal(corpus: Corpus, seed: int, fold_at) -> np.ndarray:
+    """Each labelled module's fold: every class, in severity order, is shuffled by one
     seeded permutation, and its members at positions pos of m go to folds fold_at(pos, m)."""
-    members_of: dict[SeverityClass, list[int]] = {c: [] for c in SEVERITY_ORDER}
-    for i, inst in enumerate(corpus.labelled):
-        members_of[inst.label].append(i)
+    labels = corpus.labelled.labels
     rng = np.random.default_rng(seed)
-    fold_of = np.zeros(len(corpus.labelled), dtype=np.int64)
-    for members in filter(None, members_of.values()):
-        m = len(members)
-        fold_of[np.asarray(members)[rng.permutation(m)]] = fold_at(np.arange(m), m)
-    return fold_of.tolist()
+    fold_of = np.zeros(len(labels), dtype=np.int64)
+    for k in range(len(SEVERITY_ORDER)):
+        members = np.flatnonzero(labels == k)
+        if m := len(members):
+            fold_of[members[rng.permutation(m)]] = fold_at(np.arange(m), m)
+    return fold_of
 
 
-def _cut(corpus: Corpus, fold_of: list[int], fold: int) -> tuple[Corpus, tuple[LabelledInstance, ...]]:
-    """(corpus labelled with the other folds, the fold's instances)."""
-    train = tuple(inst for inst, f in zip(corpus.labelled, fold_of) if f != fold)
-    test = tuple(inst for inst, f in zip(corpus.labelled, fold_of) if f == fold)
-    return replace(corpus, labelled=train), test
+def _cut(corpus: Corpus, fold_of: np.ndarray, fold: int) -> tuple[Corpus, LabelledPool]:
+    """(corpus labelled with the other folds, the fold's modules)."""
+    return replace(corpus, labelled=corpus.labelled[fold_of != fold]), corpus.labelled[fold_of == fold]
 
 
 def stratified_split(
     corpus: Corpus, test_fraction: float, seed: int
-) -> tuple[Corpus, tuple[LabelledInstance, ...]]:
+) -> tuple[Corpus, LabelledPool]:
     """Seeded per-class holdout split; unlabelled instances all stay in train.
 
     Test is fold 0 of a two-way deal: floor(test_fraction * class_size) of
@@ -367,13 +412,13 @@ def stratified_split(
 
 def stratified_kfold(
     corpus: Corpus, k: int, seed: int
-) -> list[tuple[Corpus, tuple[LabelledInstance, ...]]]:
+) -> list[tuple[Corpus, LabelledPool]]:
     """Seeded stratified k-fold: shuffled class members dealt round-robin, k at most the largest class."""
     if k < 2:
         raise SevpredictError(f"k-fold requires k >= 2, got {k}")
     if not corpus.labelled:
         raise SevpredictError("cannot split: labelled set is empty")
-    largest = max(Counter(inst.label for inst in corpus.labelled).values())
+    largest = int(np.bincount(corpus.labelled.labels).max())
     if k > largest:  # the deal leaves fold i empty iff i >= largest
         raise SevpredictError(f"folds={k} leaves fold {largest} with an empty test set; lower folds")
     fold_of = _deal(corpus, seed, lambda pos, m: pos % k)
@@ -439,19 +484,17 @@ def synth_corpus(
         features = centres[clusters] * separation + noise
     if not np.isfinite(features).all():
         raise SevpredictError(f"separation {separation} overflows the float range of the features")
-    ids = [f"synth_{i:05d}" for i in range(len(locs))]
-    labelled = tuple(map(LabelledInstance, map(tuple, features[:n_labelled].tolist()), locs,
-                         [SEVERITY_ORDER[k] for k in clusters[:n_labelled]], ids))
-    unlabelled = UnlabelledPool(features[n_labelled:], np.array(locs[n_labelled:], np.int64), tuple(ids[n_labelled:]))
+    k = np.array(clusters, np.int64)
+    k[n_labelled:] = -1
     schema = tuple(f"metric_{j + 1}" for j in range(n_features))
-    return Corpus(schema, labelled, unlabelled)
+    return _from_columns(schema, [f"synth_{i:05d}" for i in range(len(locs))], np.array(locs, np.int64), k, features)
 
 
 def class_summary(corpus: Corpus) -> dict:
     """Bookkeeping block: per-class counts and percentages over all modules."""
     n = len(corpus)
-    labels = Counter(i.label for i in corpus.labelled)
-    counts = {cls.value: labels[cls] for cls in SEVERITY_ORDER}
+    per_class = np.bincount(corpus.labelled.labels, minlength=len(SEVERITY_ORDER)).tolist()
+    counts = {cls.value: c for cls, c in zip(SEVERITY_ORDER, per_class)}
     pct = lambda c: round(100.0 * c / n, 3) if n else 0.0
     return {
         "modules": n,

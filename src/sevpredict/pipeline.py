@@ -20,10 +20,11 @@ from typing import Mapping, Sequence, get_args, get_origin, get_type_hints
 
 from .adasyn import SamplerConfig, adasyn_balance
 from .cart import DecisionTree, TreeConfig, fit_tree, predict_label
-from .corpus import Corpus, LabelledInstance, class_summary, stratified_kfold, stratified_split
+from .corpus import Corpus, LabelledPool, class_summary, stratified_kfold, stratified_split
 from .errors import SevpredictError
 from .metrics import RATE_COLUMNS, RISK_COLUMNS, EconConfig, MetricReport, Outcome, full_report
 from .selftrain import SelfTrainConfig, SelfTrainTrace, self_train
+from .severity import SEVERITY_ORDER
 
 
 @dataclass(frozen=True)
@@ -180,20 +181,20 @@ def compare(baseline: MetricReport, other: MetricReport) -> dict:
     return deltas
 
 
-def _evaluate(tree: DecisionTree, test: Sequence[LabelledInstance]) -> tuple[Outcome, ...]:
-    predicted = predict_label(tree, [inst.features for inst in test])
-    return tuple(Outcome(inst.label, p, inst.loc, inst.module_id) for inst, p in zip(test, predicted))
+def _evaluate(tree: DecisionTree, test: LabelledPool) -> tuple[Outcome, ...]:
+    actual = map(SEVERITY_ORDER.__getitem__, test.labels.tolist())
+    return tuple(map(Outcome, actual, predict_label(tree, test.features), test.loc.tolist(), test.module_ids))
 
 
 def _run_arms(
     summary: dict,
     train: Corpus,
-    test: Sequence[LabelledInstance],
+    test: LabelledPool,
     cfg: PipelineConfig,
     project: str,
 ) -> ExperimentReport:
     # one starting pool and tree per distinct oversampling flag, shared by the arms
-    raw = list(train.labelled)
+    raw = train.labelled
     bst_flag, ast_flag = cfg.bst_oversample, cfg.oversample_first
     pools = {flag: adasyn_balance(raw, cfg.sampler, cfg.seed) if flag else raw
              for flag in {bst_flag, ast_flag}}
@@ -225,7 +226,7 @@ def _run_arms(
             "accepted_pseudo": accepted,
             "residual_unlabelled": len(train.unlabelled) - accepted,
             "test_modules": len(test),
-            "test_total_loc": sum(i.loc for i in test),
+            "test_total_loc": sum(test.loc.tolist()),
         },
         bst=bst_report,
         ast=ast_report,

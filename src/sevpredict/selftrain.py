@@ -11,12 +11,11 @@ iteration budget runs out.
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
-from typing import Sequence
 
 import numpy as np
 
-from .cart import N_CLASSES, DecisionTree, TreeConfig, fit_arrays, iter_leaves, route_rows, training_arrays
-from .corpus import LabelledInstance
+from .cart import N_CLASSES, DecisionTree, TreeConfig, fit_arrays, iter_leaves, route_rows
+from .corpus import LabelledPool, feature_matrix
 from .errors import SevpredictError
 from .severity import CLASS_NAMES
 
@@ -82,7 +81,7 @@ def pseudo_label_risk(tree: DecisionTree) -> float:
 
 def self_train(
     tree: DecisionTree,
-    labelled: Sequence[LabelledInstance],
+    labelled: LabelledPool,
     unlabelled: np.ndarray,
     config: SelfTrainConfig = SelfTrainConfig(),
     tree_config: TreeConfig = TreeConfig(),
@@ -132,8 +131,8 @@ def self_train(
             status = STATUS_NO_PROGRESS
             break
         if XT is None:
-            X0, y = training_arrays(labelled, width)
-            XT = X0.T.copy()  # feature-major, as fit_arrays takes it
+            XT = feature_matrix(labelled.features, width).T.copy()  # feature-major, as fit_arrays takes it
+            y = labelled.labels
         XT = np.concatenate((XT, X[accepted].T), axis=1)
         y = np.concatenate((y, accepted_label))
         remaining = remaining[~hit]

@@ -14,6 +14,7 @@ import pytest
 
 from sevpredict import (
     EconConfig,
+    LabelledPool,
     Leaf,
     Outcome,
     SamplerConfig,
@@ -152,7 +153,7 @@ def test_criterion_4_tree_matches_brute_force_oracle():
         labs = [classes[int(c)] for c in rng.integers(0, k, size=n)]
         instances = [make_labelled(list(row), lab) for row, lab in zip(X, labs)]
 
-        tree = fit_tree(instances)
+        tree = fit_tree(LabelledPool.from_rows(instances))
         want = None if len(set(labs)) == 1 else _brute_force_best(instances)
         if want is None:
             assert isinstance(tree.root, Leaf), f"trial {trial}"
@@ -173,7 +174,7 @@ def test_criterion_4_tree_matches_brute_force_oracle():
         X = rng.random(size=(n, 3))
         labs = [list(SEVERITY_ORDER)[int(c)] for c in rng.integers(0, 5, size=n)]
         instances = [make_labelled(list(row), lab) for row, lab in zip(X, labs)]
-        tree = fit_tree(instances)
+        tree = fit_tree(LabelledPool.from_rows(instances))
         assert predict_label(tree, [i.features for i in instances]) == tuple(labs)
     elapsed = time.perf_counter() - start
     assert elapsed < 30.0
@@ -194,8 +195,8 @@ def test_criterion_5_oversampler_properties():
                 instances.append(make_labelled(feats, cls))
         config = SamplerConfig(k_neighbors=5, beta=1.0, d_threshold=1.0)
 
-        balanced = adasyn_balance(instances, config, trial)
-        assert balanced[: len(instances)] == instances  # originals verbatim
+        balanced = adasyn_balance(LabelledPool.from_rows(instances), config, trial)
+        assert list(balanced[: len(instances)]) == instances  # originals verbatim
 
         seed_counts = Counter(i.label for i in instances)
         final_counts = Counter(i.label for i in balanced)
@@ -213,7 +214,7 @@ def test_criterion_5_oversampler_properties():
             feats = np.array(inst.features)
             assert np.all(feats >= lo - 1e-12) and np.all(feats <= hi + 1e-12)
 
-        assert adasyn_balance(instances, config, trial) == balanced  # replays byte-equal
+        assert adasyn_balance(LabelledPool.from_rows(instances), config, trial) == balanced  # replays byte-equal
     elapsed = time.perf_counter() - start
     assert elapsed < 10.0
     announce(5, "balanced counts land within seed-count of majority, synthetics stay in class boxes, replays are identical")
@@ -222,20 +223,20 @@ def test_criterion_5_oversampler_properties():
 def test_criterion_6_self_training_behaviour():
     start = time.perf_counter()
 
-    separable = [
+    separable = LabelledPool.from_rows([
         make_labelled([0.0, 0.0], CL), make_labelled([0.2, 0.1], CL),
         make_labelled([5.0, 5.0], MA), make_labelled([5.2, 5.1], MA),
-    ]
+    ])
     pool = np.array([[0.1, 0.05], [5.1, 5.05]])
     greedy = self_train(fit_tree(separable), separable, pool, SelfTrainConfig(gamma=0.0))
     assert greedy.trace.status == STATUS_EXHAUSTED_U
     assert len(greedy.trace.iterations) == 1
     assert greedy.trace.iterations[0].accepted == len(pool)
 
-    conflicted = [
+    conflicted = LabelledPool.from_rows([
         make_labelled([0.0], CL), make_labelled([0.0], MA),
         make_labelled([9.0], HS), make_labelled([9.5], HS),
-    ]
+    ])
     stuck = self_train(fit_tree(conflicted), conflicted,
                        np.array([[0.0], [0.01]]), SelfTrainConfig(gamma=1.0))
     assert stuck.trace.status == STATUS_NO_PROGRESS
@@ -251,14 +252,15 @@ def test_criterion_6_self_training_behaviour():
             labelled.append(make_labelled([float(centre + rng.normal(0, 0.5))], cls))
     unlabelled = make_pool([[float(rng.uniform(-1, 9))] for _ in range(25)])
     config = SelfTrainConfig(gamma=0.7)
-    result = self_train(fit_tree(labelled), labelled, unlabelled.features, config)
+    start_pool = LabelledPool.from_rows(labelled)
+    result = self_train(fit_tree(start_pool), start_pool, unlabelled.features, config)
 
     sizes = [rec.unlabelled_before for rec in result.trace.iterations]
     assert sizes == sorted(sizes, reverse=True)
 
     replay_pool = list(labelled)
     for rec in result.trace.iterations:
-        tree = fit_tree(replay_pool)
+        tree = fit_tree(LabelledPool.from_rows(replay_pool))
         for idx in rec.accepted_indices:
             inst = unlabelled_rows(unlabelled)[idx]
             label, conf = leaf_confidence(tree, inst.features)

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import re
 import tracemalloc
 from collections import Counter
 from dataclasses import replace
@@ -13,10 +14,10 @@ from hypothesis import strategies as st
 from sevpredict import (
     SEVERITY_ORDER,
     LabelledInstance,
+    LabelledPool,
     SamplerConfig,
     SevpredictError,
     adasyn_balance,
-    fit_tree,
     synth_corpus,
 )
 from sevpredict import adasyn
@@ -24,6 +25,11 @@ from sevpredict.adasyn import _distance_rows, _first_k, _minmax_params
 from sevpredict.cart import SCAN_CELLS
 
 from conftest import CL, CR, HS, MA, NT, make_labelled
+
+
+def balance(rows, config, seed):
+    """adasyn_balance on the rows as a pool."""
+    return adasyn_balance(LabelledPool.from_rows(rows), config, seed)
 
 
 def cluster(center, n, cls, rng, spread=0.5, tag=""):
@@ -116,7 +122,7 @@ def _reference_balance(
 def _outcome(balance, instances, config, seed):
     """The balanced pool, or the message of the SevpredictError raised instead."""
     try:
-        return balance(instances, config, seed)
+        return list(balance(instances, config, seed))
     except SevpredictError as err:
         return str(err)
 
@@ -149,38 +155,38 @@ def balance_inputs(draw):
 @settings(max_examples=300, deadline=None)
 @given(balance_inputs())
 def test_balance_matches_the_two_search_reference(case):
-    assert _outcome(adasyn_balance, *case) == _outcome(_reference_balance, *case)
+    assert _outcome(balance, *case) == _outcome(_reference_balance, *case)
 
 
 def test_balance_matches_the_reference_on_a_synth_corpus():
     counts = dict(zip(SEVERITY_ORDER, (100, 200, 400, 400, 1000)))
     instances = list(synth_corpus(counts, 20, 1.0, seed=1).labelled)
-    balanced = adasyn_balance(instances, SamplerConfig(), 7)
+    balanced = balance(instances, SamplerConfig(), 7)
     assert len(balanced) > len(instances)
-    assert balanced == _reference_balance(instances, SamplerConfig(), 7)
+    assert list(balanced) == _reference_balance(instances, SamplerConfig(), 7)
 
 
 def test_balance_matches_the_reference_on_an_imbalanced_pool():
     # the adasyn_imbalanced benchmark's shape at a tenth of its size
     counts = dict(zip(SEVERITY_ORDER, (40, 80, 120, 160, 400)))
     instances = list(synth_corpus(counts, 4, 1.0, seed=2).labelled)
-    assert adasyn_balance(instances, SamplerConfig(), 7) == _reference_balance(instances, SamplerConfig(), 7)
+    assert list(balance(instances, SamplerConfig(), 7)) == _reference_balance(instances, SamplerConfig(), 7)
 
 
 def test_balance_matches_the_reference_past_128_features():
     # rows this long keep numpy's own reduction
     counts = dict(zip(SEVERITY_ORDER, (4, 8, 12, 16, 40)))
     instances = list(synth_corpus(counts, 130, 1.0, seed=3).labelled)
-    assert adasyn_balance(instances, SamplerConfig(), 7) == _reference_balance(instances, SamplerConfig(), 7)
+    assert list(balance(instances, SamplerConfig(), 7)) == _reference_balance(instances, SamplerConfig(), 7)
 
 
 def test_balance_matches_the_reference_without_features():
     # every distance is 0, so the stable order alone picks the neighbours
     instances = [make_labelled([], CL, module_id=f"c{j}") for j in range(9)]
     instances += [make_labelled([], MA, module_id=f"m{j}") for j in range(3)]
-    balanced = adasyn_balance(instances, SamplerConfig(k_neighbors=2), 5)
+    balanced = balance(instances, SamplerConfig(k_neighbors=2), 5)
     assert len(balanced) == 18
-    assert balanced == _reference_balance(instances, SamplerConfig(k_neighbors=2), 5)
+    assert list(balanced) == _reference_balance(instances, SamplerConfig(k_neighbors=2), 5)
 
 
 def test_balance_matches_the_reference_over_several_seed_blocks():
@@ -188,7 +194,7 @@ def test_balance_matches_the_reference_over_several_seed_blocks():
     counts = dict(zip(SEVERITY_ORDER, (40, 80, 120, 120, 240)))
     instances = list(synth_corpus(counts, 12, 1.0, seed=4).labelled)
     assert len(instances) == 600
-    assert adasyn_balance(instances, SamplerConfig(), 7) == _reference_balance(instances, SamplerConfig(), 7)
+    assert list(balance(instances, SamplerConfig(), 7)) == _reference_balance(instances, SamplerConfig(), 7)
 
 
 @st.composite
@@ -273,7 +279,7 @@ def test_feature_too_narrow_to_scale_is_left_out_of_the_distance():
     assert _minmax_params(np.array([inst.features for inst in tiny]))[1].tolist() == [
         *_minmax_params(np.array([inst.features for inst in plain]))[1].tolist(), 0.0]
     config = SamplerConfig(k_neighbors=3)
-    with_tiny, without = adasyn_balance(tiny, config, 17), adasyn_balance(plain, config, 17)
+    with_tiny, without = balance(tiny, config, 17), balance(plain, config, 17)
     assert [inst.features[:2] for inst in with_tiny] == [inst.features for inst in without]
     assert [inst.label for inst in with_tiny] == [inst.label for inst in without]
 
@@ -327,7 +333,7 @@ def test_allocation_matches_independent_oracle():
     rng = np.random.default_rng(3)
     instances = cluster((0.0, 0.0), 10, CL, rng) + cluster((0.6, 0.4), 2, MA, rng)
     config = SamplerConfig(k_neighbors=5, beta=1.0, d_threshold=1.0)
-    balanced = adasyn_balance(instances, config, 7)
+    balanced = balance(instances, config, 7)
     produced = Counter(i.label for i in balanced[len(instances):])
     expected = expected_allocation(instances, config)
     assert dict(produced) == expected
@@ -346,7 +352,7 @@ def test_allocation_oracle_over_random_corpora():
             beta=float(rng.uniform(0.2, 1.0)),
             d_threshold=1.0,
         )
-        balanced = adasyn_balance(instances, config, trial)
+        balanced = balance(instances, config, trial)
         produced = Counter(i.label for i in balanced[len(instances):])
         assert dict(produced) == expected_allocation(instances, config)
 
@@ -358,30 +364,30 @@ def test_allocation_oracle_over_random_corpora():
 def test_equal_classes_come_back_unchanged():
     rng = np.random.default_rng(0)
     instances = cluster((0.0,), 6, CL, rng) + cluster((4.0,), 6, MA, rng)
-    out = adasyn_balance(instances, SamplerConfig(), 1)
-    assert out == instances
+    out = balance(instances, SamplerConfig(), 1)
+    assert list(out) == instances
 
 
 def test_beta_zero_generates_nothing():
     rng = np.random.default_rng(1)
     instances = cluster((0.0,), 9, CL, rng) + cluster((4.0,), 3, MA, rng)
-    out = adasyn_balance(instances, SamplerConfig(beta=0.0), 1)
-    assert out == instances
+    out = balance(instances, SamplerConfig(beta=0.0), 1)
+    assert list(out) == instances
 
 
 def test_d_threshold_skips_mild_imbalance():
     rng = np.random.default_rng(2)
     # 8/10 = 0.8 >= 0.5 threshold: no resampling
     instances = cluster((0.0,), 10, CL, rng) + cluster((4.0,), 8, MA, rng)
-    out = adasyn_balance(instances, SamplerConfig(d_threshold=0.5), 3)
-    assert out == instances
+    out = balance(instances, SamplerConfig(d_threshold=0.5), 3)
+    assert list(out) == instances
 
 
 def test_originals_preserved_as_prefix():
     rng = np.random.default_rng(4)
     instances = cluster((0.0, 0.0), 10, CL, rng, tag="c") + cluster((1.0, 1.0), 3, NT, rng, tag="n")
-    out = adasyn_balance(instances, SamplerConfig(), 5)
-    assert out[: len(instances)] == instances
+    out = balance(instances, SamplerConfig(), 5)
+    assert list(out[: len(instances)]) == instances
     assert len(out) > len(instances)
     assert all(i.module_id is None for i in out[len(instances):])
 
@@ -389,7 +395,7 @@ def test_originals_preserved_as_prefix():
 def test_synthetics_stay_inside_class_bounding_box():
     rng = np.random.default_rng(6)
     instances = cluster((0.0, 0.0), 14, CL, rng) + cluster((5.0, -2.0), 4, CR, rng)
-    out = adasyn_balance(instances, SamplerConfig(k_neighbors=3), 8)
+    out = balance(instances, SamplerConfig(k_neighbors=3), 8)
     members = np.array([i.features for i in instances if i.label is CR])
     lo, hi = members.min(axis=0), members.max(axis=0)
     synth = out[len(instances):]
@@ -407,7 +413,7 @@ def test_two_member_minority_interpolates_on_the_segment():
         make_labelled([0.05, 0.05], CL), make_labelled([0.02, 0.08], CL),
         make_labelled([2.0, 2.0], HS), make_labelled([3.0, 3.0], HS),
     ]
-    out = adasyn_balance(instances, SamplerConfig(k_neighbors=2), 10)
+    out = balance(instances, SamplerConfig(k_neighbors=2), 10)
     for inst in out[len(instances):]:
         x, y = inst.features
         assert 2.0 - 1e-12 <= x <= 3.0 + 1e-12
@@ -418,7 +424,7 @@ def test_singleton_minority_is_replicated():
     seed_inst = make_labelled([9.0, 9.0], HS, loc=777, module_id="lonely")
     instances = [make_labelled([float(i), 0.0], CL, module_id=f"c{i}") for i in range(8)]
     instances.append(seed_inst)
-    out = adasyn_balance(instances, SamplerConfig(k_neighbors=3), 0)
+    out = balance(instances, SamplerConfig(k_neighbors=3), 0)
     copies = out[len(instances):]
     assert len(copies) == 7
     for copy in copies:
@@ -436,7 +442,7 @@ def test_uniform_fallback_when_minority_is_isolated():
     minority = cluster((0.0, 0.0), 8, MA, rng, spread=0.1)
     majority = cluster((100.0, 100.0), 24, CL, rng, spread=0.1)
     instances = minority + majority
-    out = adasyn_balance(instances, SamplerConfig(k_neighbors=5), 13)
+    out = balance(instances, SamplerConfig(k_neighbors=5), 13)
     produced = len(out) - len(instances)
     assert produced == 16
     assert produced == expected_allocation(instances, SamplerConfig(k_neighbors=5))[MA]
@@ -445,7 +451,7 @@ def test_uniform_fallback_when_minority_is_isolated():
 def test_synthetic_loc_copied_from_seed_instance():
     instances = [make_labelled([float(i), 0.0], CL, loc=50) for i in range(9)]
     instances += [make_labelled([20.0, 1.0], MA, loc=321), make_labelled([21.0, 1.0], MA, loc=654)]
-    out = adasyn_balance(instances, SamplerConfig(k_neighbors=2), 14)
+    out = balance(instances, SamplerConfig(k_neighbors=2), 14)
     for inst in out[len(instances):]:
         assert inst.loc in (321, 654)
         assert inst.module_id is None
@@ -455,37 +461,63 @@ def test_balance_is_deterministic():
     rng = np.random.default_rng(15)
     instances = cluster((0.0, 0.0), 11, CL, rng) + cluster((2.0, 2.0), 4, NT, rng)
     config = SamplerConfig()
-    assert adasyn_balance(instances, config, 99) == adasyn_balance(instances, config, 99)
-    other = adasyn_balance(instances, config, 100)
-    assert other != adasyn_balance(instances, config, 99)
+    assert balance(instances, config, 99) == balance(instances, config, 99)
+    other = balance(instances, config, 100)
+    assert other != balance(instances, config, 99)
 
 
 def test_balance_input_validation():
     with pytest.raises(SevpredictError):
-        adasyn_balance([], SamplerConfig(), 0)
+        balance([], SamplerConfig(), 0)
     only_one_class = [make_labelled([float(i)], CL) for i in range(5)]
     with pytest.raises(SevpredictError):
-        adasyn_balance(only_one_class, SamplerConfig(), 0)
+        balance(only_one_class, SamplerConfig(), 0)
     bad = [make_labelled([0.0], CL), make_labelled([float("nan")], MA)]
     with pytest.raises(SevpredictError):
-        adasyn_balance(bad, SamplerConfig(), 0)
+        balance(bad, SamplerConfig(), 0)
     too_wide = [make_labelled([0.0, -1.7e308], CL), make_labelled([1.0, 1.0], CL),
                 make_labelled([2.0, 1.7e308], MA)]
     with pytest.raises(SevpredictError, match="^feature 2 spans more than the float range"):
-        adasyn_balance(too_wide, SamplerConfig(), 0)
+        balance(too_wide, SamplerConfig(), 0)
     two_classes = [make_labelled([0.0], CL), make_labelled([1.0], CL), make_labelled([2.0], MA)]
     with pytest.raises(SevpredictError, match="seed"):
-        adasyn_balance(two_classes, SamplerConfig(), -1)
+        balance(two_classes, SamplerConfig(), -1)
 
 
 def test_ragged_rows_fail_as_they_fail_fit_tree():
-    # rows become arrays through the conversion fit_tree uses, so a short row gets its message
+    # fit_tree and adasyn_balance take the pool that LabelledPool.from_rows makes, so a short row fails there
     ragged = [make_labelled([0.0, 1.0], CL), make_labelled([1.0, 1.0], CL), make_labelled([2.0], MA)]
-    with pytest.raises(SevpredictError) as fitting:
-        fit_tree(ragged)
-    with pytest.raises(SevpredictError, match="^feature vector has 1 values, expected 2$") as balancing:
-        adasyn_balance(ragged, SamplerConfig(), 0)
-    assert str(balancing.value) == str(fitting.value)
+    with pytest.raises(SevpredictError, match="^feature vector has 1 values, expected 2$"):
+        LabelledPool.from_rows(ragged)
+
+
+@pytest.mark.parametrize("label, loc, fault", [
+    *[(label, 10, f"label {label!r} is not a SeverityClass") for label in ("clean", None, 4, SEVERITY_ORDER)],
+    *[(MA, loc, f"loc {loc!r} is not an int64 integer") for loc in (10.5, 10.0, "10", True, 2**63, -2**63 - 1)],
+])
+def test_a_row_whose_label_or_loc_is_bad_is_named_in_one_line(label, loc, fault):
+    # the position counts rows from 0, so it cannot be read as the 1-based line of a CSV file
+    rows = [make_labelled([0.0], CL), make_labelled([1.0], CL), LabelledInstance((2.0,), loc, label)]
+    with pytest.raises(SevpredictError, match=f"^position 2: {re.escape(fault)}$"):
+        LabelledPool.from_rows(rows)
+    edges = [LabelledInstance((2.0,), loc, MA) for loc in (2**63 - 1, -2**63, np.int64(7))]
+    assert LabelledPool.from_rows(rows[:2] + edges).loc.tolist() == [100, 100, 2**63 - 1, -2**63, 7]
+
+
+def test_the_balanced_pool_holds_its_synthetic_modules_as_arrays():
+    # 6,400 rows of 4 features, as the adasyn_imbalanced benchmark trains on: about 9,400 synthetic
+    # modules, whose features, class, LoC and ID take 0.86 MB as arrays and a tuple, and 2.65 MB as rows
+    counts = dict(zip(SEVERITY_ORDER, (320, 640, 960, 1280, 3200)))
+    pool = synth_corpus(counts, 4, 1.0, seed=1).labelled
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        balanced = adasyn_balance(pool, SamplerConfig(), 7)
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert len(balanced) - len(pool) > 9000
+    assert held < 1 << 20, f"the balanced pool holds {held / 2**20:.2f} MB"
 
 
 @pytest.mark.parametrize("beta, d_threshold", [(0.0, 1.0), (1.0, 0.5), (1.0, 0.3)])
@@ -498,7 +530,7 @@ def test_balance_settles_targets_before_scaling(monkeypatch, beta, d_threshold):
     monkeypatch.setattr(adasyn, "_minmax_params", never)
     too_wide = [make_labelled([0.0, -1.7e308], CL), make_labelled([1.0, 1.0], CL),
                 make_labelled([2.0, 1.7e308], MA)]
-    assert adasyn_balance(too_wide, SamplerConfig(beta=beta, d_threshold=d_threshold), 0) == too_wide
+    assert list(balance(too_wide, SamplerConfig(beta=beta, d_threshold=d_threshold), 0)) == too_wide
 
 
 def test_sampler_config_validation():

@@ -12,6 +12,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from sevpredict import (
+    LabelledPool,
     Leaf,
     SEVERITY_ORDER,
     SevpredictError,
@@ -31,7 +32,7 @@ from conftest import CL, HS, MA, NT, leaf_confidence, leaf_of, make_labelled
 
 
 def points(values, labels):
-    return [make_labelled([float(v)], lab) for v, lab in zip(values, labels)]
+    return LabelledPool.from_rows(make_labelled([float(v)], lab) for v, lab in zip(values, labels))
 
 
 # ---------------------------------------------------------------------------
@@ -265,9 +266,9 @@ def test_unbounded_trees_match_the_reference_scan(monkeypatch):
     for seed in range(10):
         counts = {cls: 10 + 15 * ((seed + k) % 4) for k, cls in enumerate(SEVERITY_ORDER)}
         corpus = synth_corpus(counts, 2 + seed % 4, 0.5 + 0.3 * seed, seed=seed)
-        instances = list(corpus.labelled)
+        instances = corpus.labelled
         if seed % 2:  # one decimal place: many tied values per feature
-            instances = [make_labelled(np.round(i.features, 1), i.label) for i in instances]
+            instances = LabelledPool.from_rows(make_labelled(np.round(i.features, 1), i.label) for i in instances)
         cases.append((instances, corpus.schema))
     # the oracle scans every node's features in one call to the per-feature reference
     monkeypatch.setattr(cart, "SCAN_CELLS", 10**9)
@@ -291,7 +292,7 @@ def test_scan_blocks_stay_within_scan_cells(monkeypatch):
         return scan(values, labels)
 
     monkeypatch.setattr(cart, "_scan_features", recording_scan)
-    fit_tree(list(corpus.labelled))
+    fit_tree(corpus.labelled)
     assert max(n for _, n in shapes) == 3000
     assert any(b == 8 for b, _ in shapes)  # small nodes scan all features at once
     for b, n in shapes:
@@ -318,8 +319,7 @@ def test_pure_node_becomes_leaf():
 
 def test_conflicting_duplicates_become_impure_leaf():
     # identical features, different labels: no split has positive gain
-    instances = [make_labelled([1.0], CL), make_labelled([1.0], MA)]
-    tree = fit_tree(instances)
+    tree = fit_tree(LabelledPool.from_rows([make_labelled([1.0], CL), make_labelled([1.0], MA)]))
     assert isinstance(tree.root, Leaf)
     assert tree.root.nl == 2
 
@@ -344,15 +344,13 @@ def test_min_samples_split_stops_growth():
 
 
 def test_leaf_tie_breaks_toward_most_severe():
-    instances = [make_labelled([0.0], HS), make_labelled([0.0], CL)]
-    tree = fit_tree(instances)
+    tree = fit_tree(LabelledPool.from_rows([make_labelled([0.0], HS), make_labelled([0.0], CL)]))
     assert isinstance(tree.root, Leaf)
     assert tree.root.majority is HS
 
 
 def test_counts_ordered_by_severity():
-    instances = [make_labelled([0.0], CL)] * 2 + [make_labelled([0.0], HS)]
-    tree = fit_tree(instances)
+    tree = fit_tree(LabelledPool.from_rows([make_labelled([0.0], CL)] * 2 + [make_labelled([0.0], HS)]))
     idx_hs = SEVERITY_ORDER.index(HS)
     idx_cl = SEVERITY_ORDER.index(CL)
     assert tree.root.counts[idx_hs] == 1
@@ -366,7 +364,7 @@ def test_training_accuracy_perfect_without_conflicting_duplicates():
         n = int(rng.integers(5, 60))
         X = rng.random(size=(n, 3))  # continuous draws: no duplicate rows
         labs = [classes[int(c)] for c in rng.integers(0, 5, size=n)]
-        instances = [make_labelled(list(row), lab) for row, lab in zip(X, labs)]
+        instances = LabelledPool.from_rows(make_labelled(list(row), lab) for row, lab in zip(X, labs))
         tree = fit_tree(instances)
         assert predict_label(tree, [inst.features for inst in instances]) == tuple(labs)
 
@@ -376,7 +374,7 @@ def test_leaf_counts_match_routed_instances():
     X = rng.integers(0, 4, size=(40, 2)).astype(float)
     classes = [CL, MA, NT]
     labs = [classes[int(c)] for c in rng.integers(0, 3, size=40)]
-    instances = [make_labelled(list(row), lab) for row, lab in zip(X, labs)]
+    instances = LabelledPool.from_rows(make_labelled(list(row), lab) for row, lab in zip(X, labs))
     tree = fit_tree(instances)
     routed = Counter()
     for inst in instances:
@@ -447,7 +445,7 @@ def test_scan_features_does_not_depend_on_the_order_within_ties(case):
 def test_predict_confidence_from_impure_leaf():
     instances = [make_labelled([0.0], MA)] * 3 + [make_labelled([0.0], CL)]
     instances += [make_labelled([10.0], CL)] * 4
-    tree = fit_tree(instances)
+    tree = fit_tree(LabelledPool.from_rows(instances))
     (label, confidence), (label_10, confidence_10) = predict_confidence(tree, [(0.0,), (10.0,)])
     assert label is MA
     assert confidence == pytest.approx(0.75)
@@ -468,7 +466,8 @@ def grid_trees(draw):
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     n, p, levels = draw(st.integers(1, 60)), draw(st.integers(1, 4)), draw(st.integers(1, 6))
     labels = _labels(draw, rng, n)
-    pool = [make_labelled(row, SEVERITY_ORDER[k]) for row, k in zip(rng.integers(0, levels, size=(n, p)), labels)]
+    pool = LabelledPool.from_rows(make_labelled(row, SEVERITY_ORDER[k])
+                                  for row, k in zip(rng.integers(0, levels, size=(n, p)), labels))
     config = TreeConfig(min_samples_split=draw(st.integers(2, 5)), max_depth=draw(st.sampled_from([None, 1, 3])))
     rows = rng.integers(-2, 2 * levels + 1, size=(draw(st.integers(0, 40)), p)) / 2
     return fit_tree(pool, config), rows
@@ -503,7 +502,7 @@ def test_route_rows_on_no_rows_and_on_the_wrong_width():
 @pytest.mark.parametrize("flat", [(0.0, 1.0), np.array([0.0, 1.0])], ids=["tuple", "ndarray"])
 def test_a_flat_row_fails_naming_the_expected_shape(flat):
     # one row passed where a sequence of rows belongs
-    tree = fit_tree([make_labelled([0.0, 1.0], CL), make_labelled([1.0, 0.0], MA)])
+    tree = fit_tree(LabelledPool.from_rows([make_labelled([0.0, 1.0], CL), make_labelled([1.0, 0.0], MA)]))
     for predict in (predict_label, predict_confidence):
         with pytest.raises(SevpredictError, match="^expected a sequence of rows, each of 2 values$"):
             predict(tree, flat)
@@ -513,14 +512,14 @@ def test_fit_rejects_ragged_rows():
     for widths in ((1, 2), (2, 1), (2, 2, 3), (3, 1, 3)):
         pool = [make_labelled([0.5] * w, [CL, MA][i % 2]) for i, w in enumerate(widths)]
         with pytest.raises(SevpredictError, match="feature vector has"):
-            fit_tree(pool)
+            LabelledPool.from_rows(pool)
 
 
 def test_fit_rejects_bad_input():
     with pytest.raises(SevpredictError):
-        fit_tree([])
+        fit_tree(LabelledPool.from_rows([]))
     with pytest.raises(SevpredictError):
-        fit_tree([make_labelled([float("nan")], CL), make_labelled([0.0], MA)])
+        fit_tree(LabelledPool.from_rows([make_labelled([float("nan")], CL), make_labelled([0.0], MA)]))
     with pytest.raises(SevpredictError):
         fit_tree(points([0, 1], [CL, MA]), schema=("a", "b"))
 
@@ -536,7 +535,7 @@ def test_fit_is_deterministic():
     rng = np.random.default_rng(5)
     X = rng.random(size=(30, 2))
     labs = [list(SEVERITY_ORDER)[int(c)] for c in rng.integers(0, 5, size=30)]
-    instances = [make_labelled(list(row), lab) for row, lab in zip(X, labs)]
+    instances = LabelledPool.from_rows(make_labelled(list(row), lab) for row, lab in zip(X, labs))
     assert fit_tree(instances) == fit_tree(instances)
 
 

@@ -17,6 +17,7 @@ from sevpredict import (
     SEVERITY_ORDER,
     Corpus,
     LabelledInstance,
+    LabelledPool,
     PipelineConfig,
     RowError,
     SchemaError,
@@ -78,7 +79,7 @@ def test_parse_corpus_routes_rows():
     assert corpus.schema == ("wmc", "rfc")
     assert [i.label for i in corpus.labelled] == [HS, CL]
     assert corpus.unlabelled.module_ids == ("c",)
-    assert corpus.labelled[0].features == (1.0, 2.0)
+    assert corpus.labelled.features.tolist()[0] == [1.0, 2.0]
     assert [i.module_id for i in corpus.labelled] == ["a", "b"]
     assert len(corpus) == 3 and corpus.total_loc == 60
 
@@ -146,7 +147,7 @@ def test_parse_corpus_row_errors(row, fragment):
 
 
 def test_parse_corpus_accepts_loc_up_to_2_to_the_53():
-    assert parse_corpus(csv_stream(f"a,{2**53},0,0,0,0,0,1.0,2.0")).labelled[0].loc == 2**53
+    assert parse_corpus(csv_stream(f"a,{2**53},0,0,0,0,0,1.0,2.0")).labelled.loc.tolist() == [2**53]
 
 
 def test_parse_corpus_rejects_duplicate_module_ids():
@@ -333,9 +334,9 @@ def test_total_loc_stays_exact_past_2_to_the_63(tmp_path):
     pool = make_pool([[float(j)] for j in range(1025)], locs=[2**53] * 1025,
                      module_ids=[f"u{j}" for j in range(1025)])
     labelled = tuple(make_labelled([float(j % 2)], (CL, MA)[j % 2], loc=1, module_id=f"m{j}") for j in range(20))
-    direct = Corpus(("f0",), labelled, pool)
+    direct = Corpus(("f0",), LabelledPool.from_rows(labelled), pool)
     save_corpus(direct, tmp_path / "c.csv")
-    for corpus in (Corpus(("f0",), (), pool), direct, load_corpus(tmp_path / "c.csv")):
+    for corpus in (Corpus(("f0",), LabelledPool.from_rows(()), pool), direct, load_corpus(tmp_path / "c.csv")):
         assert class_summary(corpus)["total_loc"] == big + 1 * len(corpus.labelled)
     report = json.loads(report_to_json(run_experiment(direct, PipelineConfig())))
     assert report["corpus"]["total_loc"] == big + 20
@@ -358,7 +359,7 @@ def grid_corpus(class_sizes: dict, n_unlabelled=0) -> Corpus:
     del unlabelled
     unl = make_pool([[float(1000 + j), 0.0] for j in range(n_unlabelled)], width=2,
                     module_ids=[f"u{j}" for j in range(n_unlabelled)])
-    return Corpus(("f0", "f1"), tuple(labelled), unl)
+    return Corpus(("f0", "f1"), LabelledPool.from_rows(labelled), unl)
 
 
 def test_stratified_split_exact_proportions():
@@ -409,7 +410,7 @@ def test_stratified_split_rejects_bad_fraction():
 
 
 def test_stratified_split_rejects_empty_labelled():
-    corpus = Corpus(("f0", "f1"), (), ())
+    corpus = Corpus(("f0", "f1"), LabelledPool.from_rows(()), ())
     with pytest.raises(SevpredictError):
         stratified_split(corpus, 0.2, seed=0)
 
@@ -512,7 +513,7 @@ def test_synth_corpus_rejects_a_separation_that_overflows_the_features():
 
 def test_synth_corpus_takes_a_separation_of_1e300():
     corpus = synth_corpus({CL: 5, MA: 5}, 5, 1e300, n_unlabelled=3, seed=1)
-    feats = [f for inst in corpus.labelled + unlabelled_rows(corpus.unlabelled) for f in inst.features]
+    feats = [f for inst in (*corpus.labelled, *unlabelled_rows(corpus.unlabelled)) for f in inst.features]
     assert all(math.isfinite(f) for f in feats) and max(map(abs, feats)) > 1e299
 
 
@@ -557,7 +558,7 @@ def _reference_synth(class_counts, n_features, separation, n_unlabelled=0, seed=
         unlabelled.append(UnlabelledRow(feats, loc, f"synth_{serial:05d}"))
         serial += 1
     schema = tuple(f"metric_{j + 1}" for j in range(n_features))
-    return Corpus(schema, tuple(labelled), pool_of(unlabelled, n_features))
+    return Corpus(schema, LabelledPool.from_rows(labelled), pool_of(unlabelled, n_features))
 
 
 @settings(max_examples=300, deadline=None)
@@ -594,7 +595,9 @@ def test_write_corpus_csv_is_seed_stable(tmp_path):
 def test_write_corpus_csv_numbers_missing_ids_past_those_in_use():
     corpus = Corpus(
         ("f0",),
-        (make_labelled([1], CL, module_id="m00000"), make_labelled([2], MA), make_labelled([3], CL)),
+        LabelledPool.from_rows(
+            (make_labelled([1], CL, module_id="m00000"), make_labelled([2], MA), make_labelled([3], CL))
+        ),
         make_pool([[4], [5]], module_ids=["m00002", None]),
     )
     out = io.StringIO()
@@ -634,7 +637,7 @@ def _reference_split(corpus: Corpus, test_fraction: float, seed: int):
         test_idx.update(members[j] for j in perm[:n_test].tolist())
     train = tuple(inst for i, inst in enumerate(corpus.labelled) if i not in test_idx)
     test = tuple(inst for i, inst in enumerate(corpus.labelled) if i in test_idx)
-    return replace(corpus, labelled=train), test
+    return replace(corpus, labelled=LabelledPool.from_rows(train)), test
 
 
 def _reference_kfold(corpus: Corpus, k: int, seed: int):
@@ -656,16 +659,20 @@ def _reference_kfold(corpus: Corpus, k: int, seed: int):
     for fold in range(k):
         train = tuple(inst for i, inst in enumerate(corpus.labelled) if fold_of[i] != fold)
         test = tuple(inst for i, inst in enumerate(corpus.labelled) if fold_of[i] == fold)
-        folds.append((replace(corpus, labelled=train), test))
+        folds.append((replace(corpus, labelled=LabelledPool.from_rows(train)), test))
     return folds
 
 
 def _split_outcome(split, *args):
-    """The split's result, or the message of the SevpredictError raised instead."""
+    """The split's result with each test set as a tuple of rows, as the references give it,
+    or the message of the SevpredictError raised instead."""
     try:
-        return split(*args)
+        result = split(*args)
     except SevpredictError as err:
         return str(err)
+    if isinstance(result, tuple):
+        return result[0], tuple(result[1])
+    return [(train, tuple(test)) for train, test in result]
 
 
 @st.composite
@@ -673,7 +680,7 @@ def split_corpora(draw) -> Corpus:
     """0-5 classes of 0-12 members each, interleaved in a drawn order, and 0-3 unlabelled modules."""
     sizes = draw(st.lists(st.integers(0, 12), min_size=5, max_size=5))
     labels = draw(st.permutations([cls for cls, m in zip(SEVERITY_ORDER, sizes) for _ in range(m)]))
-    labelled = tuple(make_labelled([float(i)], cls, module_id=f"m{i}") for i, cls in enumerate(labels))
+    labelled = LabelledPool.from_rows(make_labelled([float(i)], cls, module_id=f"m{i}") for i, cls in enumerate(labels))
     m = draw(st.integers(0, 3))
     return Corpus(("f0",), labelled, make_pool([[-1.0]] * m, width=1, module_ids=[f"u{j}" for j in range(m)]))
 

@@ -20,7 +20,7 @@ from hypothesis import strategies as st
 
 import sevpredict.corpus as corpus_module
 from sevpredict import SevpredictError, load_corpus, parse_corpus, parse_predictions, synth_corpus, write_corpus_csv
-from sevpredict import Corpus, LabelledInstance, RowError
+from sevpredict import Corpus, LabelledInstance, LabelledPool, RowError
 from sevpredict.corpus import (
     REQUIRED_COLUMNS,
     _parse_feature,
@@ -151,7 +151,7 @@ def _reference_scan_rows(source):
 
 
 def _reference_assemble(schema, instances) -> Corpus:
-    labelled = tuple(i for i in instances if isinstance(i, LabelledInstance))
+    labelled = LabelledPool.from_rows((i for i in instances if isinstance(i, LabelledInstance)), len(schema))
     unlabelled = [i for i in instances if isinstance(i, UnlabelledRow)]
     return Corpus(schema, labelled, pool_of(unlabelled, len(schema)))
 

@@ -22,6 +22,7 @@ from sevpredict import (
     SEVERITY_ORDER,
     Corpus,
     DecisionTree,
+    LabelledPool,
     SelfTrainConfig,
     Split,
     TreeConfig,
@@ -48,8 +49,8 @@ def pools(draw):
     n, m, p = draw(st.integers(1, 30)), draw(st.integers(0, 40)), draw(st.integers(1, 3))
     levels, n_classes = draw(st.integers(1, 4)), draw(st.integers(1, 5))
     labels = rng.integers(0, n_classes, size=n)
-    labelled = [make_labelled(row, SEVERITY_ORDER[k], module_id=f"m{j}")
-                for j, (row, k) in enumerate(zip(_grid(rng, n, p, levels), labels))]
+    labelled = LabelledPool.from_rows(make_labelled(row, SEVERITY_ORDER[k], module_id=f"m{j}")
+                                      for j, (row, k) in enumerate(zip(_grid(rng, n, p, levels), labels)))
     unlabelled = make_pool(_grid(rng, m, p, levels), width=p, module_ids=[f"u{j}" for j in range(m)])
     return labelled, unlabelled, rng
 
@@ -59,7 +60,7 @@ def pools(draw):
 def test_fit_tree_does_not_depend_on_the_order_of_its_rows(pool, max_depth):
     labelled, _, rng = pool
     config = TreeConfig(max_depth=max_depth)
-    shuffled = [labelled[i] for i in rng.permutation(len(labelled))]
+    shuffled = labelled[rng.permutation(len(labelled))]
     assert fit_tree(shuffled, config) == fit_tree(labelled, config)
 
 
@@ -91,8 +92,8 @@ def test_self_train_does_not_depend_on_the_order_of_the_unlabelled_pool(pool, ga
         assert sorted(perm[j] for j in got.accepted_indices) == list(want.accepted_indices)
 
 
-def _scaled(instances, factor):
-    return tuple(replace(inst, features=tuple(v * factor for v in inst.features)) for inst in instances)
+def _scaled(pool, factor):
+    return replace(pool, features=pool.features * factor)
 
 
 def _scaled_node(node, factor):

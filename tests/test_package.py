@@ -11,9 +11,9 @@ import sevpredict
 
 PUBLIC_NAMES = {
     "ConfusionMatrix", "Corpus", "DEFAULT_WEIGHTS", "DEFECTIVE_CLASSES", "DecisionTree", "EconConfig",
-    "ExperimentReport", "LabelledInstance", "Leaf", "MetricReport", "Outcome", "PipelineConfig", "RowError",
-    "SEVERITY_ORDER", "SamplerConfig", "SchemaError", "SelfTrainConfig", "SelfTrainResult", "SelfTrainTrace",
-    "SeverityClass", "SevpredictError", "Split", "TreeConfig", "UnlabelledPool", "accuracy",
+    "ExperimentReport", "LabelledInstance", "LabelledPool", "Leaf", "MetricReport", "Outcome", "PipelineConfig",
+    "RowError", "SEVERITY_ORDER", "SamplerConfig", "SchemaError", "SelfTrainConfig", "SelfTrainResult",
+    "SelfTrainTrace", "SeverityClass", "SevpredictError", "Split", "TreeConfig", "UnlabelledPool", "accuracy",
     "adasyn_balance", "average_reports", "build_confusion", "class_summary", "compare",
     "dump_tree", "fit_tree", "full_report", "load_corpus", "parse_corpus", "parse_predictions",
     "predict_confidence", "predict_label", "pseudo_label_risk", "report_to_json", "risk_factor",

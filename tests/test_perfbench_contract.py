@@ -8,7 +8,9 @@ this test shows it in seconds rather than at the end of a benchmark run.
 
 from __future__ import annotations
 
+import json
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -53,3 +55,23 @@ def test_traced_run_passes_the_benchmark_checks(tmp_path, corpus_csv, cli_args):
     assert sum(span.route_calls for span in tracer.spans) == 2 * workload.folds
     assert tracer.counts["cart.duplicate_fits"] == 0
     assert tracer.counts["adasyn.duplicate_calls"] == 0
+    # exact counts per scored report: one ADASYN call when either arm oversamples, one starting
+    # fit per distinct pool, and the rows each saw as the report's training block implies them
+    want = Counter()
+    for path in out.glob("report_*.json"):
+        report = json.loads(path.read_text(encoding="utf-8"))
+        if report["self_training"] is None:  # an average, not a scored run
+            continue
+        training, config = report["training"], report["config"]
+        starts = {  # oversampled? -> size of that starting pool
+            config["bst_oversample"]: training["bst_train_size"],
+            config["oversample_first"]: training["ast_train_size"] - training["accepted_pseudo"],
+        }
+        want["adasyn_balance"] += True in starts
+        want["adasyn.input_rows"] += (report["corpus"]["labelled"] - training["test_modules"]) * (True in starts)
+        want["fit_tree"] += len(starts)
+        want["cart.fit_rows"] += sum(starts.values())
+    assert (tracer.calls["adasyn_balance"], tracer.calls["fit_tree"]) == (want["adasyn_balance"], want["fit_tree"])
+    assert (tracer.counts["adasyn.input_rows"], tracer.counts["cart.fit_rows"]) == (
+        want["adasyn.input_rows"], want["cart.fit_rows"])
+    assert want["fit_tree"] == workload.folds * (2 if "--bst-raw" in cli_args else 1)

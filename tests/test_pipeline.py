@@ -23,6 +23,7 @@ from sevpredict import (
     report_to_json,
     run_experiment,
     run_kfold,
+    save_corpus,
     self_train,
     synth_corpus,
     write_comparison_tables,
@@ -123,6 +124,29 @@ def test_arms_share_one_pool_and_tree_per_flag(monkeypatch, bst_oversample, over
     training = report.training
     if bst_oversample == oversample_first:
         assert training["ast_train_size"] == training["bst_train_size"] + training["accepted_pseudo"]
+
+
+@pytest.mark.parametrize("flags", [(), ("--bst-raw", "--folds", "3", "--table")])
+def test_a_run_builds_no_labelled_row_from_file_to_report(monkeypatch, tmp_path, capsys, flags):
+    import sevpredict.corpus as corpus_module
+    from sevpredict import cli
+
+    path = tmp_path / "c.csv"
+    save_corpus(demo_corpus(unlabelled=40), path)
+    built = []
+    init = corpus_module.LabelledInstance.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(args)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(corpus_module.LabelledInstance, "__init__", counting_init)
+    assert cli.main(["run", str(path), "--seed", "3", "--out", str(tmp_path / "out"), *flags]) == 0
+    capsys.readouterr()
+    report = json.loads((tmp_path / "out" / "report_c.json").read_text())
+    assert report["training"]["accepted_pseudo"] > 0  # the self-training refits ran too
+    assert built == []
+    assert corpus_module.LabelledInstance((1.0,), 5, CL).loc == 5 and len(built) == 1  # counting works
 
 
 def test_oversample_first_balances_before_looping(monkeypatch):

@@ -21,6 +21,7 @@ from sevpredict import (
     Corpus,
     ExperimentReport,
     LabelledInstance,
+    LabelledPool,
     Outcome,
     PipelineConfig,
     SevpredictError,
@@ -181,7 +182,7 @@ def _case(sizes, p, levels, n_unlabelled, data_seed, **settings) -> tuple[Corpus
     labelled = [make_labelled(X[j], SEVERITY_ORDER[labels[j]], loc=locs[j], module_id=f"m{j}") for j in range(n)]
     U = rng.integers(0, levels + 1, size=(n_unlabelled, p))
     unlabelled = make_pool(U, width=p, locs=locs[n:], module_ids=[f"u{j}" for j in range(n_unlabelled)])
-    corpus = Corpus(tuple(f"f{j}" for j in range(p)), tuple(labelled), unlabelled)
+    corpus = Corpus(tuple(f"f{j}" for j in range(p)), LabelledPool.from_rows(labelled), unlabelled)
     return corpus, PipelineConfig.from_settings(settings)
 
 

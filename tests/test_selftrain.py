@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from sevpredict import (
+    LabelledPool,
     SamplerConfig,
     SelfTrainConfig,
     SevpredictError,
@@ -28,20 +29,20 @@ from conftest import (CL, CR, HS, MA, NT, grown_pool, leaf_confidence, leaf_of, 
 
 
 def separable_sets():
-    labelled = [
+    labelled = LabelledPool.from_rows([
         make_labelled([0.0, 0.0], CL), make_labelled([0.2, 0.1], CL),
         make_labelled([5.0, 5.0], MA), make_labelled([5.2, 5.1], MA),
-    ]
+    ])
     unlabelled = make_pool([[0.1, 0.05], [5.1, 5.05]], module_ids=["u0", "u1"])
     return labelled, unlabelled
 
 
 def conflicted_sets():
     # two coincident points with different labels cap confidence at 0.5
-    labelled = [
+    labelled = LabelledPool.from_rows([
         make_labelled([0.0], CL), make_labelled([0.0], MA),
         make_labelled([9.0], HS), make_labelled([9.5], HS),
-    ]
+    ])
     unlabelled = make_pool([[0.0], [0.01]])
     return labelled, unlabelled
 
@@ -67,7 +68,7 @@ def test_supervised_risk_counts_stump_errors():
     labelled = [make_labelled([float(i)], CL) for i in range(4)]
     labelled += [make_labelled([float(i)], MA) for i in range(4, 8)]
     labelled += [make_labelled([float(i)], CL) for i in range(8, 10)]
-    tree = fit_tree(labelled, TreeConfig(max_depth=1))
+    tree = fit_tree(LabelledPool.from_rows(labelled), TreeConfig(max_depth=1))
     assert pseudo_label_risk(tree) == pytest.approx(0.2)
 
 
@@ -81,7 +82,7 @@ def test_leaf_count_risk_matches_routing_the_pool(max_depth):
         levels = int(rng.integers(1, 5))
         grid = rng.integers(0, levels, size=(n, p)) if trial % 4 else rng.normal(size=(n, p))
         labels = rng.integers(0, int(rng.integers(1, 6)), size=n)
-        pool = [make_labelled(row, classes[k]) for row, k in zip(grid, labels)]
+        pool = LabelledPool.from_rows(make_labelled(row, classes[k]) for row, k in zip(grid, labels))
         cfg = TreeConfig(min_samples_split=int(rng.integers(2, 7)), max_depth=max_depth)
         tree = fit_tree(pool, cfg)
         # the same ints divided, so the floats are equal, not just close
@@ -141,7 +142,7 @@ def test_self_train_does_not_extend_the_callers_pool():
     before = list(labelled)
     result = self_train(fit_tree(labelled), labelled, unlabelled.features, SelfTrainConfig(gamma=0.0))
     assert len(result.accepted_labels) == len(unlabelled)
-    assert labelled == before
+    assert list(labelled) == before
 
 
 def test_empty_pool_exhausts_immediately():
@@ -156,10 +157,10 @@ def test_max_iterations_stops_mixed_pool():
     # one separable point is absorbed in round one; the conflicted point
     # stays below gamma forever, so round two would make no progress, but
     # the iteration budget is exhausted first
-    labelled = [
+    labelled = LabelledPool.from_rows([
         make_labelled([0.0], CL), make_labelled([0.0], MA),
         make_labelled([9.0], HS), make_labelled([9.5], HS),
-    ]
+    ])
     unlabelled = make_pool([[9.2], [0.0]])
     config = SelfTrainConfig(gamma=0.9, max_iterations=1)
     result = self_train(fit_tree(labelled), labelled, unlabelled.features, config)
@@ -178,6 +179,7 @@ def test_pool_shrinks_monotonically():
             labelled.append(make_labelled(
                 [float(rng.normal(centre, 0.5)), float(rng.normal(0, 0.5))], cls))
     unlabelled = make_pool([[float(rng.uniform(-2, 10)), float(rng.normal(0, 0.5))] for _ in range(30)])
+    labelled = LabelledPool.from_rows(labelled)
     result = self_train(fit_tree(labelled), labelled, unlabelled.features, SelfTrainConfig(gamma=0.8))
     sizes = [rec.unlabelled_before for rec in result.trace.iterations]
     assert sizes == sorted(sizes, reverse=True)
@@ -198,6 +200,7 @@ def test_pseudo_labels_match_the_accepting_iteration_tree():
             labelled.append(make_labelled([float(centre + rng.normal(0, 0.4))], cls))
     unlabelled = make_pool([[float(rng.uniform(-1, 9))] for _ in range(20)], module_ids=[f"u{i}" for i in range(20)])
     config = SelfTrainConfig(gamma=0.7)
+    labelled = LabelledPool.from_rows(labelled)
     result = self_train(fit_tree(labelled), labelled, unlabelled.features, config)
 
     # replay: rebuild each round's tree from the evolving pool and check the
@@ -208,7 +211,7 @@ def test_pseudo_labels_match_the_accepting_iteration_tree():
     accepted_seen = []
     for rec in result.trace.iterations:
         assert rec.unlabelled_before == len(remaining)
-        tree = fit_tree(pool)
+        tree = fit_tree(LabelledPool.from_rows(pool))
         newly = []
         for idx in rec.accepted_indices:
             inst = rows[idx]
@@ -238,7 +241,7 @@ def test_accepted_per_class_tallies_accepted():
 def test_final_tree_is_fit_on_final_pool():
     labelled, unlabelled = separable_sets()
     result = self_train(fit_tree(labelled), labelled, unlabelled.features, SelfTrainConfig(gamma=0.0))
-    assert result.tree == fit_tree(grown_pool(labelled, unlabelled, result))
+    assert result.tree == fit_tree(LabelledPool.from_rows(grown_pool(labelled, unlabelled, result)))
 
 
 def test_self_train_is_deterministic():
@@ -249,7 +252,7 @@ def test_self_train_is_deterministic():
             labelled.append(make_labelled([float(rng.normal(centre, 0.6))], cls))
     unlabelled = make_pool([[float(rng.uniform(-1, 4))] for _ in range(12)])
     config = SelfTrainConfig(gamma=0.75)
-    pool = adasyn_balance(labelled, SamplerConfig(), 2)
+    pool = adasyn_balance(LabelledPool.from_rows(labelled), SamplerConfig(), 2)
     a = self_train(fit_tree(pool), pool, unlabelled.features, config)
     b = self_train(fit_tree(pool), pool, unlabelled.features, config)
     assert a.tree == b.tree
@@ -272,6 +275,14 @@ def test_an_unlabelled_row_of_the_wrong_width_fails_as_routing_it_would(widths):
         assert str(training.value) == str(predicting.value)
 
 
+def test_a_labelled_pool_of_another_width_than_the_tree_fails_at_the_refit():
+    # the tree was grown on two features; the pool handed with it has three
+    labelled, unlabelled = separable_sets()
+    wide = LabelledPool.from_rows(make_labelled([*inst.features, 0.0], inst.label) for inst in labelled)
+    with pytest.raises(SevpredictError, match="^feature vector has 3 values, expected 2$"):
+        self_train(fit_tree(labelled), wide, unlabelled.features, SelfTrainConfig(gamma=0.9))
+
+
 @pytest.mark.parametrize("unlabelled", [np.ones(2), np.ones((1, 1, 2)), 1.0])
 def test_unlabelled_features_that_are_not_a_matrix_fail_naming_the_shape(unlabelled):
     labelled, _ = separable_sets()
@@ -290,10 +301,10 @@ def test_an_accepted_non_finite_row_fails_the_refit(bad):
 
 def test_a_non_finite_row_never_accepted_raises_nothing():
     # the right leaf holds a clean and a major row, so nan and inf score 0.5
-    labelled = [
+    labelled = LabelledPool.from_rows([
         make_labelled([0.0], HS), make_labelled([0.5], HS),
         make_labelled([9.0], CL), make_labelled([9.0], MA),
-    ]
+    ])
     unlabelled = make_pool([[float("nan")], [0.2], [float("inf")]], module_ids=["nan", "ok", "inf"])
     result = self_train(fit_tree(labelled), labelled, unlabelled.features, SelfTrainConfig(gamma=0.9))
     assert result.trace.status == STATUS_NO_PROGRESS
@@ -308,7 +319,7 @@ def test_a_refit_past_the_row_limit_fails_as_fit_tree_does(monkeypatch):
     tree = fit_tree(labelled)
     monkeypatch.setattr(cart, "MAX_TRAIN_ROWS", 5)
     with pytest.raises(SevpredictError) as direct:
-        fit_tree(labelled + [make_labelled(row, CL) for row in unlabelled.features])
+        fit_tree(LabelledPool.from_rows([*labelled, *(make_labelled(row, CL) for row in unlabelled.features)]))
     with pytest.raises(SevpredictError) as refit:
         self_train(tree, labelled, unlabelled.features, SelfTrainConfig(gamma=0.0))
     assert str(refit.value) == str(direct.value) == (

@@ -13,7 +13,7 @@ import numpy as np
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from sevpredict import SEVERITY_ORDER, LabelledInstance, SelfTrainConfig, TreeConfig, fit_tree, self_train
+from sevpredict import SEVERITY_ORDER, LabelledInstance, LabelledPool, SelfTrainConfig, TreeConfig, fit_tree, self_train
 from sevpredict.cart import N_CLASSES, feature_matrix, route_rows
 from sevpredict.selftrain import (
     STATUS_EXHAUSTED_U,
@@ -65,7 +65,7 @@ def _reference_self_train(tree, labelled, unlabelled, config, tree_config):
             u = unlabelled[i]
             pool.append(LabelledInstance(u.features, u.loc, SEVERITY_ORDER[k], u.module_id))
         remaining = remaining[~hit]
-        tree = fit_tree(pool, tree_config, tree.schema)
+        tree = fit_tree(LabelledPool.from_rows(pool), tree_config, tree.schema)
 
     residual = tuple(unlabelled[i] for i in remaining.tolist())
     return tree, tuple(pool), residual, SelfTrainTrace(tuple(records), status)
@@ -76,10 +76,10 @@ def _case(n, m, p, levels, n_classes, data_seed, gamma, max_iterations, min_samp
     rng = np.random.default_rng(data_seed)
     labels = rng.integers(0, n_classes, size=n)
     locs = rng.integers(1, 400, size=n + m).tolist()
-    labelled = [
+    labelled = LabelledPool.from_rows(
         make_labelled(row, SEVERITY_ORDER[k], loc=loc, module_id=f"m{j}")
         for j, (row, k, loc) in enumerate(zip(rng.integers(0, levels + 1, size=(n, p)), labels, locs))
-    ]
+    )
     unlabelled = make_pool(rng.integers(0, levels + 1, size=(m, p)), width=p, locs=locs[n:],
                            module_ids=[f"u{j}" for j in range(m)])
     config = SelfTrainConfig(gamma=gamma, max_iterations=max_iterations)
