@@ -123,8 +123,6 @@ def adasyn_balance(
     if not labelled:
         raise SevpredictError("cannot balance an empty labelled set")
     X, y = labelled.features, labelled.labels
-    if not np.all(np.isfinite(X)):
-        raise SevpredictError("features must be finite")
     sizes = np.bincount(y, minlength=N_CLASSES).tolist()  # per class index
     if sum(1 for n in sizes if n > 0) < 2:
         raise SevpredictError("balancing requires at least 2 classes present")

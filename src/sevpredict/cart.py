@@ -196,37 +196,24 @@ def _grow(XT: np.ndarray, y: np.ndarray, config: TreeConfig) -> TreeNode:
     return done[0]
 
 
-def fit_tree(
-    train: LabelledPool,
-    config: TreeConfig = TreeConfig(),
-    schema: Sequence[str] | None = None,
-) -> DecisionTree:
-    """Grow a tree on the labelled pool: fit_arrays on its arrays."""
-    return fit_arrays(train.features.T.copy(), train.labels, config, schema)
-
-
-def fit_arrays(XT: np.ndarray, y: np.ndarray, config: TreeConfig = TreeConfig(),
-               schema: Sequence[str] | None = None) -> DecisionTree:
-    """Grow a tree on the columns of a feature-major matrix, labelled by class index.
+def fit_tree(train: LabelledPool, config: TreeConfig = TreeConfig(),
+             schema: Sequence[str] | None = None) -> DecisionTree:
+    """Grow a tree on the labelled pool; self-training refits through here too.
 
     Recursion stops at pure nodes, nodes below min_samples_split, nodes
     where no candidate split strictly reduces Gini impurity, and at
     max_depth when one is set.
     """
-    p, n = XT.shape
+    n, p = train.features.shape
     if not n:
         raise SevpredictError("cannot fit a tree on an empty training set")
     if n > MAX_TRAIN_ROWS:
-        raise SevpredictError(
-            f"training set has {n} rows; exact split search supports at most {MAX_TRAIN_ROWS}"
-        )
-    if not np.all(np.isfinite(XT)):
-        raise SevpredictError("features must be finite")
+        raise SevpredictError(f"training set has {n} rows; exact split search supports at most {MAX_TRAIN_ROWS}")
     if schema is None:
         schema = tuple(f"f{j}" for j in range(p))
     elif len(schema) != p:
         raise SevpredictError(f"schema names {len(schema)} features but instances have {p}")
-    return DecisionTree(_grow(XT, y, config), tuple(schema))
+    return DecisionTree(_grow(train.features.T.copy(), train.labels, config), tuple(schema))
 
 
 def route_rows(tree: DecisionTree, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -40,8 +40,38 @@ class LabelledInstance:
     module_id: str | None = None
 
 
+MAX_LOC = 2**53  # the largest integer a float64 holds exactly; LoC sums are divided as floats
+_BOUNDS = {"labels": (0, len(SEVERITY_ORDER) - 1, "[0, 5)"), "loc": (1, MAX_LOC, "[1, 2**53]")}
+
+
+def _outside(pos: int, name: str, value) -> SevpredictError:
+    return SevpredictError(f"position {pos}: {name} holds {value}, outside {_BOUNDS[name][2]}")
+
+
 class _Pool:
-    """Modules by position, one entry per module in each field: equal when every field is, arrays by value."""
+    """Modules by position, one entry per module in each field: equal when every field is, arrays by value.
+
+    Built, a pool checks its invariant, each breach one line naming the field: an (n, p) finite float64
+    feature matrix; per module one int64 LoC in [1, 2**53], one ID (a str or None) and, if labelled, one
+    int64 class index in [0, 5)."""
+
+    def __post_init__(self):
+        X, ids = self.features, self.module_ids
+        if not (isinstance(X, np.ndarray) and X.dtype == np.float64 and X.ndim == 2):
+            raise SevpredictError("features must be a 2-D float64 array")
+        for name in [name for name in _BOUNDS if name in vars(self)]:  # labels, in a labelled pool, then loc
+            value, (low, high, _) = vars(self)[name], _BOUNDS[name]
+            if not (isinstance(value, np.ndarray) and value.dtype == np.int64 and value.shape == (len(X),)):
+                raise SevpredictError(f"{name} must be an int64 array of one value per module ({len(X)})")
+            if bad := np.flatnonzero((value < low) | (value > high)).tolist():
+                raise _outside(bad[0], name, value[bad[0]])
+        if not (isinstance(ids, tuple) and len(ids) == len(X)):
+            raise SevpredictError(f"module_ids must be a tuple of one ID per module ({len(X)})")
+        if not {*map(type, ids)} <= {str, type(None)}:
+            pos = [type(i) in (str, type(None)) for i in ids].index(False)
+            raise SevpredictError(f"position {pos}: module_ids holds {ids[pos]!r}, not a str or None")
+        if not np.isfinite(X).all():
+            raise SevpredictError(f"position {np.flatnonzero(~np.isfinite(X).all(axis=1))[0]}: features are not finite")
 
     def __len__(self) -> int:
         return len(self.loc)
@@ -77,14 +107,15 @@ class LabelledPool(_Pool):
     @classmethod
     def from_rows(cls, rows: Iterable[LabelledInstance], width: int | None = None) -> LabelledPool:
         """The rows as a pool, each of width features (by default the first row's, and 0 for no rows);
-        a bad label or LoC raises, naming its position from 0."""
+        a label that is not a SeverityClass, or a LoC that is not an integer, raises naming its position from 0."""
         rows = tuple(rows)
         for pos, inst in enumerate(rows):
             if not isinstance(inst.label, SeverityClass):
                 raise SevpredictError(f"position {pos}: label {inst.label!r} is not a SeverityClass")
-            loc = inst.loc  # a bool is an int to isinstance, but not a line count
-            if isinstance(loc, bool) or not isinstance(loc, (int, np.integer)) or not -2**63 <= loc < 2**63:
-                raise SevpredictError(f"position {pos}: loc {loc!r} is not an int64 integer")
+            if isinstance(inst.loc, bool) or not isinstance(inst.loc, (int, np.integer)):  # a bool is no line count
+                raise SevpredictError(f"position {pos}: loc {inst.loc!r} is not an integer")
+            if not -2**63 <= inst.loc < 2**63:  # no int64 array holds it; past int64 is past the pool's bound too
+                raise _outside(pos, "loc", inst.loc)
         X = feature_matrix([inst.features for inst in rows], width if width is not None else
                            len(rows[0].features) if rows else 0)
         return cls(X, np.array([CLASS_INDEX[inst.label] for inst in rows], np.int64),
@@ -106,6 +137,12 @@ class Corpus:
     schema: tuple[str, ...]
     labelled: LabelledPool
     unlabelled: UnlabelledPool
+
+    def __post_init__(self):
+        for name, kind in (("labelled", LabelledPool), ("unlabelled", UnlabelledPool)):
+            pool, p = getattr(self, name), len(self.schema)
+            if type(pool) is not kind or pool.features.shape[1] != p:
+                raise SevpredictError(f"{name} must be a {kind.__name__} of {p} features, one per schema name")
 
     @property
     def total_loc(self) -> int:  # exact: an int64 sum would wrap past 2**63
@@ -160,7 +197,7 @@ def _parse_int(raw: str, line: int, column: str, minimum: int) -> int:
 
 def _parse_loc(raw: str, line: int) -> int:
     loc = _parse_int(raw, line, "loc", minimum=1)
-    if loc > 2**53:  # the largest integer a float64 holds exactly; LoC sums are divided as floats
+    if loc > MAX_LOC:
         raise RowError(line, "column 'loc' must be <= 2**53")
     return loc
 
@@ -228,7 +265,7 @@ def _read_rows(source: Iterable[str], bad_row) -> Corpus:
             try:  # the whole row at once; int() and float() strip whitespace as the field parsers do
                 loc, *counts = map(int, fields[1:7])
                 feats = tuple(map(float, fields[7:]))
-                parsed = 0 < loc <= 2**53 and min(counts) >= 0 and math.isfinite(sum(feats))
+                parsed = 0 < loc <= MAX_LOC and min(counts) >= 0 and math.isfinite(sum(feats))
             except ValueError:
                 parsed = False
             if not parsed:  # field by field, so the row's first bad field is the one named
@@ -245,7 +282,7 @@ def _read_rows(source: Iterable[str], bad_row) -> Corpus:
             continue
         first_line[module_id] = line
         rows.append((loc, *(n > 0 for n in counts), *feats))
-    table = np.array(rows, float).reshape(-1, 6 + len(schema))  # a LoC of at most 2**53 is exact as a float
+    table = np.array(rows, float).reshape(-1, 6 + len(schema))  # a LoC of at most MAX_LOC is exact as a float
     return _from_columns(schema, list(first_line), table[:, 0].astype(np.int64), _class_index(table[:, 1:6] > 0),
                          table[:, 6:])
 
@@ -278,7 +315,7 @@ def _read_columns(fh) -> Corpus:
         # both as text; and loadtxt takes a non-ASCII character in an integer for a digit
         if not (text.isascii() and '"' not in text and "\0" not in text
                 and max(map(len, lines)) <= csv.field_size_limit() and all(ids) and len(seen) == before + len(ids)
-                and (n >= 0).all() and (n[:, 0] > 0).all() and (n[:, 0] <= 2**53).all() and np.isfinite(X).all()):
+                and (n >= 0).all()):  # a LoC or feature the pools reject raises when they are built
             raise ValueError("left to the row reader")
         chunks.append((ids, n[:, 0], _class_index(n[:, 1:] > 0), X))
     ids, *columns = zip(*chunks)

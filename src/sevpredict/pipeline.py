@@ -199,7 +199,7 @@ def _run_arms(
     pools = {flag: adasyn_balance(raw, cfg.sampler, cfg.seed) if flag else raw
              for flag in {bst_flag, ast_flag}}
     trees = {flag: fit_tree(pool, cfg.tree, train.schema) for flag, pool in pools.items()}
-    st = self_train(trees[ast_flag], pools[ast_flag], train.unlabelled.features, cfg.selftrain, cfg.tree)
+    st = self_train(trees[ast_flag], pools[ast_flag], train.unlabelled, cfg.selftrain, cfg.tree)
     accepted = sum(r.accepted for r in st.trace.iterations)
 
     bst_outcomes = _evaluate(trees[bst_flag], test)

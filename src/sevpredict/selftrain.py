@@ -14,8 +14,8 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .cart import N_CLASSES, DecisionTree, TreeConfig, fit_arrays, iter_leaves, route_rows
-from .corpus import LabelledPool, feature_matrix
+from .cart import N_CLASSES, DecisionTree, TreeConfig, fit_tree, iter_leaves, route_rows
+from .corpus import LabelledPool, UnlabelledPool
 from .errors import SevpredictError
 from .severity import CLASS_NAMES
 
@@ -79,67 +79,45 @@ def pseudo_label_risk(tree: DecisionTree) -> float:
     return wrong / total
 
 
-def self_train(
-    tree: DecisionTree,
-    labelled: LabelledPool,
-    unlabelled: np.ndarray,
-    config: SelfTrainConfig = SelfTrainConfig(),
-    tree_config: TreeConfig = TreeConfig(),
-) -> SelfTrainResult:
+def self_train(tree: DecisionTree, labelled: LabelledPool, unlabelled: UnlabelledPool,
+               config: SelfTrainConfig = SelfTrainConfig(), tree_config: TreeConfig = TreeConfig()) -> SelfTrainResult:
     """Grow the labelled pool by batch-accepting confident pseudo-labels.
 
     `tree` is the tree fitted on `labelled` under `tree_config`; the loop
-    continues from it and refits only after an iteration that extends the
-    pool. `unlabelled` is the (n, p) feature matrix of the unlabelled
-    modules. Neither input is copied or extended: the grown pool is kept as
-    arrays, converted from `labelled` at the first refit.
+    continues from it and refits with fit_tree only after an iteration that
+    extends the pool. Neither pool handed in is changed: each accepted batch
+    makes a larger LabelledPool, its modules' LoC and IDs included.
     """
     if not labelled:
         raise SevpredictError("self-training needs a non-empty labelled pool")
-    X, width = np.asarray(unlabelled, dtype=float), len(tree.schema)
-    if X.ndim != 2:
-        raise SevpredictError(f"expected an (n, {width}) matrix of unlabelled features, got shape {X.shape}")
-    if X.shape[1] != width:  # as routing a row of the wrong width says
-        raise SevpredictError(f"feature vector has {X.shape[1]} values, expected {width}")
-    XT = y = None  # the pool as arrays, converted at the first refit and grown column by column
-    remaining = np.arange(len(unlabelled))  # original positions, ascending
+    X, width = unlabelled.features, len(tree.schema)
+    for found in (X.shape[1], labelled.features.shape[1]):
+        if found != width:  # as routing a row of the wrong width says
+            raise SevpredictError(f"feature vector has {found} values, expected {width}")
+    pool, remaining = labelled, np.arange(len(X))  # remaining: original positions, ascending
 
     records: list[IterationRecord] = []
     status = STATUS_EXHAUSTED_U  # holds if the pool drains (or started empty)
-    iteration = 0
     while len(remaining):
-        iteration += 1
-        if iteration > config.max_iterations:
+        if len(records) == config.max_iterations:
             status = STATUS_MAX_ITERATIONS
             break
         supervised = pseudo_label_risk(tree)
         label, confidence = route_rows(tree, X[remaining])
         hit = confidence >= config.gamma
         accepted, accepted_label = remaining[hit], label[hit]
-        per_class = np.bincount(accepted_label, minlength=N_CLASSES).tolist()
-        records.append(
-            IterationRecord(
-                iteration=iteration,
-                unlabelled_before=len(remaining),
-                accepted=len(accepted),
-                accepted_per_class=dict(zip(CLASS_NAMES, per_class)),
-                accepted_indices=tuple(accepted.tolist()),
-                supervised_risk=supervised,
-            )
-        )
+        per_class = dict(zip(CLASS_NAMES, np.bincount(accepted_label, minlength=N_CLASSES).tolist()))
+        records.append(IterationRecord(
+            iteration=len(records) + 1, unlabelled_before=len(remaining), accepted=len(accepted),
+            accepted_per_class=per_class, accepted_indices=tuple(accepted.tolist()), supervised_risk=supervised))
         if not len(accepted):
             status = STATUS_NO_PROGRESS
             break
-        if XT is None:
-            XT = feature_matrix(labelled.features, width).T.copy()  # feature-major, as fit_arrays takes it
-            y = labelled.labels
-        XT = np.concatenate((XT, X[accepted].T), axis=1)
-        y = np.concatenate((y, accepted_label))
         remaining = remaining[~hit]
-        tree = fit_arrays(XT, y, tree_config, tree.schema)
+        pool = LabelledPool(np.concatenate((pool.features, X[accepted])),
+                            np.concatenate((pool.labels, accepted_label)),
+                            np.concatenate((pool.loc, unlabelled.loc[accepted])),
+                            pool.module_ids + tuple(map(unlabelled.module_ids.__getitem__, accepted.tolist())))
+        tree = fit_tree(pool, tree_config, tree.schema)
 
-    return SelfTrainResult(
-        tree=tree,
-        accepted_labels=() if y is None else tuple(y[len(labelled):].tolist()),
-        trace=SelfTrainTrace(tuple(records), status),
-    )
+    return SelfTrainResult(tree, tuple(pool.labels[len(labelled):].tolist()), SelfTrainTrace(tuple(records), status))

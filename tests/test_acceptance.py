@@ -227,7 +227,7 @@ def test_criterion_6_self_training_behaviour():
         make_labelled([0.0, 0.0], CL), make_labelled([0.2, 0.1], CL),
         make_labelled([5.0, 5.0], MA), make_labelled([5.2, 5.1], MA),
     ])
-    pool = np.array([[0.1, 0.05], [5.1, 5.05]])
+    pool = make_pool([[0.1, 0.05], [5.1, 5.05]])
     greedy = self_train(fit_tree(separable), separable, pool, SelfTrainConfig(gamma=0.0))
     assert greedy.trace.status == STATUS_EXHAUSTED_U
     assert len(greedy.trace.iterations) == 1
@@ -238,7 +238,7 @@ def test_criterion_6_self_training_behaviour():
         make_labelled([9.0], HS), make_labelled([9.5], HS),
     ])
     stuck = self_train(fit_tree(conflicted), conflicted,
-                       np.array([[0.0], [0.01]]), SelfTrainConfig(gamma=1.0))
+                       make_pool([[0.0], [0.01]]), SelfTrainConfig(gamma=1.0))
     assert stuck.trace.status == STATUS_NO_PROGRESS
     assert [rec.accepted_indices for rec in stuck.trace.iterations] == [()]
     assert stuck.accepted_labels == ()
@@ -253,7 +253,7 @@ def test_criterion_6_self_training_behaviour():
     unlabelled = make_pool([[float(rng.uniform(-1, 9))] for _ in range(25)])
     config = SelfTrainConfig(gamma=0.7)
     start_pool = LabelledPool.from_rows(labelled)
-    result = self_train(fit_tree(start_pool), start_pool, unlabelled.features, config)
+    result = self_train(fit_tree(start_pool), start_pool, unlabelled, config)
 
     sizes = [rec.unlabelled_before for rec in result.trace.iterations]
     assert sizes == sorted(sizes, reverse=True)

@@ -484,24 +484,20 @@ def test_balance_input_validation():
         balance(two_classes, SamplerConfig(), -1)
 
 
-def test_ragged_rows_fail_as_they_fail_fit_tree():
-    # fit_tree and adasyn_balance take the pool that LabelledPool.from_rows makes, so a short row fails there
-    ragged = [make_labelled([0.0, 1.0], CL), make_labelled([1.0, 1.0], CL), make_labelled([2.0], MA)]
-    with pytest.raises(SevpredictError, match="^feature vector has 1 values, expected 2$"):
-        LabelledPool.from_rows(ragged)
-
-
 @pytest.mark.parametrize("label, loc, fault", [
     *[(label, 10, f"label {label!r} is not a SeverityClass") for label in ("clean", None, 4, SEVERITY_ORDER)],
-    *[(MA, loc, f"loc {loc!r} is not an int64 integer") for loc in (10.5, 10.0, "10", True, 2**63, -2**63 - 1)],
+    *[(MA, loc, f"loc {loc!r} is not an integer") for loc in (10.5, 10.0, "10", True)],
+    # past int64, or inside it but outside the one LoC bound that the readers and pools share
+    *[(MA, loc, f"loc holds {loc}, outside [1, 2**53]")
+      for loc in (2**63, -2**63 - 1, 2**63 - 1, -2**63, 0, 2**53 + 1)],
 ])
 def test_a_row_whose_label_or_loc_is_bad_is_named_in_one_line(label, loc, fault):
     # the position counts rows from 0, so it cannot be read as the 1-based line of a CSV file
     rows = [make_labelled([0.0], CL), make_labelled([1.0], CL), LabelledInstance((2.0,), loc, label)]
     with pytest.raises(SevpredictError, match=f"^position 2: {re.escape(fault)}$"):
         LabelledPool.from_rows(rows)
-    edges = [LabelledInstance((2.0,), loc, MA) for loc in (2**63 - 1, -2**63, np.int64(7))]
-    assert LabelledPool.from_rows(rows[:2] + edges).loc.tolist() == [100, 100, 2**63 - 1, -2**63, 7]
+    edges = [LabelledInstance((2.0,), loc, MA) for loc in (1, 2**53, np.int64(7))]
+    assert LabelledPool.from_rows(rows[:2] + edges).loc.tolist() == [100, 100, 1, 2**53, 7]
 
 
 def test_the_balanced_pool_holds_its_synthetic_modules_as_arrays():

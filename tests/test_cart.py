@@ -508,11 +508,14 @@ def test_a_flat_row_fails_naming_the_expected_shape(flat):
             predict(tree, flat)
 
 
-def test_fit_rejects_ragged_rows():
-    for widths in ((1, 2), (2, 1), (2, 2, 3), (3, 1, 3)):
-        pool = [make_labelled([0.5] * w, [CL, MA][i % 2]) for i, w in enumerate(widths)]
-        with pytest.raises(SevpredictError, match="feature vector has"):
-            LabelledPool.from_rows(pool)
+@pytest.mark.parametrize("widths", [(1, 2), (2, 1), (2, 2, 3), (3, 1, 3), (2, 2, 1)],
+                         ids=lambda widths: "-".join(map(str, widths)))
+def test_ragged_rows_fail_where_their_pool_is_built(widths):
+    # fit_tree and adasyn_balance take the pool that LabelledPool.from_rows makes, so a ragged row fails there
+    rows = [make_labelled([0.5] * w, [CL, MA][i % 2]) for i, w in enumerate(widths)]
+    found = next(w for w in widths if w != widths[0])
+    with pytest.raises(SevpredictError, match=f"^feature vector has {found} values, expected {widths[0]}$"):
+        LabelledPool.from_rows(rows)
 
 
 def test_fit_rejects_bad_input():

@@ -22,6 +22,7 @@ from sevpredict import (
     RowError,
     SchemaError,
     SevpredictError,
+    UnlabelledPool,
     class_summary,
     load_corpus,
     parse_corpus,
@@ -336,7 +337,7 @@ def test_total_loc_stays_exact_past_2_to_the_63(tmp_path):
     labelled = tuple(make_labelled([float(j % 2)], (CL, MA)[j % 2], loc=1, module_id=f"m{j}") for j in range(20))
     direct = Corpus(("f0",), LabelledPool.from_rows(labelled), pool)
     save_corpus(direct, tmp_path / "c.csv")
-    for corpus in (Corpus(("f0",), LabelledPool.from_rows(()), pool), direct, load_corpus(tmp_path / "c.csv")):
+    for corpus in (Corpus(("f0",), LabelledPool.from_rows((), width=1), pool), direct, load_corpus(tmp_path / "c.csv")):
         assert class_summary(corpus)["total_loc"] == big + 1 * len(corpus.labelled)
     report = json.loads(report_to_json(run_experiment(direct, PipelineConfig())))
     assert report["corpus"]["total_loc"] == big + 20
@@ -410,7 +411,7 @@ def test_stratified_split_rejects_bad_fraction():
 
 
 def test_stratified_split_rejects_empty_labelled():
-    corpus = Corpus(("f0", "f1"), LabelledPool.from_rows(()), ())
+    corpus = Corpus(("f0", "f1"), LabelledPool.from_rows((), width=2), make_pool([], width=2))
     with pytest.raises(SevpredictError):
         stratified_split(corpus, 0.2, seed=0)
 
@@ -637,7 +638,7 @@ def _reference_split(corpus: Corpus, test_fraction: float, seed: int):
         test_idx.update(members[j] for j in perm[:n_test].tolist())
     train = tuple(inst for i, inst in enumerate(corpus.labelled) if i not in test_idx)
     test = tuple(inst for i, inst in enumerate(corpus.labelled) if i in test_idx)
-    return replace(corpus, labelled=LabelledPool.from_rows(train)), test
+    return replace(corpus, labelled=LabelledPool.from_rows(train, width=len(corpus.schema))), test
 
 
 def _reference_kfold(corpus: Corpus, k: int, seed: int):
@@ -659,7 +660,7 @@ def _reference_kfold(corpus: Corpus, k: int, seed: int):
     for fold in range(k):
         train = tuple(inst for i, inst in enumerate(corpus.labelled) if fold_of[i] != fold)
         test = tuple(inst for i, inst in enumerate(corpus.labelled) if fold_of[i] == fold)
-        folds.append((replace(corpus, labelled=LabelledPool.from_rows(train)), test))
+        folds.append((replace(corpus, labelled=LabelledPool.from_rows(train, width=len(corpus.schema))), test))
     return folds
 
 
@@ -680,7 +681,8 @@ def split_corpora(draw) -> Corpus:
     """0-5 classes of 0-12 members each, interleaved in a drawn order, and 0-3 unlabelled modules."""
     sizes = draw(st.lists(st.integers(0, 12), min_size=5, max_size=5))
     labels = draw(st.permutations([cls for cls, m in zip(SEVERITY_ORDER, sizes) for _ in range(m)]))
-    labelled = LabelledPool.from_rows(make_labelled([float(i)], cls, module_id=f"m{i}") for i, cls in enumerate(labels))
+    labelled = LabelledPool.from_rows((make_labelled([float(i)], cls, module_id=f"m{i}") for i, cls in enumerate(labels)),
+                                      width=1)
     m = draw(st.integers(0, 3))
     return Corpus(("f0",), labelled, make_pool([[-1.0]] * m, width=1, module_ids=[f"u{j}" for j in range(m)]))
 
@@ -696,6 +698,9 @@ EDGE_FRACTIONS = (0.2, 1 / 3, 0.25, 0.5, 2 / 3, 0.6, 0.7, 0.1, 0.0, 1.0, -0.5, 1
     st.one_of(st.sampled_from(EDGE_FRACTIONS), st.floats(0.0, 1.0)),
     st.integers(0, 2**32 - 1),
 )
+# every labelled module goes to test, so both train pools are empty but one feature wide
+@example(Corpus(("f0",), LabelledPool.from_rows([make_labelled([0.0], CL, module_id="m0")]), make_pool([], width=1)),
+         0.9999999999999999, 0)
 def test_stratified_split_matches_the_reference(corpus, fraction, seed):
     got = _split_outcome(stratified_split, corpus, fraction, seed)
     assert got == _split_outcome(_reference_split, corpus, fraction, seed)
@@ -710,3 +715,101 @@ def test_stratified_kfold_matches_the_reference(corpus, k, seed):
         largest = max(Counter(inst.label for inst in corpus.labelled).values())
         want = f"folds={k} leaves fold {largest} with an empty test set; lower folds"
     assert _split_outcome(stratified_kfold, corpus, k, seed) == want
+
+
+# ---------------------------------------------------------------------------
+# the pool invariant, checked where a pool is built
+
+N_CONTRACT = 40  # modules in each hand-built pool
+
+
+def _contract_fields(kind) -> dict:
+    """Valid fields for a pool of kind, or a Corpus of two such pools, N_CONTRACT modules of 3 features each."""
+    if kind is Corpus:
+        return {"schema": ("a", "b", "c"), "labelled": LabelledPool(**_contract_fields(LabelledPool)),
+                "unlabelled": UnlabelledPool(**_contract_fields(UnlabelledPool))}
+    fields = {"features": np.arange(N_CONTRACT * 3, dtype=float).reshape(N_CONTRACT, 3),
+              "labels": np.arange(N_CONTRACT, dtype=np.int64) % 5, "loc": np.full(N_CONTRACT, 100, np.int64),
+              "module_ids": tuple(f"m{i}" for i in range(N_CONTRACT))}
+    if kind is UnlabelledPool:
+        del fields["labels"]
+    return fields
+
+
+def _put(array: np.ndarray, pos, value) -> np.ndarray:
+    changed = array.copy()
+    changed[pos] = value
+    return changed
+
+
+def _contract_case(case_id, kind, field, change, message):
+    return pytest.param(kind, field, change, message, id=case_id)
+
+
+@pytest.mark.parametrize("kind, field, change, message", [
+    _contract_case("class index 9", LabelledPool, "labels", lambda k: _put(k, 7, 9),
+                   r"position 7: labels holds 9, outside \[0, 5\)"),
+    _contract_case("class index -1", LabelledPool, "labels", lambda k: _put(k, 0, -1),
+                   r"position 0: labels holds -1, outside \[0, 5\)"),
+    _contract_case("float class indices", LabelledPool, "labels", lambda k: k.astype(float),
+                   r"labels must be an int64 array of one value per module \(40\)"),
+    *[_contract_case(f"{kind.__name__} {case_id}", kind, field, change, message)
+      for kind in (LabelledPool, UnlabelledPool) for case_id, field, change, message in [
+          ("30 IDs", "module_ids", lambda ids: ids[:30], r"module_ids must be a tuple of one ID per module \(40\)"),
+          ("1-D features", "features", lambda X: X[:, 0], "features must be a 2-D float64 array"),
+          ("loc 0", "loc", lambda loc: _put(loc, 39, 0), r"position 39: loc holds 0, outside \[1, 2\*\*53\]"),
+          ("loc 2**53 + 1", "loc", lambda loc: _put(loc, 3, 2**53 + 1),
+           r"position 3: loc holds 9007199254740993, outside \[1, 2\*\*53\]"),
+          ("nan feature", "features", lambda X: _put(X, (5, 2), np.nan), "position 5: features are not finite"),
+          ("inf feature", "features", lambda X: _put(X, (6, 0), -np.inf), "position 6: features are not finite"),
+      ]],
+    _contract_case("schema one column narrower", Corpus, "schema", lambda schema: schema[:-1],
+                   "labelled must be a LabelledPool of 2 features, one per schema name"),
+])
+def test_a_pool_that_breaks_its_invariant_fails_in_one_line_naming_the_field(kind, field, change, message):
+    fields = _contract_fields(kind)
+    fields[field] = change(fields[field])
+    with pytest.raises(SevpredictError, match=f"^{message}$"):
+        kind(**fields)
+
+
+@st.composite
+def malformed_corpora(draw):
+    """(schema, labelled fields, unlabelled fields): small valid pools with at most one field
+    of one of them, or the schema, drawn wrong in dtype, shape, length, type or range."""
+    n, m, p = draw(st.integers(0, 16)), draw(st.integers(0, 4)), draw(st.integers(0, 3))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    pools = []
+    for rows in (n, m):
+        pools.append({"features": rng.integers(0, 3, size=(rows, p)).astype(float),
+                      "labels": rng.integers(0, draw(st.integers(1, 5)), size=rows),
+                      "loc": rng.integers(1, 2000, size=rows), "module_ids": tuple(f"m{i}" for i in range(rows))})
+    del pools[1]["labels"]
+    schema = tuple(f"f{j}" for j in range(p))
+    target = draw(st.sampled_from([None, "schema", *pools[0], *pools[1]]))
+    if target == "schema":
+        schema = draw(st.sampled_from([schema[:-1], schema + ("extra",)]))
+    elif target is not None:
+        fields = draw(st.sampled_from([f for f in pools if target in f]))
+        value, rows = fields[target], len(fields["loc"])
+        fields[target] = draw(st.sampled_from([
+            list(value), value[:-1], value[None], value.astype(np.float32), value.astype(np.int32),
+            value.astype(np.uint64), value.astype(object), None,
+        ] if isinstance(value, np.ndarray) else [list(value), value[:-1], value + ("x",), (1,) * rows, (b"x",) * rows]))
+        if target != "module_ids" and rows:
+            bad = {"features": [np.nan, np.inf, -np.inf], "labels": [-1, 5, 2**40], "loc": [0, -5, 2**53 + 1]}
+            if draw(st.booleans()):  # a value out of range, in place of a wrong type or shape
+                fields[target] = _put(value, draw(st.integers(0, rows - 1)), draw(st.sampled_from(bad[target])))
+    return schema, *pools
+
+
+@settings(max_examples=300, deadline=None)
+@given(malformed_corpora(), st.integers(0, 3))
+def test_a_malformed_pool_raises_only_sevpredict_errors(case, seed):
+    # past the pool constructors and Corpus, the run itself may still refuse a corpus, but only in one line
+    schema, labelled, unlabelled = case
+    try:
+        corpus = Corpus(schema, LabelledPool(**labelled), UnlabelledPool(**unlabelled))
+        run_experiment(corpus, PipelineConfig(seed=seed, test_fraction=0.5))
+    except SevpredictError as err:
+        assert "\n" not in str(err)

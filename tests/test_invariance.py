@@ -77,8 +77,10 @@ def test_self_train_does_not_depend_on_the_order_of_the_unlabelled_pool(pool, ga
     tree_config = TreeConfig(max_depth=max_depth)
     tree = fit_tree(labelled, tree_config)
     perm = rng.permutation(len(unlabelled)).tolist()  # position j of the shuffled pool is perm[j] here
-    base = self_train(tree, labelled, unlabelled.features, config, tree_config)
-    moved = self_train(tree, labelled, unlabelled.features[perm], config, tree_config)
+    base = self_train(tree, labelled, unlabelled, config, tree_config)
+    shuffled = replace(unlabelled, features=unlabelled.features[perm], loc=unlabelled.loc[perm],
+                       module_ids=tuple(unlabelled.module_ids[j] for j in perm))
+    moved = self_train(tree, labelled, shuffled, config, tree_config)
 
     assert moved.tree == base.tree
     assert moved.trace.status == base.trace.status

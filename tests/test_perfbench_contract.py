@@ -11,6 +11,7 @@ from __future__ import annotations
 import json
 import sys
 from collections import Counter
+from itertools import accumulate
 from pathlib import Path
 
 import pytest
@@ -56,7 +57,8 @@ def test_traced_run_passes_the_benchmark_checks(tmp_path, corpus_csv, cli_args):
     assert tracer.counts["cart.duplicate_fits"] == 0
     assert tracer.counts["adasyn.duplicate_calls"] == 0
     # exact counts per scored report: one ADASYN call when either arm oversamples, one starting
-    # fit per distinct pool, and the rows each saw as the report's training block implies them
+    # fit per distinct pool, one refit per self-training iteration that accepted modules, and
+    # the rows each saw as the report's training and self_training blocks imply them
     want = Counter()
     for path in out.glob("report_*.json"):
         report = json.loads(path.read_text(encoding="utf-8"))
@@ -69,9 +71,13 @@ def test_traced_run_passes_the_benchmark_checks(tmp_path, corpus_csv, cli_args):
         }
         want["adasyn_balance"] += True in starts
         want["adasyn.input_rows"] += (report["corpus"]["labelled"] - training["test_modules"]) * (True in starts)
-        want["fit_tree"] += len(starts)
-        want["cart.fit_rows"] += sum(starts.values())
+        # each refit fits the AST starting pool plus every module accepted so far
+        accepted = [rec["accepted"] for rec in report["self_training"]["iterations"] if rec["accepted"]]
+        refit_rows = list(accumulate(accepted, initial=starts[config["oversample_first"]]))[1:]
+        want["refits"] += len(accepted)
+        want["fit_tree"] += len(starts) + len(accepted)
+        want["cart.fit_rows"] += sum(starts.values()) + sum(refit_rows)
     assert (tracer.calls["adasyn_balance"], tracer.calls["fit_tree"]) == (want["adasyn_balance"], want["fit_tree"])
     assert (tracer.counts["adasyn.input_rows"], tracer.counts["cart.fit_rows"]) == (
         want["adasyn.input_rows"], want["cart.fit_rows"])
-    assert want["fit_tree"] == workload.folds * (2 if "--bst-raw" in cli_args else 1)
+    assert want["fit_tree"] == workload.folds * (2 if "--bst-raw" in cli_args else 1) + want["refits"]

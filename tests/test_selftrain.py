@@ -9,6 +9,7 @@ from sevpredict import (
     SelfTrainConfig,
     SevpredictError,
     TreeConfig,
+    UnlabelledPool,
     adasyn_balance,
     fit_tree,
     predict_confidence,
@@ -16,7 +17,6 @@ from sevpredict import (
     pseudo_label_risk,
     self_train,
 )
-from sevpredict.cart import fit_arrays
 from sevpredict.selftrain import (
     STATUS_EXHAUSTED_U,
     STATUS_MAX_ITERATIONS,
@@ -95,7 +95,7 @@ def test_leaf_count_risk_matches_routing_the_pool(max_depth):
 
 def test_gamma_zero_accepts_everything_in_one_pass():
     labelled, unlabelled = separable_sets()
-    result = self_train(fit_tree(labelled), labelled, unlabelled.features, SelfTrainConfig(gamma=0.0))
+    result = self_train(fit_tree(labelled), labelled, unlabelled, SelfTrainConfig(gamma=0.0))
     assert result.trace.status == STATUS_EXHAUSTED_U
     assert len(result.trace.iterations) == 1
     rec = result.trace.iterations[0]
@@ -107,7 +107,7 @@ def test_gamma_zero_accepts_everything_in_one_pass():
 
 def test_gamma_one_with_conflicts_makes_no_progress():
     labelled, unlabelled = conflicted_sets()
-    result = self_train(fit_tree(labelled), labelled, unlabelled.features, SelfTrainConfig(gamma=1.0))
+    result = self_train(fit_tree(labelled), labelled, unlabelled, SelfTrainConfig(gamma=1.0))
     assert result.trace.status == STATUS_NO_PROGRESS
     assert result.accepted_labels == ()
     assert len(result.trace.iterations) == 1
@@ -124,13 +124,13 @@ def test_no_progress_keeps_the_only_tree(monkeypatch):
     fitted = []
 
     def counting_fit(*args, **kwargs):
-        fitted.append(fit_arrays(*args, **kwargs))
+        fitted.append(fit_tree(*args, **kwargs))
         return fitted[-1]
 
     labelled, unlabelled = conflicted_sets()
     tree = fit_tree(labelled)
-    monkeypatch.setattr(selftrain, "fit_arrays", counting_fit)
-    result = self_train(tree, labelled, unlabelled.features, SelfTrainConfig(gamma=1.0))
+    monkeypatch.setattr(selftrain, "fit_tree", counting_fit)
+    result = self_train(tree, labelled, unlabelled, SelfTrainConfig(gamma=1.0))
     assert result.trace.status == STATUS_NO_PROGRESS
     assert fitted == []
     assert result.tree is tree
@@ -140,14 +140,14 @@ def test_self_train_does_not_extend_the_callers_pool():
     # the baseline arm holds the same list; extending it would change its size
     labelled, unlabelled = separable_sets()
     before = list(labelled)
-    result = self_train(fit_tree(labelled), labelled, unlabelled.features, SelfTrainConfig(gamma=0.0))
+    result = self_train(fit_tree(labelled), labelled, unlabelled, SelfTrainConfig(gamma=0.0))
     assert len(result.accepted_labels) == len(unlabelled)
     assert list(labelled) == before
 
 
 def test_empty_pool_exhausts_immediately():
     labelled, _ = separable_sets()
-    result = self_train(fit_tree(labelled), labelled, np.empty((0, 2)), SelfTrainConfig())
+    result = self_train(fit_tree(labelled), labelled, make_pool([], width=2), SelfTrainConfig())
     assert result.trace.status == STATUS_EXHAUSTED_U
     assert result.trace.iterations == ()
     assert result.accepted_labels == ()
@@ -163,7 +163,7 @@ def test_max_iterations_stops_mixed_pool():
     ])
     unlabelled = make_pool([[9.2], [0.0]])
     config = SelfTrainConfig(gamma=0.9, max_iterations=1)
-    result = self_train(fit_tree(labelled), labelled, unlabelled.features, config)
+    result = self_train(fit_tree(labelled), labelled, unlabelled, config)
     assert result.trace.status == STATUS_MAX_ITERATIONS
     assert len(result.trace.iterations) == 1
     assert result.trace.iterations[0].accepted == 1
@@ -180,7 +180,7 @@ def test_pool_shrinks_monotonically():
                 [float(rng.normal(centre, 0.5)), float(rng.normal(0, 0.5))], cls))
     unlabelled = make_pool([[float(rng.uniform(-2, 10)), float(rng.normal(0, 0.5))] for _ in range(30)])
     labelled = LabelledPool.from_rows(labelled)
-    result = self_train(fit_tree(labelled), labelled, unlabelled.features, SelfTrainConfig(gamma=0.8))
+    result = self_train(fit_tree(labelled), labelled, unlabelled, SelfTrainConfig(gamma=0.8))
     sizes = [rec.unlabelled_before for rec in result.trace.iterations]
     assert sizes == sorted(sizes, reverse=True)
     accepted_total = sum(rec.accepted for rec in result.trace.iterations)
@@ -201,7 +201,7 @@ def test_pseudo_labels_match_the_accepting_iteration_tree():
     unlabelled = make_pool([[float(rng.uniform(-1, 9))] for _ in range(20)], module_ids=[f"u{i}" for i in range(20)])
     config = SelfTrainConfig(gamma=0.7)
     labelled = LabelledPool.from_rows(labelled)
-    result = self_train(fit_tree(labelled), labelled, unlabelled.features, config)
+    result = self_train(fit_tree(labelled), labelled, unlabelled, config)
 
     # replay: rebuild each round's tree from the evolving pool and check the
     # accepted indices really cleared the bar with the recorded labels
@@ -232,7 +232,7 @@ def test_pseudo_labels_match_the_accepting_iteration_tree():
 
 def test_accepted_per_class_tallies_accepted():
     labelled, unlabelled = separable_sets()
-    result = self_train(fit_tree(labelled), labelled, unlabelled.features, SelfTrainConfig(gamma=0.5))
+    result = self_train(fit_tree(labelled), labelled, unlabelled, SelfTrainConfig(gamma=0.5))
     for rec in result.trace.iterations:
         assert sum(rec.accepted_per_class.values()) == rec.accepted
         assert set(rec.accepted_per_class) == {c.value for c in (HS, CR, MA, NT, CL)}
@@ -240,7 +240,7 @@ def test_accepted_per_class_tallies_accepted():
 
 def test_final_tree_is_fit_on_final_pool():
     labelled, unlabelled = separable_sets()
-    result = self_train(fit_tree(labelled), labelled, unlabelled.features, SelfTrainConfig(gamma=0.0))
+    result = self_train(fit_tree(labelled), labelled, unlabelled, SelfTrainConfig(gamma=0.0))
     assert result.tree == fit_tree(LabelledPool.from_rows(grown_pool(labelled, unlabelled, result)))
 
 
@@ -253,8 +253,8 @@ def test_self_train_is_deterministic():
     unlabelled = make_pool([[float(rng.uniform(-1, 4))] for _ in range(12)])
     config = SelfTrainConfig(gamma=0.75)
     pool = adasyn_balance(LabelledPool.from_rows(labelled), SamplerConfig(), 2)
-    a = self_train(fit_tree(pool), pool, unlabelled.features, config)
-    b = self_train(fit_tree(pool), pool, unlabelled.features, config)
+    a = self_train(fit_tree(pool), pool, unlabelled, config)
+    b = self_train(fit_tree(pool), pool, unlabelled, config)
     assert a.tree == b.tree
     assert a.accepted_labels == b.accepted_labels
     assert a.trace.to_dict() == b.trace.to_dict()
@@ -268,48 +268,26 @@ def test_an_unlabelled_row_of_the_wrong_width_fails_as_routing_it_would(widths):
     width = widths[0] if widths else 1
     unlabelled = np.ones((len(widths), width))
     with pytest.raises(SevpredictError, match=f"^feature vector has {width} values, expected 2$") as training:
-        self_train(tree, labelled, unlabelled, SelfTrainConfig())
+        self_train(tree, labelled, make_pool(unlabelled, width=width), SelfTrainConfig())
     for predict in (predict_label, predict_confidence) if widths else ():
         with pytest.raises(SevpredictError) as predicting:
             predict(tree, unlabelled.tolist())
         assert str(training.value) == str(predicting.value)
 
 
-def test_a_labelled_pool_of_another_width_than_the_tree_fails_at_the_refit():
-    # the tree was grown on two features; the pool handed with it has three
+def test_a_labelled_pool_of_another_width_than_the_tree_fails():
+    # the tree was grown on two features; the pool handed with it has three, which fails before any routing
     labelled, unlabelled = separable_sets()
     wide = LabelledPool.from_rows(make_labelled([*inst.features, 0.0], inst.label) for inst in labelled)
     with pytest.raises(SevpredictError, match="^feature vector has 3 values, expected 2$"):
-        self_train(fit_tree(labelled), wide, unlabelled.features, SelfTrainConfig(gamma=0.9))
+        self_train(fit_tree(labelled), wide, unlabelled, SelfTrainConfig(gamma=0.9))
 
 
 @pytest.mark.parametrize("unlabelled", [np.ones(2), np.ones((1, 1, 2)), 1.0])
 def test_unlabelled_features_that_are_not_a_matrix_fail_naming_the_shape(unlabelled):
-    labelled, _ = separable_sets()
-    with pytest.raises(SevpredictError, match=r"^expected an \(n, 2\) matrix of unlabelled features, got shape"):
-        self_train(fit_tree(labelled), labelled, unlabelled, SelfTrainConfig())
-
-
-@pytest.mark.parametrize("bad", [float("nan"), float("inf")])
-def test_an_accepted_non_finite_row_fails_the_refit(bad):
-    # a non-finite value routes right at every split, here into the pure major leaf
-    labelled, _ = separable_sets()
-    unlabelled = make_pool([[bad, 5.0]])
-    with pytest.raises(SevpredictError, match="^features must be finite$"):
-        self_train(fit_tree(labelled), labelled, unlabelled.features, SelfTrainConfig(gamma=0.9))
-
-
-def test_a_non_finite_row_never_accepted_raises_nothing():
-    # the right leaf holds a clean and a major row, so nan and inf score 0.5
-    labelled = LabelledPool.from_rows([
-        make_labelled([0.0], HS), make_labelled([0.5], HS),
-        make_labelled([9.0], CL), make_labelled([9.0], MA),
-    ])
-    unlabelled = make_pool([[float("nan")], [0.2], [float("inf")]], module_ids=["nan", "ok", "inf"])
-    result = self_train(fit_tree(labelled), labelled, unlabelled.features, SelfTrainConfig(gamma=0.9))
-    assert result.trace.status == STATUS_NO_PROGRESS
-    assert [rec.accepted_indices for rec in result.trace.iterations] == [(1,), ()]
-    assert result.accepted_labels == (CLASS_INDEX[HS],)
+    # self_train takes an UnlabelledPool, which checks its features' shape when it is built
+    with pytest.raises(SevpredictError, match=r"^features must be a 2-D float64 array$"):
+        UnlabelledPool(unlabelled, np.full(1, 100), (None,))
 
 
 def test_a_refit_past_the_row_limit_fails_as_fit_tree_does(monkeypatch):
@@ -321,7 +299,7 @@ def test_a_refit_past_the_row_limit_fails_as_fit_tree_does(monkeypatch):
     with pytest.raises(SevpredictError) as direct:
         fit_tree(LabelledPool.from_rows([*labelled, *(make_labelled(row, CL) for row in unlabelled.features)]))
     with pytest.raises(SevpredictError) as refit:
-        self_train(tree, labelled, unlabelled.features, SelfTrainConfig(gamma=0.0))
+        self_train(tree, labelled, unlabelled, SelfTrainConfig(gamma=0.0))
     assert str(refit.value) == str(direct.value) == (
         "training set has 6 rows; exact split search supports at most 5"
     )
@@ -338,7 +316,7 @@ def test_config_validation():
 
 def test_trace_dict_lists_each_iteration():
     labelled, unlabelled = separable_sets()
-    result = self_train(fit_tree(labelled), labelled, unlabelled.features, SelfTrainConfig(gamma=0.0))
+    result = self_train(fit_tree(labelled), labelled, unlabelled, SelfTrainConfig(gamma=0.0))
     as_dict = result.trace.to_dict()
     first = as_dict["iterations"][0]
     assert first["iteration"] == 1

@@ -108,7 +108,7 @@ def cases(draw):
 def test_self_train_matches_the_row_based_reference(case):
     labelled, unlabelled, config, tree_config = case
     tree = fit_tree(labelled, tree_config)
-    result = self_train(tree, labelled, unlabelled.features, config, tree_config)
+    result = self_train(tree, labelled, unlabelled, config, tree_config)
     rows = unlabelled_rows(unlabelled)
     ref_tree, ref_labelled, ref_residual, ref_trace = _reference_self_train(
         tree, labelled, rows, config, tree_config
