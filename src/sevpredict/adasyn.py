@@ -53,13 +53,6 @@ def _minmax_params(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return mins, scales
 
 
-def _first_k(dist: np.ndarray, k: int) -> np.ndarray:
-    """Positions of the first k entries of dist's stable ascending order."""
-    cut = np.partition(dist, k - 1)[k - 1]
-    near = np.flatnonzero(dist <= cut)  # in index order, so ties keep the lower one
-    return near[np.argsort(dist[near], kind="stable")[:k]]
-
-
 def _squares(out: np.ndarray, sT: np.ndarray, at: np.ndarray, c: int) -> None:
     """Fill out, (w, b, n), with the block's squared differences in features c to c + w - 1."""
     np.subtract(sT[c : c + len(out), None], at[c : c + len(out)], out=out)
@@ -108,6 +101,48 @@ def _distance_rows(scaled: np.ndarray, sT: np.ndarray, rows: np.ndarray):
         yield from np.sqrt(total, out=total)
 
 
+def _neighbours(scaled: np.ndarray, sT: np.ndarray, member: np.ndarray, kn: int, kp: int):
+    """Each seed's out-of-class count among its first kn rows, and its first kp same-class rows.
+
+    The seeds are the rows member marks, in index order. A seed's rows rank
+    by distance, then index, with its own row last (its entry becomes inf;
+    scaled features are finite). Seeds go a block at a time, the block
+    holding as many distances as _distance_rows' buffers. A seed's bound u
+    is its kp-th same-class distance, from one partition of the block's
+    same-class columns, or its kn-th distance where that is larger, which
+    only a class of k or fewer members (kp < kn) needs. Both heads lie at or
+    below u, so only those entries are ordered: they come in (seed, index)
+    order, and one lexsort by seed and distance keeps ties in index order.
+    Partners are row indices; a one-member class has none.
+    """
+    in_class = np.flatnonzero(member)
+    n, m = len(member), len(in_class)
+    outside, partners = np.empty(m, np.intp), np.empty((m, kp), np.intp)
+    block = np.empty((min(m, 8 * max(n, SCAN_CELLS) // n), n))
+    dists = _distance_rows(scaled, sT, in_class)
+    for first in range(0, m, len(block)):
+        rows = block[: m - first]
+        for row, dist in zip(rows, dists):
+            row[:] = dist
+        seeds, span = np.arange(len(rows)), slice(first, first + len(rows))
+        rows[seeds, in_class[span]] = np.inf
+        u = np.zeros(len(rows))  # no distance is negative
+        if kp:
+            same = rows.take(in_class, axis=1)
+            same.partition(kp - 1, axis=1)
+            u = same[:, kp - 1]
+        if kp < kn:
+            u = np.maximum(u, np.partition(rows, kn - 1, axis=1)[:, kn - 1])
+        at = np.flatnonzero(rows <= u[:, None])
+        seed, cols = np.divmod(at, n)
+        cols = cols[np.lexsort((rows.take(at), seed))]  # seed was sorted, so it still lines up
+        near = cols[np.searchsorted(seed, seeds)[:, None] + np.arange(kn)]
+        outside[span] = kn - member[near].sum(axis=1)
+        mates = member[cols]
+        partners[span] = cols[mates][np.searchsorted(seed[mates], seeds)[:, None] + np.arange(kp)]
+    return outside, partners
+
+
 def adasyn_balance(
     labelled: LabelledPool, config: SamplerConfig, seed: int
 ) -> LabelledPool:
@@ -142,25 +177,12 @@ def adasyn_balance(
 
     made = []  # (features, seed positions) per class topped up
     for c, target in targets.items():
-        m, other = sizes[c], y != c
-        in_class = np.flatnonzero(y == c)
+        m, in_class = sizes[c], np.flatnonzero(y == c)
         kn, kp = min(k, len(labelled) - 1), min(k, m - 1)
-
-        # One distance row per seed, its own entry set to inf: scaled
-        # features are finite, so the seed sorts after every other row. Its
-        # first kn rows in stable order set its difficulty (out-of-class
-        # share); unless the kn-th distance is tied, they are the rows at or
-        # below it. Its first kp same-class rows are the interpolation
-        # partners; a one-member class has none.
-        difficulty, partners_of = [], []
-        for i, dist in zip(in_class.tolist(), _distance_rows(scaled, sT, in_class)):
-            dist[i] = np.inf
-            near = dist <= np.partition(dist, kn - 1)[kn - 1]
-            if np.count_nonzero(near) == kn:
-                difficulty.append(np.count_nonzero(near & other) / kn)
-            else:
-                difficulty.append(np.count_nonzero(other[_first_k(dist, kn)]) / kn)
-            partners_of.append(in_class[_first_k(dist[in_class], kp)].tolist() if m > 1 else [])
+        # a seed's first kn rows in stable order set its difficulty (out-of-class
+        # share); its first kp same-class rows are the interpolation partners
+        outside, partners = _neighbours(scaled, sT, y == c, kn, kp)
+        difficulty = (outside / kn).tolist()
         total = sum(difficulty)  # 0 for an interior class: spread evenly
         shares = [d / total for d in difficulty] if total > 0 else [1.0 / m] * m
         counts = [int(round(share * target)) for share in shares]
@@ -170,10 +192,11 @@ def adasyn_balance(
             made.append((X[origin], origin))
             continue
         # a partner draw and then a lambda per synthetic row, seed by seed
-        z, lam = np.empty(len(origin), np.intp), np.empty(len(origin))
-        for row, partners in enumerate(ps for ps, g in zip(partners_of, counts) for _ in range(g)):
-            z[row] = partners[rng.integers(len(partners))]
+        pick, lam = np.empty(len(origin), np.intp), np.empty(len(origin))
+        for row in range(len(origin)):
+            pick[row] = rng.integers(kp)
             lam[row] = rng.random()
+        z = partners[np.repeat(np.arange(m), counts), pick]
         a = X[origin]
         made.append((a + lam[:, None] * (X[z] - a), origin))  # float(a + lam * (b - a)) in each value
     feats, origins = zip(*made)

@@ -139,6 +139,8 @@ class Corpus:
     unlabelled: UnlabelledPool
 
     def __post_init__(self):
+        if not isinstance(self.schema, tuple) or not all(isinstance(name, str) for name in self.schema):
+            raise SevpredictError("schema must be a tuple of feature names, each a str")
         for name, kind in (("labelled", LabelledPool), ("unlabelled", UnlabelledPool)):
             pool, p = getattr(self, name), len(self.schema)
             if type(pool) is not kind or pool.features.shape[1] != p:
@@ -390,17 +392,25 @@ def write_corpus_csv(corpus: Corpus, stream) -> None:
     Defect counts are reconstructed from the label: one defect in the
     labelled class's own category, none for clean modules, and a bare
     nonzero total for unlabelled modules. Round-trips through parse_corpus
-    with identical labels.
+    with identical labels. Unless a name or ID holds a comma, a quote, CR or
+    LF, which csv.writer would quote, every field goes out as it is, and the
+    file in one write.
     """
-    writer = csv.writer(stream, lineterminator="\n")
-    writer.writerow(REQUIRED_COLUMNS + corpus.schema)
+    header = REQUIRED_COLUMNS + corpus.schema
     labelled, pool, clean = corpus.labelled, corpus.unlabelled, CLASS_INDEX[SeverityClass.CLEAN]
-    rows = zip(fill_module_ids(labelled.module_ids + pool.module_ids), labelled.loc.tolist() + pool.loc.tolist(),
-               labelled.labels.tolist() + [None] * len(pool), labelled.features.tolist() + pool.features.tolist())
+    ids = fill_module_ids(labelled.module_ids + pool.module_ids)
     # the four per-severity counts, then the total, by class index; None for an unlabelled module
-    counts_of = {k: [int(j == k) for j in range(4)] + [int(k != clean)] for k in [*range(len(SEVERITY_ORDER)), None]}
-    for module_id, loc, k, features in rows:
-        writer.writerow([module_id, loc, *counts_of[k], *map(repr, features)])
+    counts_of = {k: [str(int(j == k)) for j in range(4)] + [str(int(k != clean))]
+                 for k in [*range(len(SEVERITY_ORDER)), None]}
+    columns = zip(ids, labelled.loc.tolist() + pool.loc.tolist(), labelled.labels.tolist() + [None] * len(pool),
+                  labelled.features.tolist() + pool.features.tolist())
+    rows = itertools.chain([header], ([module_id, str(loc), *counts_of[k], *map(repr, features)]
+                                      for module_id, loc, k, features in columns))
+    names = "".join((*header, *ids))
+    if any(c in names for c in ',"\r\n'):
+        csv.writer(stream, lineterminator="\n").writerows(rows)
+    else:
+        stream.write("".join(f"{','.join(row)}\n" for row in rows))
 
 
 def save_corpus(corpus: Corpus, path) -> None:

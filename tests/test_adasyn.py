@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import re
+import sys
 import tracemalloc
 from collections import Counter
 from dataclasses import replace
@@ -21,7 +22,7 @@ from sevpredict import (
     synth_corpus,
 )
 from sevpredict import adasyn
-from sevpredict.adasyn import _distance_rows, _first_k, _minmax_params
+from sevpredict.adasyn import _distance_rows, _minmax_params, _neighbours
 from sevpredict.cart import SCAN_CELLS
 
 from conftest import CL, CR, HS, MA, NT, make_labelled
@@ -249,25 +250,54 @@ def test_distance_rows_stay_within_their_memory_budget(p):
 
 
 @st.composite
-def first_k_inputs(draw):
-    """A distance row, often tied or holding one inf."""
+def neighbour_inputs(draw):
+    """A pool, often tied, a class in it, and kn and kp as adasyn_balance sets them for some k."""
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    n = draw(st.integers(1, 60))
+    # past 8 * SCAN_CELLS // n seeds, a class takes more than one block
+    n, p = draw(st.one_of(st.integers(2, 40), st.integers(150, 300))), draw(st.integers(1, 6))
     if draw(st.booleans()):
-        d = rng.integers(0, draw(st.integers(1, 4)), size=n).astype(float)
+        X = rng.integers(0, draw(st.integers(1, 3)), size=(n, p)).astype(float)
     else:
-        d = rng.random(n)
-    if draw(st.booleans()):
-        d[rng.integers(n)] = np.inf
-    return d
+        X = rng.random((n, p))
+    member = np.zeros(n, bool)
+    member[rng.choice(n, draw(st.integers(1, n - 1)), replace=False)] = True
+    k = draw(st.integers(1, n + 2))
+    return X, member, min(k, n - 1), min(k, np.count_nonzero(member) - 1)
 
 
-@settings(max_examples=300, deadline=None)
-@given(first_k_inputs())
-def test_first_k_is_the_head_of_the_stable_order(d):
-    order = np.argsort(d, kind="stable")
-    for k in range(1, len(d) + 1):
-        assert _first_k(d, k).tolist() == order[:k].tolist()
+@settings(max_examples=150, deadline=None)
+@given(neighbour_inputs())
+def test_neighbours_are_the_heads_of_the_stable_order(case):
+    X, member, kn, kp = case
+    outside, partners = _neighbours(X, np.ascontiguousarray(X.T), member, kn, kp)
+    for s, i in enumerate(np.flatnonzero(member)):
+        dist = np.sqrt(((X - X[i]) ** 2).sum(axis=1))
+        dist[i] = np.inf
+        order = np.argsort(dist, kind="stable")
+        assert outside[s] == np.count_nonzero(~member[order[:kn]]), f"seed {i}"
+        assert partners[s].tolist() == order[member[order]][:kp].tolist(), f"seed {i}"
+
+
+def test_the_bound_keeps_the_stable_order_of_ties_at_it():
+    # k = 2 on a 0/1 grid. CL row 3 has CL rows 1, 5 and 7 and MA row 2 all at
+    # distance 1, its bound u: its first two rows are 1 and 2, its partners 1
+    # and 5. NT has exactly k members at one point, so its kn-th distance (1)
+    # lies past its partner (0) and sets u; HS has one member and no partner.
+    grid = [((1, 1, 0), MA), ((0, 1, 0), CL), ((1, 0, 0), MA), ((0, 0, 0), CL), ((1, 1, 0), MA),
+            ((1, 0, 0), CL), ((1, 1, 1), NT), ((0, 1, 0), CL), ((1, 1, 0), MA), ((0, 0, 1), HS),
+            ((1, 1, 1), NT), ((1, 1, 0), MA), ((1, 1, 0), MA)]
+    instances = [make_labelled([float(v) for v in point], cls, module_id=f"g{j}") for j, (point, cls) in enumerate(grid)]
+    pool = LabelledPool.from_rows(instances)
+    X, y = pool.features, pool.labels
+    heads = {cls: _neighbours(X, np.ascontiguousarray(X.T), y == y[j], 2, kp)
+             for cls, j, kp in ((CL, 3, 2), (NT, 6, 1), (HS, 9, 0))}
+    assert heads[CL][0].tolist() == [1, 1, 2, 1] and heads[CL][1].tolist() == [[7, 3], [1, 5], [3, 1], [1, 3]]
+    assert heads[NT][0].tolist() == [1, 1] and heads[NT][1].tolist() == [[10], [6]]
+    assert heads[HS][0].tolist() == [2] and heads[HS][1].shape == (1, 0)
+    config = SamplerConfig(k_neighbors=2)
+    balanced = balance(instances, config, 3)
+    assert len(balanced) == 13 + 1 + 4 + 5  # CL's shares round its deficit of 2 to 1
+    assert list(balanced) == _reference_balance(instances, config, 3)
 
 
 def test_feature_too_narrow_to_scale_is_left_out_of_the_distance():
@@ -514,6 +544,22 @@ def test_the_balanced_pool_holds_its_synthetic_modules_as_arrays():
         tracemalloc.stop()
     assert len(balanced) - len(pool) > 9000
     assert held < 1 << 20, f"the balanced pool holds {held / 2**20:.2f} MB"
+
+
+def test_balancing_stays_within_its_memory_budget():
+    # the same pool; what balancing holds beyond the pool it returns, in slabs of
+    # max(n, SCAN_CELLS) float64 values: about 24, and 37 with one neighbour search per seed
+    counts = dict(zip(SEVERITY_ORDER, (320, 640, 960, 1280, 3200)))
+    pool = synth_corpus(counts, 4, 1.0, seed=1).labelled
+    tracemalloc.start()
+    try:
+        balanced = adasyn_balance(pool, SamplerConfig(), 7)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    kept = sum(a.nbytes for a in (balanced.features, balanced.labels, balanced.loc)) + sys.getsizeof(balanced.module_ids)
+    slabs = (peak - kept) / (max(len(pool), SCAN_CELLS) * 8)
+    assert slabs <= 30, f"{slabs:.1f} slabs"
 
 
 @pytest.mark.parametrize("beta, d_threshold", [(0.0, 1.0), (1.0, 0.5), (1.0, 0.3)])

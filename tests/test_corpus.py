@@ -765,6 +765,9 @@ def _contract_case(case_id, kind, field, change, message):
       ]],
     _contract_case("schema one column narrower", Corpus, "schema", lambda schema: schema[:-1],
                    "labelled must be a LabelledPool of 2 features, one per schema name"),
+    *[_contract_case(f"schema {case_id}", Corpus, "schema", change, "schema must be a tuple of feature names, each a str")
+      for case_id, change in [("None", lambda schema: None), ("3", lambda schema: 3),
+                              ("as a list", list), ("holding an int", lambda schema: schema[:-1] + (1,))]],
 ])
 def test_a_pool_that_breaks_its_invariant_fails_in_one_line_naming_the_field(kind, field, change, message):
     fields = _contract_fields(kind)
@@ -788,7 +791,7 @@ def malformed_corpora(draw):
     schema = tuple(f"f{j}" for j in range(p))
     target = draw(st.sampled_from([None, "schema", *pools[0], *pools[1]]))
     if target == "schema":
-        schema = draw(st.sampled_from([schema[:-1], schema + ("extra",)]))
+        schema = draw(st.sampled_from([schema[:-1], schema + ("extra",), None, p, list(schema), schema[:-1] + (1,)]))
     elif target is not None:
         fields = draw(st.sampled_from([f for f in pools if target in f]))
         value, rows = fields[target], len(fields["loc"])

@@ -8,6 +8,7 @@ after a valid header or none at all.
 
 from __future__ import annotations
 
+import csv
 import io
 import pathlib
 import tempfile
@@ -20,7 +21,7 @@ from hypothesis import strategies as st
 
 import sevpredict.corpus as corpus_module
 from sevpredict import SevpredictError, load_corpus, parse_corpus, parse_predictions, synth_corpus, write_corpus_csv
-from sevpredict import Corpus, LabelledInstance, LabelledPool, RowError
+from sevpredict import Corpus, LabelledInstance, LabelledPool, RowError, UnlabelledPool
 from sevpredict.corpus import (
     REQUIRED_COLUMNS,
     _parse_feature,
@@ -30,10 +31,11 @@ from sevpredict.corpus import (
     _read_header,
     audit_csv,
     csv_records,
+    fill_module_ids,
     read_csv_file,
 )
 from sevpredict.metrics import PREDICTIONS_HEADER
-from sevpredict.severity import CLASS_NAMES, DEFECTIVE_CLASSES, SEVERITY_ORDER, SeverityClass
+from sevpredict.severity import CLASS_INDEX, CLASS_NAMES, DEFECTIVE_CLASSES, SEVERITY_ORDER, SeverityClass
 
 from conftest import UnlabelledRow, pool_of, unlabelled_rows
 
@@ -90,6 +92,36 @@ def test_written_corpus_parses_back_bit_for_bit(counts, n_features, separation, 
     assert parsed.schema == corpus.schema
     assert fields(parsed.labelled) == fields(corpus.labelled)
     assert fields(unlabelled_rows(parsed.unlabelled)) == fields(unlabelled_rows(corpus.unlabelled))
+
+
+def _reference_write(corpus, stream):
+    """write_corpus_csv as it was, every row through csv.writer, kept as its reference."""
+    writer = csv.writer(stream, lineterminator="\n")
+    writer.writerow(REQUIRED_COLUMNS + corpus.schema)
+    labelled, pool, clean = corpus.labelled, corpus.unlabelled, CLASS_INDEX[SeverityClass.CLEAN]
+    rows = zip(fill_module_ids(labelled.module_ids + pool.module_ids), labelled.loc.tolist() + pool.loc.tolist(),
+               labelled.labels.tolist() + [None] * len(pool), labelled.features.tolist() + pool.features.tolist())
+    counts_of = {k: [int(j == k) for j in range(4)] + [int(k != clean)] for k in [*range(len(SEVERITY_ORDER)), None]}
+    for module_id, loc, k, features in rows:
+        writer.writerow([module_id, loc, *counts_of[k], *map(repr, features)])
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data(), n_features=st.integers(1, 3), seed=st.integers(0, 2**32 - 1))
+def test_the_writer_matches_csv_writer_byte_for_byte(data, n_features, seed):
+    # names and IDs free of a comma, a quote, CR and LF go out as they are; the rest go through csv.writer
+    pieces = [c for c in PIECES if c not in (",", '"', "\r", "\n", "\r\n")] if data.draw(st.booleans()) else PIECES
+    names = st.lists(st.sampled_from(pieces), max_size=3).map("".join)
+    corpus = synth_corpus(dict(zip(SEVERITY_ORDER, (2, 1, 1, 1, 3))), n_features, 1.0, 2, seed)
+    lab, unl = corpus.labelled, corpus.unlabelled
+    ids = data.draw(st.lists(names | st.none(), min_size=len(corpus), max_size=len(corpus)))
+    schema = tuple(data.draw(st.lists(names, min_size=n_features, max_size=n_features)))
+    corpus = Corpus(schema, LabelledPool(lab.features, lab.labels, lab.loc, tuple(ids[: len(lab)])),
+                    UnlabelledPool(unl.features, unl.loc, tuple(ids[len(lab):])))
+    got, want = io.StringIO(newline=""), io.StringIO(newline="")
+    write_corpus_csv(corpus, got)
+    _reference_write(corpus, want)
+    assert got.getvalue() == want.getvalue()
 
 
 # ---------------------------------------------------------------------------
