@@ -53,89 +53,75 @@ def _minmax_params(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return mins, scales
 
 
-def _squares(out: np.ndarray, sT: np.ndarray, at: np.ndarray, c: int) -> None:
-    """Fill out, (w, b, n), with the block's squared differences in features c to c + w - 1."""
-    np.subtract(sT[c : c + len(out), None], at[c : c + len(out)], out=out)
-    np.square(out, out=out)
+def _distances(scaled: np.ndarray, seeds: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """Each pair's np.sqrt(((scaled - scaled[i]) ** 2).sum(axis=1))[j], bit for bit: numpy's own row sum on gathered rows.
 
-
-def _distance_rows(scaled: np.ndarray, sT: np.ndarray, rows: np.ndarray):
-    """Yield np.sqrt(((scaled - scaled[i]) ** 2).sum(axis=1)) for each i in rows, bit for bit.
-
-    sT is scaled.T made contiguous. Rows of 1 to 127 features come in blocks
-    of b seeds, their squares added in the order of numpy's pairwise_sum:
-    left to right for p < 8, else feature j into partial sum j mod 8, the
-    eight combined as ((r0 + r1) + (r2 + r3)) + ((r4 + r5) + (r6 + r7)),
-    then the last p mod 8 in order. The first 8 features are squared in one
-    (8, b, n) buffer, later ones 4 at a time in a second; b is the most seeds
-    whose buffers hold 8 * max(n, SCAN_CELLS) values, and at least 1.
-    Longer rows, and the all-zero rows of a pool without features, keep
-    numpy's own reduction. Each row yielded is a view the next block reuses.
+    Pairs go a chunk at a time, as many as gather max(n, SCAN_CELLS) values
+    a side, so the rows gathered take the same room at any width.
     """
     n, p = scaled.shape
-    if not 0 < p < 128:
-        for i in rows:
-            yield np.sqrt(((scaled - scaled[i]) ** 2).sum(axis=1))
-        return
-    q = p - p % 8  # the features that go into the partial sums
-    depth = min(p, 8) + (4 if q > 8 else 0)  # buffer rows per seed
-    width = max(1, min(len(rows), 8 * max(n, SCAN_CELLS) // (depth * n)))
-    buf, later = np.empty((min(p, 8), width, n)), np.empty((depth - min(p, 8), width, n))
-    for start in range(0, len(rows), width):
-        at = sT[:, rows[start : start + width], None]  # the block's seeds, (p, b, 1)
-        r, tmp = buf[:, : at.shape[1]], later[:, : at.shape[1]]
-        _squares(r, sT, at, 0)
-        tail = r[1:]
-        if p >= 8:
-            for c in range(8, q, 4):
-                _squares(tmp, sT, at, c)
-                r[c % 8 : c % 8 + 4] += tmp
-            r[0::2] += r[1::2]
-            r[0::4] += r[2::4]
-            r[0] += r[4]
-            tail = r[1 : 1 + p - q]
-            _squares(tail, sT, at, q)
-        total = r[0]
-        for column in tail:
-            total += column
-        yield from np.sqrt(total, out=total)
+    step = max(1, max(n, SCAN_CELLS) // max(1, p))
+    out = np.empty(len(cols))
+    for first in range(0, len(cols), step):
+        pairs = slice(first, first + step)
+        out[pairs] = np.sqrt(((scaled[cols[pairs]] - scaled[seeds[pairs]]) ** 2).sum(axis=1))
+    return out
 
 
-def _neighbours(scaled: np.ndarray, sT: np.ndarray, member: np.ndarray, kn: int, kp: int):
+def _neighbours(scaled: np.ndarray, lifted: np.ndarray, member: np.ndarray, kn: int, kp: int):
     """Each seed's out-of-class count among its first kn rows, and its first kp same-class rows.
 
     The seeds are the rows member marks, in index order. A seed's rows rank
-    by distance, then index, with its own row last (its entry becomes inf;
-    scaled features are finite). Seeds go a block at a time, the block
-    holding as many distances as _distance_rows' buffers. A seed's bound u
-    is its kp-th same-class distance, from one partition of the block's
-    same-class columns, or its kn-th distance where that is larger, which
-    only a class of k or fewer members (kp < kn) needs. Both heads lie at or
-    below u, so only those entries are ordered: they come in (seed, index)
-    order, and one lexsort by seed and distance keeps ties in index order.
+    by distance, np.sqrt(((scaled - scaled[i]) ** 2).sum(axis=1)), then by
+    index, with its own row last. lifted is [scaled.T; ||row||^2].
+
+    Screen. Seeds go a block at a time, as many as hold 8 * max(n, SCAN_CELLS)
+    values. One matmul of [-2 a, 1] by lifted gives each seed a its entry
+    ||b||^2 - 2 a.b = ||a - b||^2 - ||a||^2 for every row b, which orders a
+    seed's rows as the distance does; the seed's own entry becomes inf. The
+    bound u is the kp-th same-class entry, from one partition of the block's
+    same-class columns, or the kn-th entry where that is larger, which only a
+    class of k or fewer members (kp < kn) needs.
+
+    Margin. With M the largest ||row||^2 and eps = 2**-53, a computed entry
+    is within e = 4.1 (p + 1) eps M of its exact value in any summation
+    order a BLAS picks, and the reference distance squared within
+    f = 4 (p + 4) eps M of ||a - b||^2. If u were more than e + f below the
+    exact entry at the reference bound U (the reference's kp-th same-class
+    distance, or kn-th), kp same-class rows (or kn rows) would lie below U;
+    so every row at or below U has an entry at most 2 (e + f) above u. The
+    margin 1e-9 (1 + 2 M + |u|) is more than that below about a million
+    features; the candidates are the entries at or below u + margin.
+
+    Refine. Only the candidates' distances are computed, by _distances, so
+    bit for bit. The candidates come in (seed, index) order, and one lexsort
+    by seed and distance orders them stably. They hold every row at or below
+    U, and the rest lie past U, so each seed's first kn candidates and first
+    kp same-class candidates are the heads of its whole order, with no
+    filter step.
     Partners are row indices; a one-member class has none.
     """
     in_class = np.flatnonzero(member)
     n, m = len(member), len(in_class)
     outside, partners = np.empty(m, np.intp), np.empty((m, kp), np.intp)
+    lhs = np.hstack((-2.0 * scaled[in_class], np.ones((m, 1))))  # [-2 a, 1] per seed
+    top = lifted[-1].max()  # M, the largest ||row||^2
     block = np.empty((min(m, 8 * max(n, SCAN_CELLS) // n), n))
-    dists = _distance_rows(scaled, sT, in_class)
     for first in range(0, m, len(block)):
-        rows = block[: m - first]
-        for row, dist in zip(rows, dists):
-            row[:] = dist
-        seeds, span = np.arange(len(rows)), slice(first, first + len(rows))
-        rows[seeds, in_class[span]] = np.inf
-        u = np.zeros(len(rows))  # no distance is negative
+        span = slice(first, first + len(block))
+        rows = np.matmul(lhs[span], lifted, out=block[: m - first])
+        seeds, at_seed = np.arange(len(rows)), in_class[span]
+        rows[seeds, at_seed] = np.inf
+        u = np.full(len(rows), -np.inf)
         if kp:
             same = rows.take(in_class, axis=1)
             same.partition(kp - 1, axis=1)
             u = same[:, kp - 1]
         if kp < kn:
             u = np.maximum(u, np.partition(rows, kn - 1, axis=1)[:, kn - 1])
-        at = np.flatnonzero(rows <= u[:, None])
-        seed, cols = np.divmod(at, n)
-        cols = cols[np.lexsort((rows.take(at), seed))]  # seed was sorted, so it still lines up
+        margin = 1e-9 * (1.0 + 2.0 * top + np.abs(u))
+        seed, cols = np.divmod(np.flatnonzero(rows <= (u + margin)[:, None]), n)
+        cols = cols[np.lexsort((_distances(scaled, at_seed[seed], cols), seed))]  # seed was sorted, so it still lines up
         near = cols[np.searchsorted(seed, seeds)[:, None] + np.arange(kn)]
         outside[span] = kn - member[near].sum(axis=1)
         mates = member[cols]
@@ -171,7 +157,7 @@ def adasyn_balance(
         return labelled
     mins, scales = _minmax_params(X)
     scaled = (X - mins) * scales
-    sT = np.ascontiguousarray(scaled.T)
+    lifted = np.vstack((scaled.T, (scaled * scaled).sum(axis=1)))  # [scaled.T; ||row||^2]
     k = config.k_neighbors
     rng = np.random.default_rng(seed)
 
@@ -181,7 +167,7 @@ def adasyn_balance(
         kn, kp = min(k, len(labelled) - 1), min(k, m - 1)
         # a seed's first kn rows in stable order set its difficulty (out-of-class
         # share); its first kp same-class rows are the interpolation partners
-        outside, partners = _neighbours(scaled, sT, y == c, kn, kp)
+        outside, partners = _neighbours(scaled, lifted, y == c, kn, kp)
         difficulty = (outside / kn).tolist()
         total = sum(difficulty)  # 0 for an interior class: spread evenly
         shares = [d / total for d in difficulty] if total > 0 else [1.0 / m] * m

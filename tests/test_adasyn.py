@@ -22,7 +22,7 @@ from sevpredict import (
     synth_corpus,
 )
 from sevpredict import adasyn
-from sevpredict.adasyn import _distance_rows, _minmax_params, _neighbours
+from sevpredict.adasyn import _distances, _minmax_params, _neighbours
 from sevpredict.cart import SCAN_CELLS
 
 from conftest import CL, CR, HS, MA, NT, make_labelled
@@ -202,7 +202,7 @@ def test_balance_matches_the_reference_over_several_seed_blocks():
 def distance_pools(draw, p):
     """A pool of p columns (spread over many magnitudes, on a small integer grid, or of repeated rows) and some of its rows."""
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    # up to 64 rows fit any seed count in one block; past SCAN_CELLS // 2 rows a block holds one seed
+    # from a handful of rows to past SCAN_CELLS
     n = draw(st.one_of(st.integers(1, 64), st.integers(65, 400), st.integers(SCAN_CELLS // 2 + 1, SCAN_CELLS + 200)))
     kind = draw(st.sampled_from(["floats", "grid", "repeats"]))
     if kind == "floats":
@@ -219,63 +219,113 @@ def distance_pools(draw, p):
 @pytest.mark.parametrize("p", [*range(1, 41), 127, 128, 130])
 @settings(max_examples=12, deadline=None)
 @given(data=st.data())
-def test_distance_rows_match_numpys_row_sum_bit_for_bit(p, data):
-    # the kernel follows numpy's summation order; if a numpy release changes
-    # that order, fall back to .sum(axis=1) rather than loosening this test
+def test_refined_distances_match_numpys_row_sum_bit_for_bit(p, data):
+    # the refine sums gathered rows with numpy's own reduction, so each pair's
+    # distance is the plain formula's, whatever order numpy adds a row in
     X, rows = data.draw(distance_pools(p))
-    got = [dist.copy() for dist in _distance_rows(X, np.ascontiguousarray(X.T), rows)]  # rows are views
-    assert len(got) == len(rows)
-    for i, dist in zip(rows, got):
-        want = np.sqrt(((X - X[i]) ** 2).sum(axis=1))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    cols = [np.sort(rng.choice(len(X), size=min(len(X), 64), replace=False)) for _ in rows]
+    seeds = np.repeat(rows, [len(c) for c in cols])
+    got = np.split(_distances(X, seeds, np.concatenate(cols)), np.cumsum([len(c) for c in cols])[:-1])
+    for i, c, dist in zip(rows, cols, got):
+        want = np.sqrt(((X - X[i]) ** 2).sum(axis=1))[c]
         assert np.array_equal(dist.view(np.int64), want.view(np.int64)), f"row {i}"
+        one = _distances(X, np.array([i]), c[:1])  # a single pair too
+        assert np.array_equal(one.view(np.int64), want[:1].view(np.int64)), f"row {i}"
+
+
+def lift(X):
+    """[X.T; ||row||^2], the screen's right-hand factor, as adasyn_balance builds it."""
+    return np.vstack((X.T, (X * X).sum(axis=1)))
 
 
 @pytest.mark.parametrize("p", [*range(1, 41), 64, 100, 127])
-def test_distance_rows_stay_within_their_memory_budget(p):
-    # numpy reports its buffers to tracemalloc, so the peak counts every
-    # block buffer the kernel holds while its rows are drawn one by one
+def test_neighbours_stay_within_their_memory_budget(p):
+    # numpy reports its buffers to tracemalloc. A small class in a big pool, or
+    # one row repeated, makes most or all of a block's entries candidates; the
+    # search holds at most 64 slabs of max(n, SCAN_CELLS) values at any width,
+    # as the column-order kernel's search did (61.5 at most on these pools)
     rng = np.random.default_rng(p)
     for n in (7, 64, 700, 2049, 4096, 6400):
-        X = rng.random((n, p))
-        sT = np.ascontiguousarray(X.T)
-        rows = np.arange(min(n, 2 * max(1, SCAN_CELLS // n) + 1))  # two full blocks and a short one
-        tracemalloc.start()
-        try:
-            for _ in _distance_rows(X, sT, rows):
-                pass
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak <= 16 * max(n, SCAN_CELLS) * 8, f"n={n}: peak {peak / (max(n, SCAN_CELLS) * 8):.1f} slabs"
+        for X in (rng.random((n, p)), np.tile(rng.random(p), (n, 1))):
+            lifted = lift(X)
+            m = min(n - 1, 2 * (8 * max(n, SCAN_CELLS) // n) + 1)  # two full blocks and a short one
+            member = np.zeros(n, bool)
+            member[rng.choice(n, m, replace=False)] = True
+            tracemalloc.start()
+            try:
+                _neighbours(X, lifted, member, min(5, n - 1), min(5, m - 1))
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak <= 64 * max(n, SCAN_CELLS) * 8, f"n={n}: peak {peak / (max(n, SCAN_CELLS) * 8):.1f} slabs"
 
 
 @st.composite
 def neighbour_inputs(draw):
-    """A pool, often tied, a class in it, and kn and kp as adasyn_balance sets them for some k."""
+    """A pool, often tied or nearly, a class in it, and kn and kp as adasyn_balance sets them for some k."""
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     # past 8 * SCAN_CELLS // n seeds, a class takes more than one block
-    n, p = draw(st.one_of(st.integers(2, 40), st.integers(150, 300))), draw(st.integers(1, 6))
-    if draw(st.booleans()):
-        X = rng.integers(0, draw(st.integers(1, 3)), size=(n, p)).astype(float)
-    else:
+    n = draw(st.one_of(st.integers(2, 40), st.integers(150, 300)))
+    p = draw(st.one_of(st.integers(1, 6), st.integers(7, 40), st.integers(120, 130)))
+    kind = draw(st.sampled_from(["uniform", "grid", "spread", "repeats", "near-ties"]))
+    if kind == "uniform":
         X = rng.random((n, p))
+    elif kind == "grid":
+        X = rng.integers(0, draw(st.integers(1, 3)), size=(n, p)).astype(float)
+    elif kind == "spread":  # raw magnitudes from 1e-8 to 1e8, scaled as adasyn_balance scales them, or not
+        X = rng.choice([-1.0, 1.0], size=(n, p)) * 10.0 ** rng.uniform(-8, 8, size=(n, p))
+        if draw(st.booleans()):
+            mins, scales = _minmax_params(X)
+            X = (X - mins) * scales
+    elif kind == "repeats":
+        base = rng.random((draw(st.integers(1, 5)), p))
+        X = base[rng.integers(len(base), size=n)]
+    else:  # a 0/1/2 grid moved a few ulps, so tied distances come apart by a few ulps
+        X = rng.integers(0, 3, size=(n, p)) * (1.0 + rng.integers(-3, 4, size=(n, p)) * 2.0**-52)
     member = np.zeros(n, bool)
     member[rng.choice(n, draw(st.integers(1, n - 1)), replace=False)] = True
     k = draw(st.integers(1, n + 2))
     return X, member, min(k, n - 1), min(k, np.count_nonzero(member) - 1)
 
 
-@settings(max_examples=150, deadline=None)
-@given(neighbour_inputs())
-def test_neighbours_are_the_heads_of_the_stable_order(case):
-    X, member, kn, kp = case
-    outside, partners = _neighbours(X, np.ascontiguousarray(X.T), member, kn, kp)
+def assert_heads_of_the_stable_order(X, member, kn, kp, outside, partners):
     for s, i in enumerate(np.flatnonzero(member)):
         dist = np.sqrt(((X - X[i]) ** 2).sum(axis=1))
         dist[i] = np.inf
         order = np.argsort(dist, kind="stable")
         assert outside[s] == np.count_nonzero(~member[order[:kn]]), f"seed {i}"
         assert partners[s].tolist() == order[member[order]][:kp].tolist(), f"seed {i}"
+
+
+@settings(max_examples=300, deadline=None)
+@given(neighbour_inputs())
+def test_neighbours_are_the_heads_of_the_stable_order(case):
+    X, member, kn, kp = case
+    assert_heads_of_the_stable_order(X, member, kn, kp, *_neighbours(X, lift(X), member, kn, kp))
+
+
+@settings(max_examples=300, deadline=None)
+@given(neighbour_inputs(), st.integers(0, 2**32 - 1))
+def test_neighbours_hold_under_any_screen_within_half_the_margin(case, seed):
+    # the screen's product summed in reverse order without fused multiply-adds,
+    # then each entry moved up or down by just under half the stated margin,
+    # 1e-9 (1 + 2 M + |u|) with M the largest ||row||^2: the heads must not move
+    X, member, kn, kp = case
+    rng = np.random.default_rng(seed)
+    half = 0.49e-9 * (1.0 + 2.0 * (X * X).sum(axis=1).max())
+
+    def screen(a, b, out):
+        out[...] = 0.0
+        for j in reversed(range(a.shape[1])):
+            out += a[:, j, None] * b[j]
+        out += half * rng.choice([-1.0, 1.0], size=out.shape)
+        return out
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(adasyn.np, "matmul", screen)
+        heads = _neighbours(X, lift(X), member, kn, kp)
+    assert_heads_of_the_stable_order(X, member, kn, kp, *heads)
 
 
 def test_the_bound_keeps_the_stable_order_of_ties_at_it():
@@ -289,7 +339,7 @@ def test_the_bound_keeps_the_stable_order_of_ties_at_it():
     instances = [make_labelled([float(v) for v in point], cls, module_id=f"g{j}") for j, (point, cls) in enumerate(grid)]
     pool = LabelledPool.from_rows(instances)
     X, y = pool.features, pool.labels
-    heads = {cls: _neighbours(X, np.ascontiguousarray(X.T), y == y[j], 2, kp)
+    heads = {cls: _neighbours(X, lift(X), y == y[j], 2, kp)
              for cls, j, kp in ((CL, 3, 2), (NT, 6, 1), (HS, 9, 0))}
     assert heads[CL][0].tolist() == [1, 1, 2, 1] and heads[CL][1].tolist() == [[7, 3], [1, 5], [3, 1], [1, 3]]
     assert heads[NT][0].tolist() == [1, 1] and heads[NT][1].tolist() == [[10], [6]]
