@@ -11,29 +11,19 @@ import json
 import os
 import sys
 from dataclasses import replace
+from typing import get_args
 
 from .corpus import Corpus, audit_csv, class_summary, load_corpus, read_csv_file, save_corpus, synth_corpus
 from .errors import SchemaError, SevpredictError
 from .metrics import REPORT_CSV_HEADER, full_report, parse_predictions
-from .pipeline import (
-    PipelineConfig,
-    _is_finite_number,
-    average_reports,
-    fold_project,
-    report_to_json,
-    run_experiment,
-    run_kfold,
-    write_comparison_tables,
-)
+from .pipeline import (_SETTING_FIELDS, PipelineConfig, _is_finite_number, average_reports, fold_project,
+                       report_to_json, run_experiment, run_kfold, write_comparison_tables)
 from .severity import SEVERITY_ORDER
 
 SEED_ENV_VAR = "SEVPREDICT_SEED"
 
-# Flag and config-file keys are the report's config keys, except that the
-# ordinal weights are called `weights`, and `seed` has no default.
-DEFAULTS = PipelineConfig().settings()
-DEFAULTS["weights"] = DEFAULTS.pop("ordinal_weights")
-DEFAULTS["seed"] = None
+# Config-file key -> report key: the same, except that the ordinal weights are called `weights`.
+SETTING_KEYS = {("weights" if name == "ordinal_weights" else name): name for _, name, _ in _SETTING_FIELDS}
 
 
 def _parse_weights(value) -> list:
@@ -48,28 +38,24 @@ def _parse_weights(value) -> list:
 
 
 def _resolve_settings(args) -> dict:
-    """Defaults, overlaid by the config file, overlaid by explicit flags."""
-    settings = dict(DEFAULTS)
-    config_path = getattr(args, "config", None)
-    if config_path:
-        with open(config_path, encoding="utf-8") as fh:
+    """The config file's settings overlaid by explicit flags, by report key; PipelineConfig fills in the rest."""
+    settings = {}
+    if args.config:
+        with open(args.config, encoding="utf-8-sig") as fh:  # a leading byte-order mark is skipped
             try:
                 file_cfg = json.load(fh)
             except ValueError as err:  # also undecodable bytes
-                raise SevpredictError(f"config file {config_path}: {err}") from None
+                raise SevpredictError(f"config file {args.config}: {err}") from None
         if not isinstance(file_cfg, dict):
-            raise SevpredictError(f"config file {config_path}: expected a JSON object")
-        unknown = sorted(set(file_cfg) - set(DEFAULTS))
+            raise SevpredictError(f"config file {args.config}: expected a JSON object")
+        unknown = sorted(set(file_cfg) - set(SETTING_KEYS))
         if unknown:
-            raise SevpredictError(f"config file {config_path}: unknown keys {', '.join(unknown)}")
-        settings.update(file_cfg)
-    for key in DEFAULTS:
-        value = getattr(args, key, None)
-        if value is not None:
-            settings[key] = value
-    if getattr(args, "bst_raw", False):
-        settings["bst_oversample"] = False
-    settings["ordinal_weights"] = _parse_weights(settings.pop("weights"))
+            raise SevpredictError(f"config file {args.config}: unknown keys {', '.join(unknown)}")
+        settings = {SETTING_KEYS[key]: value for key, value in file_cfg.items()}
+    given = {name: getattr(args, name, None) for name in SETTING_KEYS.values()}
+    settings |= {name: value for name, value in given.items() if value is not None}
+    if "ordinal_weights" in settings:
+        settings["ordinal_weights"] = _parse_weights(settings["ordinal_weights"])
     return settings
 
 
@@ -149,7 +135,7 @@ def _write_report(out_dir: str, report) -> None:
 def cmd_run(args) -> int:
     """All or nothing: every corpus is parsed and run before the first report is written."""
     settings = _resolve_settings(args)
-    settings["seed"] = _resolve_seed(settings["seed"])
+    settings["seed"] = _resolve_seed(settings.get("seed"))
     base = PipelineConfig.from_settings(settings)
     corpora = [load_corpus(path) for path in args.csv]
     projects = _project_names(args.csv, corpora, base.folds)
@@ -182,9 +168,7 @@ def cmd_run(args) -> int:
 
 def cmd_metrics(args) -> int:
     # the seed plays no part in scoring, but a config file's seed is still checked
-    settings = _resolve_settings(args)
-    settings["seed"] = 0 if settings["seed"] is None else settings["seed"]
-    econ = PipelineConfig.from_settings(settings).econ
+    econ = PipelineConfig.from_settings(_resolve_settings(args)).econ
     outcomes = read_csv_file(args.predictions, parse_predictions)
     report = full_report(outcomes, econ)
     os.makedirs(args.out, exist_ok=True)
@@ -207,8 +191,7 @@ def cmd_metrics(args) -> int:
 
 def cmd_synth(args) -> int:
     seed = _resolve_seed(args.seed)
-    sizes = (args.high_severity, args.critical, args.major, args.non_trivial, args.clean)
-    counts = dict(zip(SEVERITY_ORDER, sizes))  # most severe first, as the flags are listed
+    counts = {cls: getattr(args, cls.value) for cls in SEVERITY_ORDER}
     corpus = synth_corpus(counts, args.features, args.separation, args.unlabelled, seed)
     save_corpus(corpus, args.out)
     print(f"wrote {args.out}: {len(corpus.labelled)} labelled + {len(corpus.unlabelled)} unlabelled modules")
@@ -220,6 +203,26 @@ class _Parser(argparse.ArgumentParser):
 
     def error(self, message):
         raise SevpredictError(f"{self.prog}: {message}")
+
+
+def _add_setting_flags(parser: argparse.ArgumentParser, section: str | None = None) -> None:
+    """A flag per setting, or per setting of one config section: key `k` is `--k` with dashes, typed by its
+    field (`--k/--no-k` for true/false), except `--weights` and `--bst-raw`, which sets `bst_oversample` false."""
+    defaults = PipelineConfig().settings()
+    defaults["seed"] = f"${SEED_ENV_VAR}"  # a run's seed has no built-in default
+    for field_section, name, hint in _SETTING_FIELDS:
+        if section not in (None, field_section):
+            continue
+        flag, shown = "--" + name.replace("_", "-"), f"default {defaults[name]}"
+        if name == "ordinal_weights":
+            parser.add_argument("--weights", dest=name, metavar="WEIGHTS", help=f"5 comma-separated numbers, {shown}")
+        elif name == "bst_oversample":
+            parser.add_argument("--bst-raw", dest=name, action="store_false", default=None,
+                                help="skip oversampling in the baseline arm")
+        elif hint is bool:
+            parser.add_argument(flag, dest=name, action=argparse.BooleanOptionalAction, help=shown)
+        else:
+            parser.add_argument(flag, dest=name, type=int if int in (hint, *get_args(hint)) else float, help=shown)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -236,18 +239,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_run = sub.add_parser("run", help="train both arms on one or more corpora and write reports")
     p_run.add_argument("csv", nargs="+")
     p_run.add_argument("--config", help="JSON file with the same keys as the flags")
-    p_run.add_argument("--seed", type=int)
-    p_run.add_argument("--gamma", type=float, help="pseudo-label acceptance confidence")
-    p_run.add_argument("--delta", type=float, help="LoC serviced per hour")
-    p_run.add_argument("--k-neighbors", dest="k_neighbors", type=int)
-    p_run.add_argument("--beta", type=float, help="fraction of each class deficit to synthesize")
-    p_run.add_argument("--test-fraction", dest="test_fraction", type=float)
-    p_run.add_argument("--folds", type=int, help="stratified k-fold instead of a single holdout")
-    p_run.add_argument("--weights", help="5 comma-separated ordinal weights")
-    p_run.add_argument("--max-iterations", dest="max_iterations", type=int)
-    p_run.add_argument("--max-depth", dest="max_depth", type=int)
-    p_run.add_argument("--bst-raw", dest="bst_raw", action="store_true",
-                       help="skip oversampling in the baseline arm")
+    _add_setting_flags(p_run)
     p_run.add_argument("--table", action="store_true", help="also write side-by-side CSV tables")
     p_run.add_argument("--out", default=".")
     p_run.set_defaults(func=cmd_run)
@@ -255,19 +247,15 @@ def build_parser() -> argparse.ArgumentParser:
     p_metrics = sub.add_parser("metrics", help="score a predictions file (module_id,loc,actual,predicted)")
     p_metrics.add_argument("predictions")
     p_metrics.add_argument("--config", help="JSON file with the same keys as the flags")
-    p_metrics.add_argument("--delta", type=float)
-    p_metrics.add_argument("--weights")
+    _add_setting_flags(p_metrics, "econ")
     p_metrics.add_argument("--out", default=".")
     p_metrics.set_defaults(func=cmd_metrics)
 
     p_synth = sub.add_parser("synth", help="generate a Gaussian-cluster corpus CSV")
     p_synth.add_argument("--out", required=True)
     p_synth.add_argument("--seed", type=int)
-    p_synth.add_argument("--high-severity", dest="high_severity", type=int, default=0)
-    p_synth.add_argument("--critical", type=int, default=0)
-    p_synth.add_argument("--major", type=int, default=0)
-    p_synth.add_argument("--non-trivial", dest="non_trivial", type=int, default=0)
-    p_synth.add_argument("--clean", type=int, default=0)
+    for cls in SEVERITY_ORDER:  # one class size each, most severe first
+        p_synth.add_argument("--" + cls.value.replace("_", "-"), dest=cls.value, type=int, default=0)
     p_synth.add_argument("--unlabelled", type=int, default=0)
     p_synth.add_argument("--features", type=int, default=3)
     p_synth.add_argument("--separation", type=float, default=3.0)

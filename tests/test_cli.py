@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import argparse
 import csv
 import json
 import os
@@ -11,8 +12,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from sevpredict import SevpredictError, load_corpus, save_corpus, synth_corpus
-from sevpredict.cli import _project_names, main
+from sevpredict import PipelineConfig, SevpredictError, load_corpus, save_corpus, synth_corpus
+from sevpredict.cli import SETTING_KEYS, _project_names, build_parser, main
 
 from conftest import DATA_DIR, GOLDEN_CORPORA
 
@@ -591,15 +592,77 @@ def test_negative_seed_exits_1_naming_seed(capsys, tmp_path, monkeypatch, source
 def test_run_flag_overrides_config_file(capsys, tmp_path):
     corpus_csv = make_corpus_csv(capsys, tmp_path)
     config = tmp_path / "config.json"
-    config.write_text(json.dumps({"seed": 30, "gamma": 0.5, "delta": 200.0}))
+    config.write_text(json.dumps({"seed": 30, "gamma": 0.5, "delta": 200.0, "oversample_first": False}))
     out_dir = tmp_path / "out"
     code, _, _ = run(capsys, "run", str(corpus_csv), "--config", str(config),
-                     "--gamma", "0.8", "--out", str(out_dir))
+                     "--gamma", "0.8", "--oversample-first", "--out", str(out_dir))
     assert code == 0
     doc = json.loads((out_dir / "report_proj.json").read_text())
     assert doc["config"]["seed"] == 30       # from the file
     assert doc["config"]["gamma"] == 0.8     # flag wins
+    assert doc["config"]["oversample_first"] is True
     assert doc["config"]["delta"] == 200.0
+
+
+# every setting: its config-file key, a value other than its default, and the flag that sets it
+SETTING_CASES = [
+    ("seed", 3, ["--seed", "3"]),
+    ("test_fraction", 0.3, ["--test-fraction", "0.3"]),
+    ("folds", 2, ["--folds", "2"]),
+    ("k_neighbors", 2, ["--k-neighbors", "2"]),
+    ("beta", 0.5, ["--beta", "0.5"]),
+    ("d_threshold", 0.6, ["--d-threshold", "0.6"]),
+    ("min_samples_split", 4, ["--min-samples-split", "4"]),
+    ("max_depth", 2, ["--max-depth", "2"]),
+    ("gamma", 0.5, ["--gamma", "0.5"]),
+    ("max_iterations", 2, ["--max-iterations", "2"]),
+    ("delta", 50.0, ["--delta", "50"]),
+    ("weights", [0.1, 0.2, 0.3, 0.4, 0.6], ["--weights", "0.1,0.2,0.3,0.4,0.6"]),
+    ("bst_oversample", False, ["--bst-raw"]),
+    ("oversample_first", False, ["--no-oversample-first"]),
+]
+
+
+def _config_block(capsys, tmp_path, name, *argv):
+    out_dir = tmp_path / name
+    code, _, err = run(capsys, "run", str(DATA_DIR / "mini_fixture.csv"), *argv, "--out", str(out_dir))
+    assert (code, err) == (0, "")
+    return json.loads((out_dir / "report_mini_fixture.json").read_text())["config"]
+
+
+def test_every_setting_has_a_case():
+    assert sorted(key for key, _, _ in SETTING_CASES) == sorted(SETTING_KEYS)
+
+
+@pytest.mark.parametrize("key, value, flags", SETTING_CASES, ids=[case[0] for case in SETTING_CASES])
+def test_a_setting_flag_and_its_config_key_give_the_same_config(capsys, tmp_path, monkeypatch, key, value, flags):
+    monkeypatch.delenv("SEVPREDICT_SEED", raising=False)
+    seed = [] if key == "seed" else ["--seed", "1"]
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({key: value}))
+    by_flag = _config_block(capsys, tmp_path, "flag", *seed, *flags)
+    assert by_flag == _config_block(capsys, tmp_path, "file", *seed, "--config", str(config))
+    assert by_flag[SETTING_KEYS[key]] == value != PipelineConfig().settings()[SETTING_KEYS[key]]
+
+
+def test_metrics_offers_exactly_the_economics_flags():
+    (commands,) = [action for action in build_parser()._actions if isinstance(action, argparse._SubParsersAction)]
+    options = {option for action in commands.choices["metrics"]._actions for option in action.option_strings}
+    assert options == {"-h", "--help", "--config", "--out", "--delta", "--weights"}
+
+
+@pytest.mark.parametrize("command", ["run", "metrics"])
+def test_a_config_file_may_start_with_a_byte_order_mark(capsys, tmp_path, reference_bst_path, command):
+    target = str(DATA_DIR / "mini_fixture.csv" if command == "run" else reference_bst_path)
+    seen = []
+    for bom in (b"", b"\xef\xbb\xbf"):
+        config = tmp_path / "config.json"
+        config.write_bytes(bom + b'{"seed": 2, "delta": 50}')
+        out_dir = tmp_path / f"out{len(bom)}"
+        code, out, err = run(capsys, command, target, "--config", str(config), "--out", str(out_dir))
+        assert (code, err) == (0, "")
+        seen.append((out.replace(str(out_dir), "OUT"), {f.name: f.read_bytes() for f in out_dir.iterdir()}))
+    assert seen[0] == seen[1]
 
 
 def test_run_rejects_unknown_config_keys(capsys, tmp_path):

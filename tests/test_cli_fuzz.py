@@ -22,7 +22,7 @@ from unittest import mock
 from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
-from sevpredict.cli import DEFAULTS, SEED_ENV_VAR, main
+from sevpredict.cli import SEED_ENV_VAR, SETTING_KEYS, main
 from sevpredict.corpus import REQUIRED_COLUMNS
 from sevpredict.metrics import PREDICTIONS_HEADER
 from sevpredict.severity import CLASS_NAMES
@@ -39,7 +39,8 @@ RUN_FLAGS = {
     "--gamma": st.floats(0.0, 1.0), "--beta": st.floats(0.0, 1.0), "--delta": DELTAS, "--weights": WEIGHTS,
     "--k-neighbors": st.integers(1, 8) | st.just(2**70), "--test-fraction": st.floats(0.05, 0.95),
     "--folds": st.integers(2, 4), "--max-iterations": st.integers(1, 5) | st.just(2**70),
-    "--max-depth": st.integers(0, 6) | st.just(2**70),
+    "--max-depth": st.integers(0, 6) | st.just(2**70), "--d-threshold": st.floats(1e-3, 1.0),
+    "--min-samples-split": st.integers(2, 5) | st.just(2**70),
 }
 # config-file settings of their own types, in range and a little past it
 SETTINGS = {
@@ -106,7 +107,7 @@ def config_bytes(draw, strict: bool) -> bytes:
     """A JSON object of settings; unless strict, possibly of any JSON type, not an object, or not JSON."""
     keys = draw(st.lists(st.sampled_from(sorted(SETTINGS)), max_size=5, unique=True))
     document = {key: either(draw, strict, *SETTINGS[key]) for key in keys}
-    untyped = st.dictionaries(st.sampled_from(sorted(DEFAULTS) + ["unknown"]), JSON_VALUES, max_size=4)
+    untyped = st.dictionaries(st.sampled_from(sorted(SETTING_KEYS) + ["unknown"]), JSON_VALUES, max_size=4)
     document = either(draw, strict, st.just(document), untyped | untyped.map(lambda d: [d]) | st.none())
     return either(draw, strict, st.just(json.dumps(document).encode()), st.sampled_from([b"{", b"\xff{}"]))
 
@@ -151,7 +152,8 @@ def invocations(draw, root: pathlib.Path) -> tuple[list[str], str | None]:
     paths[0] = either(draw, strict, st.just(paths[0]), st.just(root / "missing.csv"))
     if command == "validate":
         return ["validate", str(paths[0])], None
-    switches = draw(st.lists(st.sampled_from(["--bst-raw", "--table"]), unique=True))
+    switches = draw(st.lists(st.sampled_from(["--bst-raw", "--table", "--oversample-first", "--no-oversample-first"]),
+                             unique=True))
     return ["run", *map(str, paths), *config, *seed, *flags(draw, strict, RUN_FLAGS), *switches, "--out", out], env_seed
 
 
